@@ -9,9 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CATEGORIES, Passage, all_yields, is_contiguous
-
-OUTSIDE = "O"
+from .graph import CATEGORIES, OUTSIDE, Passage, all_yields, is_contiguous
 
 # Fixed label vocabulary: O + B/I per category + B/I-REM per category = 53.
 BIO_LABELS = ([OUTSIDE]
@@ -91,25 +89,17 @@ def encode(passage: Passage, node_id: str) -> list:
             if labels[pos] != OUTSIDE:
                 raise NotRepresentable("overlapping children at token %d"
                                        % pos)
-            prefix = "B" if pos == start else "I"
-            if remote:
-                labels[pos] = "%s-REM-%s" % (prefix, category)
-            else:
-                labels[pos] = "%s-%s" % (prefix, category)
-
-    for e, child in passage.primary_children(node_id):
-        place(yields[child], e.category, remote=False)
-    for e, child in passage.remote_children(node_id):
-        place(yields[child], e.category, remote=True)
+            labels[pos] = "%s-%s%s" % ("B" if pos == start else "I",
+                                       "REM-" if remote else "", category)
 
     # The labeling must round-trip to exactly the children spans.
     expected = set()
-    for e, child in passage.primary_children(node_id):
+    children = ([(e, c, False) for e, c in passage.primary_children(node_id)]
+                + [(e, c, True) for e, c in passage.remote_children(node_id)])
+    for e, child, remote in children:
         y = yields[child]
-        expected.add(ChildSpan(min(y), max(y) + 1, e.category, False))
-    for e, child in passage.remote_children(node_id):
-        y = yields[child]
-        expected.add(ChildSpan(min(y), max(y) + 1, e.category, True))
+        place(y, e.category, remote)
+        expected.add(ChildSpan(min(y), max(y) + 1, e.category, remote))
     if set(decode_labels(labels)) != expected:
         raise NotRepresentable("labeling does not round-trip")
     return labels

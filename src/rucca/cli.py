@@ -9,13 +9,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import corpus, evaluator, features, tagger as tagger_mod
-from .graph import non_terminals
 from .lexicon import EMPTY_LEXICON, load_lexicon
 from .parser import DecoderConfig, ParseError, parse
-from .tagger import NumericError, TrainConfig
+from .tagger import CheckpointError, NumericError, TaggerConfig, TrainConfig
 
 ENV_PREFIX = "RUCCA_"
 
@@ -41,11 +40,19 @@ class Config:
             return env
         return self.values.get(key, default)
 
+    def _typed(self, key, default, kind):
+        value = self.get(key, default)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError("config key %s: bad %s value %r"
+                              % (key, kind.__name__, value)) from None
+
     def get_int(self, key, default):
-        return int(self.get(key, default))
+        return self._typed(key, default, int)
 
     def get_float(self, key, default):
-        return float(self.get(key, default))
+        return self._typed(key, default, float)
 
     def path(self, key, required=False):
         value = self.get(key)
@@ -57,9 +64,6 @@ class Config:
             raise ConfigError("config key %s points to missing path: %s"
                               % (key, value))
         return value
-
-    def out_path(self, key, default=None):
-        return self.get(key, default)
 
 
 def load_config(path=None) -> Config:
@@ -85,27 +89,32 @@ def save_config(config: Config, path):
 
 
 def _train_config(config, seed) -> TrainConfig:
-    return TrainConfig(
-        epochs=config.get_int("epochs", 50),
-        learning_rate=config.get_float("learning_rate", 1e-3),
-        batch_size=config.get_int("batch_size", 16),
-        seed=seed,
-        grad_clip=config.get_float("grad_clip", 5.0),
-        hidden=config.get_int("hidden", 128),
-        cat_dim=config.get_int("cat_dim", 16),
-        lambda_aux=config.get_float("lambda_aux", 1.0))
+    try:
+        return TrainConfig(
+            epochs=config.get_int("epochs", 50),
+            learning_rate=config.get_float("learning_rate", 1e-3),
+            batch_size=config.get_int("batch_size", 16),
+            grad_clip=config.get_float("grad_clip", 5.0),
+            tagger=TaggerConfig(hidden=config.get_int("hidden", 128),
+                                cat_dim=config.get_int("cat_dim", 16),
+                                lambda_aux=config.get_float("lambda_aux", 1.0),
+                                seed=seed))
+    except ValueError as exc:
+        raise ConfigError(exc) from None
 
 
-def _decoder_config(config, threshold=None) -> DecoderConfig:
+def _decoder_config(config) -> DecoderConfig:
     action_path = config.path("action_nouns")
     action = load_lexicon(action_path, "any") if action_path else None
     verbs = config.get("verb_upos", "VERB")
-    return DecoderConfig(
-        remote_threshold=threshold if threshold is not None
-        else config.get_float("remote_threshold", 0.3),
-        max_depth=config.get_int("max_depth", 20),
-        action_noun_lexicon=action,
-        verb_upos=frozenset(verbs.split(",")))
+    try:
+        return DecoderConfig(
+            remote_threshold=config.get_float("remote_threshold", 0.3),
+            max_depth=config.get_int("max_depth", 20),
+            action_noun_lexicon=action,
+            verb_upos=frozenset(verbs.split(",")))
+    except ValueError as exc:
+        raise ConfigError(exc) from None
 
 
 def _lexicon(config, language):
@@ -119,25 +128,49 @@ def _embeddings(config):
         else features.EMPTY_EMBEDDINGS
 
 
+def _tagger_and_context(config, oracle_gold=None):
+    """The tagger and its featurizer context: an oracle over oracle_gold
+    when given, else the configured checkpoint."""
+    lexicon = _lexicon(config, config.get("language", "en"))
+    if oracle_gold is not None:
+        return tagger_mod.OracleTagger(oracle_gold), \
+            features.FeaturizerContext(
+                vocab=features.fit_vocabularies(oracle_gold),
+                embeddings=features.EMPTY_EMBEDDINGS, lexicon=lexicon)
+    model = tagger_mod.load_checkpoint(config.path("model", required=True))
+    return model, features.FeaturizerContext(
+        vocab=model.vocab, embeddings=_embeddings(config), lexicon=lexicon)
+
+
+def _sentences(passages):
+    return [(p.passage_id, p.tokens, p.language) for p in passages]
+
+
+def parse_sentences(sentences, model, ctx, dcfg):
+    """The parse loop: (passage_id, tokens, language) triples ->
+    [(Passage, ParseTrace)], in input order."""
+    return [parse(tokens, model, ctx, dcfg, passage_id=pid,
+                  language=language)
+            for pid, tokens, language in sentences]
+
+
+def score_parses(gold, model, ctx, dcfg) -> evaluator.EvalReport:
+    """Overall report of parsing the gold passages' sentences."""
+    parsed = parse_sentences(_sentences(gold), model, ctx, dcfg)
+    return evaluator.score_corpus(
+        [(predicted, g) for (predicted, _), g in zip(parsed, gold)]).overall
+
+
 def cmd_expand(config, args):
     passages = corpus.load_passages(config.path("train_passages",
                                                 required=True))
-    out_path = config.out_path("expanded_out", "expanded.jsonl")
-    examples = []
-    skipped = 0
-    for passage in passages:
-        for ex in corpus.expand(passage):
-            examples.append(ex)
-            if not ex.representable:
-                skipped += 1
-        expected = len(non_terminals(passage))
-        emitted = sum(1 for ex in examples
-                      if ex.passage_id == passage.passage_id)
-        assert emitted == expected
-    corpus.save_examples(examples, out_path)
+    out = config.get("expanded_out", "expanded.jsonl")
+    examples = [ex for p in passages for ex in corpus.expand(p)]
+    skipped = sum(not ex.representable for ex in examples)
+    corpus.save_examples(examples, out)
     print("expanded %d passages into %d examples (%d skipped as "
           "non-representable) -> %s"
-          % (len(passages), len(examples), skipped, out_path))
+          % (len(passages), len(examples), skipped, out))
     return EXIT_OK
 
 
@@ -153,7 +186,8 @@ def cmd_train(config, args):
         embeddings=_embeddings(config),
         lexicon=_lexicon(config, language))
     tcfg = _train_config(config, seed)
-    log_path = config.out_path("train_log", "train.log")
+    dcfg = _decoder_config(config)
+    log_path = config.get("train_log", "train.log")
     log_lines = []
 
     def hook(record):
@@ -163,61 +197,42 @@ def cmd_train(config, args):
         log_lines.append(line)
         print(line)
 
-    model, _ = tagger_mod.train(examples, dev, ctx, tcfg,
-                                decoder_config=_decoder_config(config),
+    def dev_score(model):
+        return score_parses(dev, model, ctx, dcfg).labeled["avg"].f1
+
+    model, _ = tagger_mod.train(examples, ctx, tcfg,
+                                dev_score=dev_score if dev else None,
                                 log_hook=hook)
     with open(log_path, "w", encoding="utf-8") as f:
         f.write("\n".join(log_lines) + "\n")
-    out = config.out_path("model", "model.ckpt")
+    out = config.get("model", "model.ckpt")
     tagger_mod.save_checkpoint(model, out)
     print("saved checkpoint -> %s" % out)
     return EXIT_OK
 
 
-def _oracle_setup(config, gold_path):
-    passages = corpus.load_passages(gold_path)
-    examples = [ex for p in passages for ex in corpus.expand(p)]
-    language = config.get("language", "en")
-    ctx = features.FeaturizerContext(
-        vocab=features.fit_vocabularies(examples),
-        embeddings=features.EMPTY_EMBEDDINGS,
-        lexicon=_lexicon(config, language))
-    return passages, tagger_mod.OracleTagger(passages), ctx
-
-
 def cmd_parse(config, args):
-    threshold = None
-    dcfg = _decoder_config(config, threshold)
-    out_path = config.out_path("predictions_out", "predictions.jsonl")
+    dcfg = _decoder_config(config)
+    out = config.get("predictions_out", "predictions.jsonl")
     if args.oracle:
-        gold_path = args.input or config.path("test_passages",
-                                              required=True)
-        passages, model, ctx = _oracle_setup(config, gold_path)
-        sentences = [(p.passage_id, p.tokens, p.language) for p in passages]
+        gold = corpus.load_passages(
+            args.input or config.path("test_passages", required=True))
+        model, ctx = _tagger_and_context(config, oracle_gold=gold)
+        sentences = _sentences(gold)
     else:
-        model = tagger_mod.load_checkpoint(config.path("model",
-                                                       required=True))
+        model, ctx = _tagger_and_context(config)
         language = config.get("language", "en")
-        ctx = features.FeaturizerContext(
-            vocab=model.vocab, embeddings=_embeddings(config),
-            lexicon=_lexicon(config, language))
         input_path = args.input or config.path("test_tokens", required=True)
         conll = corpus.load_conll_tokens(input_path, language)
         sentences = [("s%d" % i, toks, language)
                      for i, toks in enumerate(conll)]
-    predictions = []
-    traces = []
-    for pid, tokens, language in sentences:
-        passage, trace = parse(tokens, model, ctx, dcfg,
-                               passage_id=pid, language=language)
-        predictions.append(passage)
-        traces.append((pid, trace))
-    corpus.save_passages(predictions, out_path)
+    parsed = parse_sentences(sentences, model, ctx, dcfg)
+    corpus.save_passages([passage for passage, _ in parsed], out)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
-            for pid, trace in traces:
-                f.write("## %s\n%s\n" % (pid, trace.render()))
-    print("parsed %d sentences -> %s" % (len(predictions), out_path))
+            for passage, trace in parsed:
+                f.write("## %s\n%s\n" % (passage.passage_id, trace.render()))
+    print("parsed %d sentences -> %s" % (len(parsed), out))
     return EXIT_OK
 
 
@@ -225,13 +240,12 @@ def cmd_eval(config, args):
     pred = corpus.load_passages(args.pred)
     gold = corpus.load_passages(args.gold)
     if len(pred) != len(gold):
-        print("error: %d predicted vs %d gold passages"
-              % (len(pred), len(gold)), file=sys.stderr)
-        return EXIT_DATA
+        raise evaluator.EvalError("%d predicted vs %d gold passages"
+                                  % (len(pred), len(gold)))
     corpus_report = evaluator.score_corpus(list(zip(pred, gold)))
     text = evaluator.render_corpus_text(corpus_report)
     print(text)
-    report_out = config.out_path("report_out")
+    report_out = config.get("report_out")
     if report_out:
         with open(report_out, "w", encoding="utf-8") as f:
             json.dump(evaluator.corpus_record(corpus_report), f,
@@ -241,28 +255,17 @@ def cmd_eval(config, args):
 
 
 def cmd_tune(config, args):
-    gold_path = args.dev or config.path("dev_passages", required=True)
-    if args.oracle:
-        passages, model, ctx = _oracle_setup(config, gold_path)
-    else:
-        model = tagger_mod.load_checkpoint(config.path("model",
-                                                       required=True))
-        passages = corpus.load_passages(gold_path)
-        language = config.get("language", "en")
-        ctx = features.FeaturizerContext(
-            vocab=model.vocab, embeddings=_embeddings(config),
-            lexicon=_lexicon(config, language))
+    gold = corpus.load_passages(
+        args.dev or config.path("dev_passages", required=True))
+    model, ctx = _tagger_and_context(
+        config, oracle_gold=gold if args.oracle else None)
+    dcfg = _decoder_config(config)
     best = None
     print("%8s %12s %12s" % ("theta", "remote F1", "avg labeled F1"))
     for theta in THRESHOLD_SWEEP:
-        dcfg = _decoder_config(config, threshold=theta)
-        pairs = []
-        for gold in passages:
-            predicted, _ = parse(gold.tokens, model, ctx, dcfg,
-                                 passage_id=gold.passage_id,
-                                 language=gold.language)
-            pairs.append((predicted, gold))
-        report = evaluator.score_corpus(pairs).overall
+        report = score_parses(
+            gold, model, ctx,
+            replace(dcfg, remote_threshold=theta))
         avg = report.labeled["avg"].f1
         rem = report.labeled["remote"].f1
         print("%8.2f %12.4f %12.4f" % (theta, rem, avg))
@@ -277,8 +280,16 @@ def cmd_tune(config, args):
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a config error (exit 1); argparse's
+    own exit code, 2, is the data-error code here."""
+
+    def error(self, message):
+        raise ConfigError("command line: %s" % message)
+
+
 def build_argparser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="rucca",
         description="Recursive masked sequence-tagging semantic parser.")
     ap.add_argument("--config", help="key=value configuration file")
@@ -294,7 +305,6 @@ def build_argparser():
     p.add_argument("--oracle", action="store_true",
                    help="use the gold-derived oracle tagger")
     p.add_argument("--trace", help="write a parse trace log here")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("pred")
@@ -312,16 +322,17 @@ COMMANDS = {"expand": cmd_expand, "train": cmd_train, "parse": cmd_parse,
 
 
 def main(argv=None):
-    args = build_argparser().parse_args(argv)
     try:
+        args = build_argparser().parse_args(argv)
         config = load_config(args.config)
         if args.seed is not None:
             config.values["seed"] = str(args.seed)
         return COMMANDS[args.command](config, args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (corpus.CorpusError, evaluator.EvalError, ParseError) as exc:
+    except (corpus.CorpusError, evaluator.EvalError, ParseError,
+            CheckpointError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -18,6 +18,8 @@ AUX_OUTSIDE = "O"
 
 TOKEN_FIELDS = ("form", "upos", "xpos", "morph", "head", "deprel", "language")
 PASSAGE_FIELDS = ("passage_id", "language", "tokens", "nodes", "edges", "root")
+EXAMPLE_FIELDS = ("passage_id", "tokens", "mask", "focus_node", "target_bio",
+                  "target_aux", "representable")
 
 
 class CorpusError(ValueError):
@@ -110,9 +112,9 @@ def passage_from_record(rec: dict, where: str = "record") -> Passage:
                    root=rec["root"])
 
 
-def load_passages(path) -> list:
-    """Read a JSON-lines passage file; every passage must validate."""
-    passages = []
+def _records(path):
+    """(where, record) for each object line of a JSON-lines file; blank
+    lines and # comments are skipped."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -123,13 +125,22 @@ def load_passages(path) -> list:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError("%s: bad JSON: %s" % (where, exc))
-            passage = passage_from_record(rec, where)
-            violations = validate(passage)
-            if violations:
-                raise CorpusError("%s: invalid passage %s: %s"
-                                  % (where, passage.passage_id,
-                                     "; ".join(violations)))
-            passages.append(passage)
+            if not isinstance(rec, dict):
+                raise CorpusError("%s: expected a JSON object" % where)
+            yield where, rec
+
+
+def load_passages(path) -> list:
+    """Read a JSON-lines passage file; every passage must validate."""
+    passages = []
+    for where, rec in _records(path):
+        passage = passage_from_record(rec, where)
+        violations = validate(passage)
+        if violations:
+            raise CorpusError("%s: invalid passage %s: %s"
+                              % (where, passage.passage_id,
+                                 "; ".join(violations)))
+        passages.append(passage)
     return passages
 
 
@@ -194,27 +205,26 @@ def load_conll_tokens(path, language="en") -> list:
 def aux_labels(passage: Passage) -> tuple:
     """Per-token label: category of the token's highest-attaching edge,
     i.e. the edge from the root to the token's topmost non-root ancestor."""
-    parent_edge = {}
-    for e in passage.edges:
-        if not e.remote:
-            parent_edge[e.child] = e
+
+    def parent_edge(node_id):
+        incoming = passage.incoming_primary(node_id)
+        return incoming[0] if incoming else None
+
     labels = [AUX_OUTSIDE] * len(passage.tokens)
     for n in passage.nodes:
         if not n.is_terminal():
             continue
-        edge = parent_edge.get(n.id)
+        edge = parent_edge(n.id)
         while edge is not None and edge.parent != passage.root:
-            edge = parent_edge.get(edge.parent)
+            edge = parent_edge(edge.parent)
         if edge is not None:
             labels[n.position] = edge.category
     return tuple(labels)
 
 
-def build_mask(passage: Passage, node_id: str, yields=None) -> tuple:
+def build_mask(passage: Passage, node_id: str) -> tuple:
     """Mask sequence for one focus node: arc category (ROOT for the root)
     inside the node's yield, O outside."""
-    if yields is None:
-        yields = all_yields(passage)
     if node_id == passage.root:
         symbol = ROOT_MASK
     else:
@@ -222,7 +232,7 @@ def build_mask(passage: Passage, node_id: str, yields=None) -> tuple:
         if not incoming:
             raise CorpusError("focus node %s has no primary parent" % node_id)
         symbol = incoming[0].category
-    span = yields[node_id]
+    span = all_yields(passage)[node_id]
     return tuple(symbol if i in span else OUTSIDE
                  for i in range(len(passage.tokens)))
 
@@ -233,11 +243,10 @@ def expand(passage: Passage) -> list:
     Nodes whose children are not BIO-representable are emitted with
     representable=False and no BIO target; callers skip them for training.
     """
-    yields = all_yields(passage)
     aux = aux_labels(passage)
     examples = []
     for node_id in non_terminals(passage):
-        mask = build_mask(passage, node_id, yields)
+        mask = build_mask(passage, node_id)
         try:
             target = tuple(bio.encode(passage, node_id))
             representable = True
@@ -273,22 +282,19 @@ def save_examples(examples, path):
 
 def load_examples(path) -> list:
     examples = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = "%s:%d" % (path, lineno)
-            rec = json.loads(line)
-            examples.append(MaskedExample(
-                passage_id=rec["passage_id"],
-                tokens=tuple(_token_from_record(t, where)
-                             for t in rec["tokens"]),
-                mask=tuple(rec["mask"]),
-                focus_node=rec["focus_node"],
-                target_bio=tuple(rec["target_bio"])
-                if rec["target_bio"] is not None else None,
-                target_aux=tuple(rec["target_aux"])
-                if rec["target_aux"] is not None else None,
-                representable=rec["representable"]))
+    for where, rec in _records(path):
+        if set(rec) != set(EXAMPLE_FIELDS):
+            raise CorpusError("%s: example fields %s, expected %s"
+                              % (where, sorted(rec), sorted(EXAMPLE_FIELDS)))
+        examples.append(MaskedExample(
+            passage_id=rec["passage_id"],
+            tokens=tuple(_token_from_record(t, where)
+                         for t in rec["tokens"]),
+            mask=tuple(rec["mask"]),
+            focus_node=rec["focus_node"],
+            target_bio=tuple(rec["target_bio"])
+            if rec["target_bio"] is not None else None,
+            target_aux=tuple(rec["target_aux"])
+            if rec["target_aux"] is not None else None,
+            representable=rec["representable"]))
     return examples

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import MASK_SYMBOLS, MaskedExample
+from .corpus import MASK_SYMBOLS, CorpusError, MaskedExample
 from .lexicon import ExpressionLexicon, match
 
 PAD = "<pad>"
@@ -108,9 +108,10 @@ def _make_table(symbols) -> dict:
 
 
 def fit_vocabularies(corpus) -> FeatureVocabularies:
-    """Deterministic tables over every symbol seen in the corpus."""
+    """Deterministic tables over every symbol seen in the corpus: examples
+    or passages, whose tokens are all that is read."""
     if not corpus:
-        raise ValueError("cannot fit vocabularies on an empty corpus")
+        raise CorpusError("cannot fit vocabularies on an empty corpus")
     seen = {name: set() for name in
             ("deprel", "upos", "xpos", "caps", "length", "prefix2",
              "prefix3", "suffix2", "suffix3", "language")}

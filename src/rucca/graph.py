@@ -6,6 +6,8 @@ tree into a DAG.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 # The 13 edge categories, in the conventional reporting order.
@@ -38,9 +40,6 @@ class TokenRow:
     head: Optional[object] = None  # token index, "root", or None
     deprel: Optional[str] = None
     language: str = "en"
-
-    def morph_dict(self) -> dict:
-        return dict(self.morph)
 
 
 def make_token(form, upos, xpos=None, morph=None, head=None, deprel=None,
@@ -77,74 +76,74 @@ class Passage:
     edges: tuple  # of Edge
     root: str
 
+    @cached_property
+    def _index(self):
+        return _Index(self.nodes, self.edges)
+
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError("unknown node id: %r" % (node_id,))
+        try:
+            return self._index.by_id[node_id]
+        except KeyError:
+            raise KeyError("unknown node id: %r" % (node_id,)) from None
 
     def primary_children(self, node_id: str):
         """(edge, child_id) pairs over non-remote edges, input order."""
-        return [(e, e.child) for e in self.edges
-                if e.parent == node_id and not e.remote]
+        return list(self._index.primary.get(node_id, ()))
 
     def remote_children(self, node_id: str):
-        return [(e, e.child) for e in self.edges
-                if e.parent == node_id and e.remote]
+        return list(self._index.remote.get(node_id, ()))
 
     def incoming_primary(self, node_id: str):
-        return [e for e in self.edges if e.child == node_id and not e.remote]
+        return list(self._index.incoming.get(node_id, ()))
 
 
-def primary_yield(passage: Passage, node_id: str) -> frozenset:
-    """Terminal positions reachable from node_id via primary edges only."""
-    node = passage.node(node_id)  # raises on unknown id
-    children = {}
-    for e in passage.edges:
-        if not e.remote:
-            children.setdefault(e.parent, []).append(e.child)
-    positions = set()
-    stack = [node_id]
-    seen = set()
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        n = passage.node(nid)
-        if n.is_terminal():
-            positions.add(n.position)
-        else:
-            stack.extend(children.get(nid, ()))
-    return frozenset(positions)
+class _Index:
+    """Lookups over a passage's nodes and edges. A Passage is immutable,
+    so it builds its index once, on first use."""
+
+    def __init__(self, nodes, edges):
+        self.by_id = {}
+        for n in nodes:
+            self.by_id.setdefault(n.id, n)  # the first of duplicate ids
+        self.primary, self.remote, self.incoming = {}, {}, {}
+        for e in edges:
+            children = self.remote if e.remote else self.primary
+            children.setdefault(e.parent, []).append((e, e.child))
+            if not e.remote:
+                self.incoming.setdefault(e.child, []).append(e)
+
+    @cached_property
+    def yields(self):
+        """Read-only map node id -> primary yield, computed bottom-up. A
+        primary cycle reads as empty where it closes; validate() reports
+        it."""
+        yields = {}
+        path = set()
+
+        def visit(nid):
+            if nid in yields:
+                return yields[nid]
+            if nid in path:
+                return frozenset()
+            n = self.by_id[nid]
+            if n.is_terminal():
+                y = frozenset([n.position])
+            else:
+                path.add(nid)
+                y = frozenset().union(
+                    *[visit(c) for _, c in self.primary.get(nid, ())])
+                path.remove(nid)
+            yields[nid] = y
+            return y
+
+        for nid in self.by_id:
+            visit(nid)
+        return MappingProxyType(yields)
 
 
-def all_yields(passage: Passage) -> dict:
-    """node id -> primary yield, computed bottom-up in one pass."""
-    children = {}
-    for e in passage.edges:
-        if not e.remote:
-            children.setdefault(e.parent, []).append(e.child)
-    yields = {}
-
-    def visit(nid, trail):
-        if nid in yields:
-            return yields[nid]
-        if nid in trail:  # cycle; let validate() report it
-            return frozenset()
-        n = passage.node(nid)
-        if n.is_terminal():
-            y = frozenset([n.position])
-        else:
-            y = frozenset().union(
-                *[visit(c, trail | {nid}) for c in children.get(nid, ())]) \
-                if children.get(nid) else frozenset()
-        yields[nid] = y
-        return y
-
-    for n in passage.nodes:
-        visit(n.id, frozenset())
-    return yields
+def all_yields(passage: Passage):
+    """node id -> primary yield (a read-only map, shared by all callers)."""
+    return passage._index.yields
 
 
 def is_contiguous(positions) -> bool:
@@ -160,26 +159,22 @@ def non_terminals(passage: Passage) -> list:
     makes corpus expansion deterministic.
     """
     yields = all_yields(passage)
-    children = {}
-    for e in passage.edges:
-        if not e.remote:
-            children.setdefault(e.parent, []).append(e.child)
     order = []
 
     def visit(nid):
-        n = passage.node(nid)
-        if n.is_terminal():
+        if passage.node(nid).is_terminal():
             return
         order.append(nid)
-        kids = children.get(nid, [])
-        kids = sorted(kids, key=lambda c: (min(yields[c], default=-1), c))
+        kids = sorted((c for _, c in passage.primary_children(nid)),
+                      key=lambda c: (min(yields[c], default=-1), c))
         for c in kids:
             visit(c)
 
     visit(passage.root)
     # Non-terminals unreachable from the root (invalid passages) go last.
+    placed = set(order)
     rest = [n.id for n in passage.nodes
-            if not n.is_terminal() and n.id not in order]
+            if not n.is_terminal() and n.id not in placed]
     return order + sorted(rest)
 
 
@@ -195,7 +190,8 @@ def validate(passage: Passage, require_contiguous=False) -> list:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         violations.append("duplicate node ids: %s" % ", ".join(dupes))
         return violations
-    by_id = {n.id: n for n in passage.nodes}
+    index = passage._index
+    by_id = index.by_id
 
     if passage.root not in by_id:
         violations.append("root %s not among nodes" % passage.root)
@@ -225,26 +221,19 @@ def validate(passage: Passage, require_contiguous=False) -> list:
     if violations:
         return violations
 
-    primary_in = {n.id: 0 for n in passage.nodes}
-    for e in passage.edges:
-        if not e.remote:
-            primary_in[e.child] += 1
-    if primary_in[passage.root] > 0:
+    if passage.root in index.incoming:
         violations.append("root has incoming primary edge: node %s"
                           % passage.root)
     for n in passage.nodes:
         if n.id == passage.root:
             continue
-        if primary_in[n.id] == 0:
+        parents = len(index.incoming.get(n.id, ()))
+        if parents == 0:
             violations.append("no primary parent: node %s" % n.id)
-        elif primary_in[n.id] > 1:
+        elif parents > 1:
             violations.append("multiple primary parents: node %s" % n.id)
 
     # Connectivity / acyclicity of the primary subgraph.
-    children = {}
-    for e in passage.edges:
-        if not e.remote:
-            children.setdefault(e.parent, []).append(e.child)
     # Cycles surface as either a multiple-parent violation (above) or as
     # nodes unreachable from the root.
     reached = set()
@@ -254,7 +243,7 @@ def validate(passage: Passage, require_contiguous=False) -> list:
         if nid in reached:
             continue
         reached.add(nid)
-        stack.extend(children.get(nid, ()))
+        stack.extend(c for _, c in index.primary.get(nid, ()))
     for n in passage.nodes:
         if n.id not in reached:
             violations.append("unreachable from root: node %s" % n.id)

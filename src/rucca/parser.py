@@ -33,7 +33,7 @@ class DecoderConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.remote_threshold <= 1.0:
-            raise ValueError("remote threshold must be in [0, 1]")
+            raise ValueError("remote_threshold must be in [0, 1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
@@ -411,23 +411,3 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
                          % "; ".join(violations))
     return passage, trace
 
-
-@dataclass
-class ParseResult:
-    passage: object = None
-    trace: object = None
-    error: str = None
-
-
-def parse_batch(sentences, tagger, ctx, cfg: DecoderConfig,
-                passage_ids=None):
-    """Element-wise parse with per-sentence failure isolation."""
-    results = []
-    for i, tokens in enumerate(sentences):
-        pid = passage_ids[i] if passage_ids else "s%d" % i
-        try:
-            passage, trace = parse(tokens, tagger, ctx, cfg, passage_id=pid)
-            results.append(ParseResult(passage=passage, trace=trace))
-        except (ParseError, ValueError, RuntimeError) as exc:
-            results.append(ParseResult(error=str(exc)))
-    return results

@@ -10,18 +10,22 @@ are exact and runs are bit-deterministic under a fixed seed.
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bio
-from .corpus import AUX_OUTSIDE, MaskedExample
+from .corpus import AUX_OUTSIDE, CorpusError, MaskedExample
 from .features import FeaturizedExample, FeatureVocabularies
 from .graph import OUTSIDE, ROOT_MASK, all_yields, non_terminals
 
 
 class NumericError(RuntimeError):
     """Non-finite value encountered during forward/backward/training."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that is malformed or disagrees with its config."""
 
 
 @dataclass
@@ -31,7 +35,7 @@ class TaggerConfig:
     n_layers: int = 4
     word_dim: int = 300
     lambda_aux: float = 1.0
-    seed: int = 13
+    seed: int = 13  # parameter initialisation and training shuffles
 
 
 @dataclass
@@ -39,17 +43,16 @@ class TrainConfig:
     epochs: int = 50
     learning_rate: float = 1e-3
     batch_size: int = 16
-    seed: int = 13
     grad_clip: float = 5.0
-    hidden: int = 128
-    cat_dim: int = 16
-    lambda_aux: float = 1.0
+    tagger: TaggerConfig = field(default_factory=TaggerConfig)
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+            raise ValueError("learning_rate must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 def _sigmoid(x):
@@ -348,25 +351,23 @@ def build_aux_vocab(examples):
     return tuple(sorted(symbols))
 
 
-def train(examples, dev_passages, ctx, config: TrainConfig,
-          decoder_config=None, log_hook=None):
+def train(examples, ctx, config: TrainConfig, dev_score=None,
+          log_hook=None):
     """Mini-batch Adam training; returns (tagger, per-epoch log records).
 
-    After each epoch the current model parses the dev set recursively and
-    the parameters with the best dev labeled Avg F1 are kept. With an
-    empty dev set the final parameters are returned.
+    With dev_score (tagger -> dev F1), every epoch is scored and the
+    parameters of the first best-scoring epoch are kept. Without it the
+    final parameters are returned.
     """
     usable = [ex for ex in examples
               if ex.representable and ex.target_bio is not None]
     if not usable:
-        raise ValueError("no trainable examples")
-    tcfg = TaggerConfig(hidden=config.hidden, cat_dim=config.cat_dim,
-                        lambda_aux=config.lambda_aux, seed=config.seed)
-    tagger = GruTagger(tcfg, ctx.vocab, build_aux_vocab(usable))
+        raise CorpusError("no trainable examples")
+    tagger = GruTagger(config.tagger, ctx.vocab, build_aux_vocab(usable))
     feats = [ctx.featurize(ex) for ex in usable]
     targets = [tagger.target_ids(ex) for ex in usable]
     optimizer = _Adam(tagger.params, config.learning_rate)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.tagger.seed)
     log = []
     best_f1 = -1.0
     best_params = None
@@ -392,9 +393,8 @@ def train(examples, dev_passages, ctx, config: TrainConfig,
             clip_gradients(acc, config.grad_clip)
             optimizer.step(tagger.params, acc)
         record = {"epoch": epoch, "loss": float(np.mean(losses))}
-        if dev_passages:
-            record["dev_f1"] = _dev_f1(tagger, ctx, dev_passages,
-                                       decoder_config)
+        if dev_score is not None:
+            record["dev_f1"] = dev_score(tagger)
             if record["dev_f1"] > best_f1:
                 best_f1 = record["dev_f1"]
                 best_params = tagger.clone_params()
@@ -404,19 +404,6 @@ def train(examples, dev_passages, ctx, config: TrainConfig,
     if best_params is not None:
         tagger.params = best_params
     return tagger, log
-
-
-def _dev_f1(tagger, ctx, dev_passages, decoder_config):
-    from .evaluator import score_corpus
-    from .parser import DecoderConfig, parse
-    cfg = decoder_config or DecoderConfig()
-    pairs = []
-    for gold in dev_passages:
-        pred, _ = parse(gold.tokens, tagger, ctx, cfg,
-                        passage_id=gold.passage_id, language=gold.language)
-        pairs.append((pred, gold))
-    report = score_corpus(pairs)
-    return report.overall.labeled["avg"].f1
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +422,6 @@ class OracleTagger:
 
     def __init__(self, passages):
         self.by_id = {p.passage_id: p for p in passages}
-        self._yields = {pid: all_yields(p) for pid, p in self.by_id.items()}
         self._order = {pid: non_terminals(p)
                        for pid, p in self.by_id.items()}
 
@@ -445,7 +431,7 @@ class OracleTagger:
         if len(symbols) != 1 or not span:
             return None
         symbol = symbols.pop()
-        yields = self._yields[passage.passage_id]
+        yields = all_yields(passage)
         for nid in self._order[passage.passage_id]:
             if yields[nid] != span:
                 continue
@@ -503,23 +489,41 @@ def save_checkpoint(tagger: GruTagger, path):
 
 
 def load_checkpoint(path) -> GruTagger:
+    """Raises CheckpointError unless the file holds exactly one checkpoint
+    whose tensors have the shapes its config gives."""
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError("not a rucca checkpoint: %s" % path)
-        (size,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(size).decode("utf-8"))
-        if header["version"] != 1:
-            raise ValueError("unsupported checkpoint version %s"
-                             % header["version"])
-        vocab = FeatureVocabularies(
-            tables={k: dict(v)
-                    for k, v in header["vocab"]["tables"].items()},
-            morph_keys=tuple(header["vocab"]["morph_keys"]))
-        tagger = GruTagger(TaggerConfig(**header["config"]), vocab,
-                           header["aux_vocab"])
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(count * 8), dtype="<f8")
-            tagger.params[name] = data.reshape(shape).copy()
+        if f.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError("not a rucca checkpoint: %s" % path)
+        try:
+            (size,) = struct.unpack("<Q", f.read(8))
+            header = json.loads(f.read(size).decode("utf-8"))
+            if header["version"] != 1:
+                raise CheckpointError("unsupported checkpoint version %s"
+                                      % header["version"])
+            vocab = FeatureVocabularies(
+                tables={k: dict(v)
+                        for k, v in header["vocab"]["tables"].items()},
+                morph_keys=tuple(header["vocab"]["morph_keys"]))
+            tagger = GruTagger(TaggerConfig(**header["config"]), vocab,
+                               header["aux_vocab"])
+            tensors = header["tensors"]
+        except (struct.error, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
+            raise CheckpointError("%s: bad checkpoint header: %s"
+                                  % (path, exc)) from None
+        if tensors != [[name, list(tagger.params[name].shape)]
+                       for name in sorted(tagger.params)]:
+            raise CheckpointError("%s: tensors do not match the config"
+                                  % path)
+        for name, shape in tensors:
+            count = int(np.prod(shape))
+            data = f.read(count * 8)
+            if len(data) != count * 8:
+                raise CheckpointError("%s: truncated tensor %s"
+                                      % (path, name))
+            tagger.params[name] = np.frombuffer(
+                data, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise CheckpointError("%s: trailing bytes after the last tensor"
+                                  % path)
     return tagger

@@ -200,6 +200,27 @@ def fixture_corpus(seed=13, n_random=50):
             two_scene_5tok_passage()] + random_corpus(seed, n_random)
 
 
+def brute_force_yield(passage, node_id):
+    """Terminal positions reachable from node_id over primary edges, by a
+    plain search of passage.nodes and passage.edges: a reference for the
+    passage index."""
+    nodes = {n.id: n for n in passage.nodes}
+    positions = set()
+    stack = [node_id]
+    seen = set()
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        if nodes[nid].is_terminal():
+            positions.add(nodes[nid].position)
+        else:
+            stack.extend(e.child for e in passage.edges
+                         if e.parent == nid and not e.remote)
+    return frozenset(positions)
+
+
 def context_for(passages, lexicon=EMPTY_LEXICON, embeddings=None):
     examples = [ex for p in passages for ex in expand(p)]
     return FeaturizerContext(

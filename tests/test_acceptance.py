@@ -154,9 +154,9 @@ def test_overfit_toy_corpus():
     accuracy = 0.0
     epochs_used = 0
     while epochs_used < 200:
-        model, _ = train(examples, [], ctx,
-                         TrainConfig(epochs=epochs_used + 25, hidden=32,
-                                     cat_dim=8, batch_size=8, seed=13))
+        model, _ = train(examples, ctx, TrainConfig(
+            epochs=epochs_used + 25, batch_size=8,
+            tagger=TaggerConfig(hidden=32, cat_dim=8, seed=13)))
         epochs_used += 25
         accuracy = token_accuracy(model, ctx, examples)
         if accuracy >= 0.95:

@@ -1,11 +1,14 @@
 import json
+import struct
 
 import pytest
 
 from rucca import cli
-from rucca.corpus import load_passages, save_passages
+from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
+from rucca.features import fit_vocabularies
 from rucca.graph import Edge, Node, Passage, make_token, non_terminals
+from rucca.tagger import MAGIC, GruTagger, TaggerConfig, save_checkpoint
 
 from helpers import (fig1_passage, random_corpus, single_token_passage,
                      two_scene_5tok_passage)
@@ -98,6 +101,42 @@ def test_train_writes_log_and_checkpoint(tmp_path):
     assert len(lines) == 2
     assert lines[0].startswith("epoch 1 loss ")
     assert lines[1].startswith("epoch 2 loss ")
+
+
+def test_train_with_dev_keeps_best_epoch(tmp_path, capsys):
+    """Every epoch logs its dev F1, and the checkpoint holds the model of
+    the first epoch with the best dev F1: the same bytes as a run without
+    dev passages that stops at that epoch."""
+    passages = _gold_corpus()
+    gold = tmp_path / "gold.jsonl"
+    dev = tmp_path / "dev.jsonl"
+    save_passages(passages, gold)
+    save_passages(random_corpus(seed=3, count=4), dev)
+    values = dict(train_passages=gold, expanded=tmp_path / "e.jsonl",
+                  expanded_out=tmp_path / "e.jsonl",
+                  train_log=tmp_path / "log", hidden=4, cat_dim=2,
+                  batch_size=4, learning_rate=0.05, seed=13)
+    with_dev = _write_config(tmp_path / "dev.cfg", dev_passages=dev,
+                             epochs=6, model=tmp_path / "dev.ckpt", **values)
+    assert cli.main(["--config", with_dev, "expand"]) == cli.EXIT_OK
+    assert cli.main(["--config", with_dev, "train"]) == cli.EXIT_OK
+    lines = (tmp_path / "log").read_text().splitlines()
+    assert len(lines) == 6
+    f1s = []
+    for epoch, line in enumerate(lines, 1):
+        words = line.split()
+        assert words[:2] == ["epoch", str(epoch)]
+        assert words[-2] == "dev_avg_labeled_f1"
+        f1s.append(float(words[-1]))
+    best = f1s.index(max(f1s)) + 1
+    # At this seed the best F1 first comes at epoch 4 and recurs later, so
+    # both keeping the best epoch and keeping the earlier of a tie count.
+    assert best == 4 and f1s.count(max(f1s)) > 1
+    stopped = _write_config(tmp_path / "stop.cfg", epochs=best,
+                            model=tmp_path / "stop.ckpt", **values)
+    assert cli.main(["--config", stopped, "train"]) == cli.EXIT_OK
+    assert (tmp_path / "dev.ckpt").read_bytes() == \
+        (tmp_path / "stop.ckpt").read_bytes()
 
 
 def test_train_same_seed_identical_checkpoints(tmp_path):
@@ -260,3 +299,87 @@ def test_config_file_save_load_roundtrip(tmp_path):
     cli.save_config(cfg, path)
     loaded = cli.load_config(str(path))
     assert loaded.values == cfg.values
+
+
+def _reheader(blob, **config):
+    """The checkpoint with its header's config changed, tensors kept."""
+    start = len(MAGIC) + 8
+    (size,) = struct.unpack("<Q", blob[len(MAGIC):start])
+    header = json.loads(blob[start:start + size])
+    header["config"].update(config)
+    text = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + size:]
+
+
+def _drop_mask(blob):
+    """The example file with the "mask" key gone from its last record."""
+    lines = blob.decode("utf-8").splitlines()
+    record = json.loads(lines[-1])
+    del record["mask"]
+    lines[-1] = json.dumps(record)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Every malformed input exits with its documented code and one line that
+# names what is wrong. `rewrite` maps a config key to a function that
+# turns the valid file at that key into the malformed one.
+@pytest.mark.parametrize("command, values, env, rewrite, code, named", [
+    pytest.param(["train"], {}, {"RUCCA_EPOCHS": "abc"}, {},
+                 cli.EXIT_USAGE, "epochs", id="epochs-not-an-int"),
+    pytest.param(["train"], {"epochs": 0}, {}, {},
+                 cli.EXIT_USAGE, "epochs", id="epochs-zero"),
+    pytest.param(["parse", "--oracle"], {"remote_threshold": 1.5}, {}, {},
+                 cli.EXIT_USAGE, "remote_threshold",
+                 id="remote-threshold-above-one"),
+    pytest.param(["parse", "--oracle"], {"max_depth": 0}, {}, {},
+                 cli.EXIT_USAGE, "max_depth", id="max-depth-zero"),
+    pytest.param(["parse", "--oracle", "--bogus", "8"], {}, {}, {},
+                 cli.EXIT_USAGE, "--bogus", id="unknown-flag"),
+    pytest.param(["parse"], {}, {}, {"model": lambda b: b"hello\n"},
+                 cli.EXIT_DATA, "not a rucca checkpoint",
+                 id="not-a-checkpoint"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: b[:len(MAGIC) + 20]},
+                 cli.EXIT_DATA, "header", id="checkpoint-header-truncated"),
+    pytest.param(["parse"], {}, {}, {"model": lambda b: b[:-8]},
+                 cli.EXIT_DATA, "truncated tensor",
+                 id="checkpoint-tensors-truncated"),
+    pytest.param(["parse"], {}, {}, {"model": lambda b: b + b"\0"},
+                 cli.EXIT_DATA, "trailing bytes",
+                 id="checkpoint-trailing-bytes"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _reheader(b, hidden=3)},
+                 cli.EXIT_DATA, "do not match the config",
+                 id="checkpoint-shape-disagrees"),
+    pytest.param(["train"], {}, {},
+                 {"expanded": lambda b: b + b"{not json\n"},
+                 cli.EXIT_DATA, "expanded.jsonl:", id="example-bad-json"),
+    pytest.param(["train"], {}, {}, {"expanded": _drop_mask},
+                 cli.EXIT_DATA, "expanded.jsonl:", id="example-missing-key"),
+])
+def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
+                                             command, values, env, rewrite,
+                                             code, named):
+    passages = _gold_corpus()
+    gold = tmp_path / "gold.jsonl"
+    save_passages(passages, gold)
+    expanded = tmp_path / "expanded.jsonl"
+    save_examples([ex for p in passages for ex in expand(p)], expanded)
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(GruTagger(TaggerConfig(hidden=2, cat_dim=2, n_layers=1),
+                              fit_vocabularies(passages), ["O"]), model)
+    files = {"expanded": expanded, "model": model}
+    for key, change in rewrite.items():
+        files[key].write_bytes(change(files[key].read_bytes()))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    config = _write_config(tmp_path / "c.cfg", **{
+        "test_passages": gold, "test_tokens": gold, "epochs": 1,
+        "hidden": 2, "cat_dim": 2, "predictions_out": tmp_path / "pred.jsonl",
+        "train_log": tmp_path / "log", **files, **values})
+    assert cli.main(["--config", config] + command) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    prefix = "config error: " if code == cli.EXIT_USAGE else "data error: "
+    assert err.startswith(prefix) and named in err, err

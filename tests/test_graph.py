@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rucca.graph import (CATEGORIES, CategoryError, Edge, Node, Passage,
                          all_yields, make_token, non_terminals,
-                         parse_category, primary_yield, validate)
+                         parse_category, validate)
 
-from helpers import fig1_passage, fixture_corpus, single_token_passage
+from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
+                     random_corpus, single_token_passage)
 
 
 def test_category_vocabulary_is_closed():
@@ -52,22 +54,52 @@ def test_validate_rejects_remote_only_node():
     assert any("no primary parent: node n1" in v for v in violations)
 
 
-def test_primary_yield_terminal_and_root():
-    p = fig1_passage()
-    assert primary_yield(p, "t3") == frozenset({3})
-    assert primary_yield(p, "n0") == frozenset(range(7))
+def test_all_yields_terminal_and_root():
+    yields = all_yields(fig1_passage())
+    assert yields["t3"] == frozenset({3})
+    assert yields["n0"] == frozenset(range(7))
 
 
-def test_primary_yield_scene_node():
-    p = fig1_passage()
-    assert primary_yield(p, "n1") == frozenset({0, 1, 2})
+def test_all_yields_scene_node():
+    yields = all_yields(fig1_passage())
+    assert yields["n1"] == frozenset({0, 1, 2})
     # The remote edge into t0 must not leak into n2's primary yield.
-    assert primary_yield(p, "n2") == frozenset({4, 5, 6})
+    assert yields["n2"] == frozenset({4, 5, 6})
 
 
-def test_primary_yield_unknown_node():
+def test_all_yields_unknown_node():
+    p = fig1_passage()
     with pytest.raises(KeyError):
-        primary_yield(fig1_passage(), "nope")
+        all_yields(p)["nope"]
+    with pytest.raises(KeyError):
+        p.node("nope")
+
+
+def _assert_index_matches_scans(p):
+    yields = all_yields(p)
+    assert set(yields) == {n.id for n in p.nodes}
+    for n in p.nodes:
+        assert p.node(n.id) == n
+        assert yields[n.id] == brute_force_yield(p, n.id)
+        assert p.primary_children(n.id) == [
+            (e, e.child) for e in p.edges
+            if e.parent == n.id and not e.remote]
+        assert p.remote_children(n.id) == [
+            (e, e.child) for e in p.edges if e.parent == n.id and e.remote]
+        assert p.incoming_primary(n.id) == [
+            e for e in p.edges if e.child == n.id and not e.remote]
+
+
+def test_index_matches_scans_on_fixture_corpus():
+    for p in fixture_corpus(seed=13, n_random=50):
+        _assert_index_matches_scans(p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_index_matches_scans_on_random_corpus(seed):
+    for p in random_corpus(seed, 4):
+        _assert_index_matches_scans(p)
 
 
 def test_non_terminals_single_token():

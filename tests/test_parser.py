@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rucca import bio
+from rucca import bio, cli
 from rucca.evaluator import score
 from rucca.graph import all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
-                          parse, parse_batch)
+                          parse)
 from rucca.lexicon import MweMask, match
 from rucca.tagger import OracleTagger
 
@@ -219,18 +219,20 @@ def test_parse_empty_input_rejected():
         parse((), OracleTagger([]), ctx, DecoderConfig())
 
 
-def test_parse_batch_order_and_isolation():
+def test_parse_sentences_keeps_input_order():
     corpus = random_corpus(seed=51, count=3)
     ctx = context_for(corpus)
     oracle = OracleTagger(corpus)
-    results = parse_batch([p.tokens for p in corpus], oracle, ctx,
-                          DecoderConfig(),
-                          passage_ids=[p.passage_id for p in corpus])
-    assert len(results) == 3
-    for res, gold in zip(results, corpus):
-        assert res.error is None
-        assert res.passage.passage_id == gold.passage_id
-    assert parse_batch([], oracle, ctx, DecoderConfig()) == []
+    sentences = [(p.passage_id, p.tokens, p.language)
+                 for p in reversed(corpus)]
+    parsed = cli.parse_sentences(sentences, oracle, ctx, DecoderConfig())
+    assert [p.passage_id for p, _ in parsed] == \
+        [pid for pid, _, _ in sentences]
+    for (predicted, trace), gold in zip(parsed, reversed(corpus)):
+        assert predicted.tokens == gold.tokens
+        assert score(predicted, gold).labeled["avg"].f1 == 1.0
+        assert trace.steps
+    assert cli.parse_sentences([], oracle, ctx, DecoderConfig()) == []
 
 
 def test_parse_remote_threshold_one_drops_remotes():

@@ -179,11 +179,12 @@ def test_train_logs_one_line_per_epoch():
     passages = [two_scene_5tok_passage()]
     ctx = context_for(passages)
     examples = [ex for p in passages for ex in expand(p)]
-    cfg = TrainConfig(epochs=1, hidden=4, cat_dim=2, batch_size=4, seed=1)
-    _, log = train(examples, [], ctx, cfg)
+    tiny = TaggerConfig(hidden=4, cat_dim=2, seed=1)
+    _, log = train(examples, ctx, TrainConfig(epochs=1, batch_size=4,
+                                              tagger=tiny))
     assert len(log) == 1
-    cfg2 = TrainConfig(epochs=3, hidden=4, cat_dim=2, batch_size=4, seed=1)
-    _, log = train(examples, [], ctx, cfg2)
+    _, log = train(examples, ctx, TrainConfig(epochs=3, batch_size=4,
+                                              tagger=tiny))
     assert [r["epoch"] for r in log] == [1, 2, 3]
 
 
@@ -191,9 +192,10 @@ def test_train_same_seed_identical_params():
     passages = random_corpus(seed=41, count=3)
     ctx = context_for(passages)
     examples = [ex for p in passages for ex in expand(p)]
-    cfg = TrainConfig(epochs=2, hidden=4, cat_dim=2, batch_size=4, seed=13)
-    a, _ = train(examples, [], ctx, cfg)
-    b, _ = train(examples, [], ctx, cfg)
+    cfg = TrainConfig(epochs=2, batch_size=4,
+                      tagger=TaggerConfig(hidden=4, cat_dim=2, seed=13))
+    a, _ = train(examples, ctx, cfg)
+    b, _ = train(examples, ctx, cfg)
     assert sorted(a.params) == sorted(b.params)
     for k in a.params:
         assert np.array_equal(a.params[k], b.params[k]), k
@@ -204,6 +206,8 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=0)
 
 
 def test_oracle_predict_single_token():
