@@ -69,16 +69,19 @@ class Config:
 def load_config(path=None) -> Config:
     values = {}
     if path:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError("%s:%d: expected key=value"
-                                      % (path, lineno))
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+        try:
+            lines = list(corpus.text_lines(path))
+        except corpus.CorpusError as exc:
+            raise ConfigError(exc) from None
+        for lineno, line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError("%s:%d: expected key=value"
+                                  % (path, lineno))
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
     return Config(values=values)
 
 

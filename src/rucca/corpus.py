@@ -47,6 +47,9 @@ class MaskedExample:
         for sym in self.mask:
             if sym not in MASK_SYMBOLS:
                 raise CorpusError("unknown mask symbol %r" % (sym,))
+        for label in self.target_bio or ():
+            if label not in bio.BIO_INDEX:
+                raise CorpusError("unknown BIO label %r" % (label,))
 
 
 # ---------------------------------------------------------------------------
@@ -112,22 +115,32 @@ def passage_from_record(rec: dict, where: str = "record") -> Passage:
                    root=rec["root"])
 
 
+def text_lines(path):
+    """(line number, line) for each line of a UTF-8 text file; a file
+    that is not UTF-8 is a CorpusError naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, 1)
+        except UnicodeDecodeError as exc:
+            raise CorpusError("%s: not UTF-8 text: %s" % (path, exc.reason)) \
+                from None
+
+
 def _records(path):
     """(where, record) for each object line of a JSON-lines file; blank
     lines and # comments are skipped."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = "%s:%d" % (path, lineno)
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError("%s: bad JSON: %s" % (where, exc))
-            if not isinstance(rec, dict):
-                raise CorpusError("%s: expected a JSON object" % where)
-            yield where, rec
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = "%s:%d" % (path, lineno)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError("%s: bad JSON: %s" % (where, exc))
+        if not isinstance(rec, dict):
+            raise CorpusError("%s: expected a JSON object" % where)
+        yield where, rec
 
 
 def load_passages(path) -> list:
@@ -161,39 +174,42 @@ def load_conll_tokens(path, language="en") -> list:
     """-> list of token tuples, one per sentence."""
     sentences = []
     current = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    sentences.append(tuple(current))
-                    current = []
-                continue
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 7:
-                raise CorpusError("%s:%d: expected 7 columns, got %d"
-                                  % (path, lineno, len(cols)))
-            _, form, upos, xpos, feats, head, deprel = cols
-            morph = {}
-            if feats not in ("_", ""):
-                for item in feats.split("|"):
-                    k, _, v = item.partition("=")
-                    morph[k] = v
-            if head in ("_", ""):
-                head_val = None
-            elif head == "0":
-                head_val = "root"
-            else:
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            if current:
+                sentences.append(tuple(current))
+                current = []
+            continue
+        if line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 7:
+            raise CorpusError("%s:%d: expected 7 columns, got %d"
+                              % (path, lineno, len(cols)))
+        _, form, upos, xpos, feats, head, deprel = cols
+        morph = {}
+        if feats not in ("_", ""):
+            for item in feats.split("|"):
+                k, _, v = item.partition("=")
+                morph[k] = v
+        if head in ("_", ""):
+            head_val = None
+        elif head == "0":
+            head_val = "root"
+        else:
+            try:
                 head_val = int(head) - 1
-            current.append(TokenRow(
-                form=form, upos=upos,
-                xpos=None if xpos == "_" else xpos,
-                morph=tuple(sorted(morph.items())),
-                head=head_val,
-                deprel=None if deprel == "_" else deprel,
-                language=language))
+            except ValueError:
+                raise CorpusError("%s:%d: HEAD %r is not an integer"
+                                  % (path, lineno, head)) from None
+        current.append(TokenRow(
+            form=form, upos=upos,
+            xpos=None if xpos == "_" else xpos,
+            morph=tuple(sorted(morph.items())),
+            head=head_val,
+            deprel=None if deprel == "_" else deprel,
+            language=language))
     if current:
         sentences.append(tuple(current))
     return sentences
@@ -286,15 +302,17 @@ def load_examples(path) -> list:
         if set(rec) != set(EXAMPLE_FIELDS):
             raise CorpusError("%s: example fields %s, expected %s"
                               % (where, sorted(rec), sorted(EXAMPLE_FIELDS)))
-        examples.append(MaskedExample(
-            passage_id=rec["passage_id"],
-            tokens=tuple(_token_from_record(t, where)
-                         for t in rec["tokens"]),
-            mask=tuple(rec["mask"]),
-            focus_node=rec["focus_node"],
-            target_bio=tuple(rec["target_bio"])
-            if rec["target_bio"] is not None else None,
-            target_aux=tuple(rec["target_aux"])
-            if rec["target_aux"] is not None else None,
-            representable=rec["representable"]))
+        tokens = tuple(_token_from_record(t, where) for t in rec["tokens"])
+        try:
+            examples.append(MaskedExample(
+                passage_id=rec["passage_id"], tokens=tokens,
+                mask=tuple(rec["mask"]),
+                focus_node=rec["focus_node"],
+                target_bio=tuple(rec["target_bio"])
+                if rec["target_bio"] is not None else None,
+                target_aux=tuple(rec["target_aux"])
+                if rec["target_aux"] is not None else None,
+                representable=rec["representable"]))
+        except CorpusError as exc:
+            raise CorpusError("%s: %s" % (where, exc)) from None
     return examples

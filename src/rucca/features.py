@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import MASK_SYMBOLS, CorpusError, MaskedExample
+from .corpus import MASK_SYMBOLS, CorpusError, MaskedExample, text_lines
 from .lexicon import ExpressionLexicon, match
 
 PAD = "<pad>"
@@ -24,7 +24,7 @@ LENGTH_BUCKETS = ("1", "2", "3", "4-6", "7-10", "11+")
 WORD_DIM = 300
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(CorpusError):
     pass
 
 
@@ -153,19 +153,23 @@ EMPTY_EMBEDDINGS = WordEmbeddingTable(vectors={}, dim=WORD_DIM)
 
 def load_embeddings(path, dim=WORD_DIM) -> WordEmbeddingTable:
     """Text format: one "word v1 ... v<dim>" row per line. Rows with the
-    wrong dimension are skipped and counted."""
+    wrong dimension are skipped and counted; a value that is not a number
+    is an EmbeddingError."""
     vectors = {}
     skipped = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                skipped += 1
-                continue
+    for lineno, line in text_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) < 2:
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            skipped += 1
+            continue
+        try:
             vectors[word] = np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise EmbeddingError("%s:%d: %s" % (path, lineno, exc)) \
+                from None
     if not vectors:
         raise EmbeddingError("no valid embedding rows in %s" % path)
     return WordEmbeddingTable(vectors=vectors, dim=dim, skipped=skipped)
@@ -177,7 +181,6 @@ class FeaturizedExample:
     word_vectors: np.ndarray  # (T, dim), frozen
     categorical: dict  # feature name -> int array (T,)
     mwe: np.ndarray  # (T,) float 0/1
-    mask_symbols: tuple  # raw mask, kept for oracle taggers and checks
 
 
 @dataclass(frozen=True)
@@ -214,5 +217,4 @@ def featurize(example: MaskedExample, vocab: FeatureVocabularies,
     mwe = np.array(match(lex, tokens).flags, dtype=float) if n \
         else np.zeros(0)
     return FeaturizedExample(length=n, word_vectors=word_vectors,
-                             categorical=categorical, mwe=mwe,
-                             mask_symbols=example.mask)
+                             categorical=categorical, mwe=mwe)

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+from .corpus import text_lines
+
 
 @dataclass(frozen=True)
 class ExpressionLexicon:
@@ -27,16 +29,15 @@ def load_lexicon(path, language) -> ExpressionLexicon:
     comments. Duplicates are dropped and counted."""
     expressions = set()
     duplicates = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            pattern = tuple(line.lower().split())
-            if pattern in expressions:
-                duplicates += 1
-            else:
-                expressions.add(pattern)
+    for _, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        pattern = tuple(line.lower().split())
+        if pattern in expressions:
+            duplicates += 1
+        else:
+            expressions.add(pattern)
     return ExpressionLexicon(language=language,
                              expressions=frozenset(expressions),
                              duplicates_dropped=duplicates)

@@ -37,6 +37,14 @@ class TaggerConfig:
     lambda_aux: float = 1.0
     seed: int = 13  # parameter initialisation and training shuffles
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be >= 1")
+        if self.cat_dim < 0:
+            raise ValueError("cat_dim must be >= 0")
+
 
 @dataclass
 class TrainConfig:
@@ -104,13 +112,14 @@ class GruTagger:
         linear("in", m, self.input_dim)
         for layer in range(cfg.n_layers):
             for d in ("f", "b"):
+                # Drawn gate by gate (z, r, n), W before U, then stacked.
+                blocks = [(rng.normal(0.0, np.sqrt(1.0 / m), (h, m)),
+                           rng.normal(0.0, np.sqrt(1.0 / h), (h, h)))
+                          for _ in range(3)]
                 base = "l%d/%s/" % (layer, d)
-                for gate in ("z", "r", "n"):
-                    params[base + "W" + gate] = rng.normal(
-                        0.0, np.sqrt(1.0 / m), (h, m))
-                    params[base + "U" + gate] = rng.normal(
-                        0.0, np.sqrt(1.0 / h), (h, h))
-                    params[base + "b" + gate] = np.zeros(h)
+                params[base + "W"] = np.concatenate([w for w, _ in blocks])
+                params[base + "U"] = np.concatenate([u for _, u in blocks])
+                params[base + "b"] = np.zeros(3 * h)
             linear("l%d/hw" % layer, m, m)
         linear("out1", bio.N_BIO, m)
         linear("out2", len(self.aux_vocab), m)
@@ -129,30 +138,24 @@ class GruTagger:
         return np.concatenate(cols, axis=1)
 
     def _gru_direction(self, x, base):
+        """One GRU direction run from the first row of x to the last ->
+        (H, cache); the backward direction is run on x[::-1]."""
         p = self.params
-        wz, wr, wn = p[base + "Wz"], p[base + "Wr"], p[base + "Wn"]
-        uz, ur, un = p[base + "Uz"], p[base + "Ur"], p[base + "Un"]
-        bz, br, bn = p[base + "bz"], p[base + "br"], p[base + "bn"]
-        T = x.shape[0]
-        h = wz.shape[0]
-        order = range(T) if base.endswith("f/") else range(T - 1, -1, -1)
-        H = np.zeros((T, h))
-        cache = {"z": np.zeros((T, h)), "r": np.zeros((T, h)),
-                 "u": np.zeros((T, h)), "n": np.zeros((T, h)),
-                 "hprev": np.zeros((T, h)), "order": list(order)}
-        hprev = np.zeros(h)
-        for t in cache["order"]:
-            z = _sigmoid(wz @ x[t] + uz @ hprev + bz)
-            r = _sigmoid(wr @ x[t] + ur @ hprev + br)
-            u = un @ hprev
-            n = np.tanh(wn @ x[t] + r * u + bn)
-            hcur = (1.0 - z) * n + z * hprev
-            cache["z"][t], cache["r"][t] = z, r
-            cache["u"][t], cache["n"][t] = u, n
-            cache["hprev"][t] = hprev
-            H[t] = hcur
-            hprev = hcur
-        return H, cache
+        U = p[base + "U"]
+        T, h = x.shape[0], U.shape[1]
+        a = x @ p[base + "W"].T + p[base + "b"]  # every input projection
+        hs = np.zeros((T + 1, h))  # hs[t] is the state before step t
+        gates = np.zeros((T, 3 * h))  # z, r, n
+        un = np.zeros((T, h))  # n block of U @ hs[t]
+        for t in range(T):
+            rec = U @ hs[t]
+            zr = _sigmoid(a[t, :2 * h] + rec[:2 * h])
+            z, r = zr[:h], zr[h:]
+            n = np.tanh(a[t, 2 * h:] + r * rec[2 * h:])
+            hs[t + 1] = (1.0 - z) * n + z * hs[t]
+            gates[t, :2 * h], gates[t, 2 * h:] = zr, n
+            un[t] = rec[2 * h:]
+        return hs[1:], {"x": x, "hprev": hs[:-1], "gates": gates, "un": un}
 
     def forward(self, feats: FeaturizedExample):
         """-> (TagDistribution, cache). Cache is reused by gradients()."""
@@ -162,8 +165,8 @@ class GruTagger:
         layers = []
         for layer in range(cfg.n_layers):
             hf, cf = self._gru_direction(x, "l%d/f/" % layer)
-            hb, cb = self._gru_direction(x, "l%d/b/" % layer)
-            y = np.concatenate([hf, hb], axis=1)
+            hb, cb = self._gru_direction(x[::-1], "l%d/b/" % layer)
+            y = np.concatenate([hf, hb[::-1]], axis=1)
             gate = _sigmoid(x @ self.params["l%d/hw/W" % layer].T
                             + self.params["l%d/hw/b" % layer])
             out = gate * y + (1.0 - gate) * x
@@ -212,40 +215,29 @@ class GruTagger:
             value += self.config.lambda_aux * self._xent(cache["logits2"], y2)
         return value, cache
 
-    def _gru_backward(self, dH, x, cache, base, grads):
+    def _gru_backward(self, dH, cache, base, grads):
+        """Backpropagates dH through one _gru_direction run; returns dx."""
         p = self.params
-        uz, ur, un = p[base + "Uz"], p[base + "Ur"], p[base + "Un"]
+        U = p[base + "U"]
         T, h = dH.shape
-        daz = np.zeros((T, h))
-        dar = np.zeros((T, h))
-        dan = np.zeros((T, h))
-        dun_in = np.zeros((T, h))  # gradient into u = Un @ hprev
+        gates, un, hprev = cache["gates"], cache["un"], cache["hprev"]
+        da = np.zeros((T, 3 * h))  # into the input projections a
+        drec = np.zeros((T, 3 * h))  # into rec = U @ hprev
         carry = np.zeros(h)
-        for t in reversed(cache["order"]):
+        for t in range(T - 1, -1, -1):
             g = dH[t] + carry
-            z, r = cache["z"][t], cache["r"][t]
-            u, n = cache["u"][t], cache["n"][t]
-            hprev = cache["hprev"][t]
-            dn = g * (1.0 - z)
-            dz = g * (hprev - n)
-            dhprev = g * z
-            a_n = dn * (1.0 - n * n)
-            a_r = (a_n * u) * r * (1.0 - r)
-            a_z = dz * z * (1.0 - z)
-            du = a_n * r
-            dhprev = dhprev + un.T @ du + ur.T @ a_r + uz.T @ a_z
-            daz[t], dar[t], dan[t], dun_in[t] = a_z, a_r, a_n, du
-            carry = dhprev
-        hprev_all = cache["hprev"]
-        for gate, da in (("z", daz), ("r", dar), ("n", dan)):
-            grads[base + "W" + gate] += da.T @ x
-            grads[base + "b" + gate] += da.sum(axis=0)
-        grads[base + "Uz"] += daz.T @ hprev_all
-        grads[base + "Ur"] += dar.T @ hprev_all
-        grads[base + "Un"] += dun_in.T @ hprev_all
-        dx = daz @ p[base + "Wz"] + dar @ p[base + "Wr"] \
-            + dan @ p[base + "Wn"]
-        return dx
+            z, r, n = gates[t, :h], gates[t, h:2 * h], gates[t, 2 * h:]
+            a_n = g * (1.0 - z) * (1.0 - n * n)
+            da[t, :h] = g * (hprev[t] - n) * z * (1.0 - z)
+            da[t, h:2 * h] = a_n * un[t] * r * (1.0 - r)
+            da[t, 2 * h:] = a_n
+            drec[t, :2 * h] = da[t, :2 * h]
+            drec[t, 2 * h:] = a_n * r
+            carry = g * z + U.T @ drec[t]
+        grads[base + "W"] += da.T @ cache["x"]
+        grads[base + "U"] += drec.T @ hprev
+        grads[base + "b"] += da.sum(axis=0)
+        return da @ p[base + "W"]
 
     def gradients(self, feats, y1, y2):
         """Exact analytic gradients of loss() w.r.t. every parameter."""
@@ -279,10 +271,10 @@ class GruTagger:
             grads["l%d/hw/b" % layer] += da.sum(axis=0)
             dxl = dxl + da @ self.params["l%d/hw/W" % layer]
             h = self.config.hidden
-            dxl = dxl + self._gru_backward(dy[:, :h], x, lc["cf"],
+            dxl = dxl + self._gru_backward(dy[:, :h], lc["cf"],
                                            "l%d/f/" % layer, grads)
-            dxl = dxl + self._gru_backward(dy[:, h:], x, lc["cb"],
-                                           "l%d/b/" % layer, grads)
+            dxl = dxl + self._gru_backward(dy[::-1, h:], lc["cb"],
+                                           "l%d/b/" % layer, grads)[::-1]
             dx = dxl
 
         grads["in/W"] += dx.T @ cache["f"]
@@ -463,12 +455,13 @@ class OracleTagger:
 # Checkpoints (deterministic binary container)
 
 MAGIC = b"RUCCA1\n"
+VERSION = 2  # 2: one W, U and b per GRU direction (1: one per gate)
 
 
 def save_checkpoint(tagger: GruTagger, path):
     names = sorted(tagger.params)
     header = {
-        "version": 1,
+        "version": VERSION,
         "config": asdict(tagger.config),
         "aux_vocab": list(tagger.aux_vocab),
         "vocab": {"tables": {k: dict(v)
@@ -497,9 +490,9 @@ def load_checkpoint(path) -> GruTagger:
         try:
             (size,) = struct.unpack("<Q", f.read(8))
             header = json.loads(f.read(size).decode("utf-8"))
-            if header["version"] != 1:
-                raise CheckpointError("unsupported checkpoint version %s"
-                                      % header["version"])
+            if header["version"] != VERSION:
+                raise CheckpointError("checkpoint version %s, expected %d"
+                                      % (header["version"], VERSION))
             vocab = FeatureVocabularies(
                 tables={k: dict(v)
                         for k, v in header["vocab"]["tables"].items()},

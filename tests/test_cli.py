@@ -301,28 +301,51 @@ def test_config_file_save_load_roundtrip(tmp_path):
     assert loaded.values == cfg.values
 
 
-def _reheader(blob, **config):
-    """The checkpoint with its header's config changed, tensors kept."""
+def _reheader(blob, version=None, **config):
+    """The checkpoint with its header's version or config changed, tensors
+    kept."""
     start = len(MAGIC) + 8
     (size,) = struct.unpack("<Q", blob[len(MAGIC):start])
     header = json.loads(blob[start:start + size])
+    if version is not None:
+        header["version"] = version
     header["config"].update(config)
     text = json.dumps(header).encode("utf-8")
     return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + size:]
 
 
-def _drop_mask(blob):
-    """The example file with the "mask" key gone from its last record."""
-    lines = blob.decode("utf-8").splitlines()
-    record = json.loads(lines[-1])
+def _edit_last_record(change):
+    """A rewrite that applies change to the last record of a JSON-lines
+    file."""
+    def rewrite(blob):
+        lines = blob.decode("utf-8").splitlines()
+        record = json.loads(lines[-1])
+        change(record)
+        lines[-1] = json.dumps(record)
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    return rewrite
+
+
+def _drop_mask(record):
     del record["mask"]
-    lines[-1] = json.dumps(record)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _unknown_mask_symbol(record):
+    record["mask"] = ["XYZ"] * len(record["tokens"])
+
+
+def _unknown_label(record):
+    record["target_bio"] = ["B-XYZ"] * len(record["tokens"])
+
+
+def _not_utf8(blob):
+    return b"\xff\xfe" + blob
 
 
 # Every malformed input exits with its documented code and one line that
-# names what is wrong. `rewrite` maps a config key to a function that
-# turns the valid file at that key into the malformed one.
+# names what is wrong. `rewrite` maps a config key (or "config", the
+# config file itself) to a function that turns the valid file at that key
+# into the malformed one.
 @pytest.mark.parametrize("command, values, env, rewrite, code, named", [
     pytest.param(["train"], {}, {"RUCCA_EPOCHS": "abc"}, {},
                  cli.EXIT_USAGE, "epochs", id="epochs-not-an-int"),
@@ -354,8 +377,34 @@ def _drop_mask(blob):
     pytest.param(["train"], {}, {},
                  {"expanded": lambda b: b + b"{not json\n"},
                  cli.EXIT_DATA, "expanded.jsonl:", id="example-bad-json"),
-    pytest.param(["train"], {}, {}, {"expanded": _drop_mask},
+    pytest.param(["train"], {}, {},
+                 {"expanded": _edit_last_record(_drop_mask)},
                  cli.EXIT_DATA, "expanded.jsonl:", id="example-missing-key"),
+    pytest.param(["train"], {}, {},
+                 {"expanded": _edit_last_record(_unknown_mask_symbol)},
+                 cli.EXIT_DATA, "expanded.jsonl:", id="example-unknown-mask"),
+    pytest.param(["train"], {}, {},
+                 {"expanded": _edit_last_record(_unknown_label)},
+                 cli.EXIT_DATA, "expanded.jsonl:", id="example-unknown-label"),
+    pytest.param(["expand"], {}, {}, {"train_passages": _not_utf8},
+                 cli.EXIT_DATA, "gold.jsonl", id="passages-not-utf8"),
+    pytest.param(["expand"], {}, {}, {"config": _not_utf8},
+                 cli.EXIT_USAGE, "c.cfg", id="config-not-utf8"),
+    pytest.param(["parse"], {}, {},
+                 {"test_tokens": lambda b: b.replace(b"\t2\t", b"\tx\t")},
+                 cli.EXIT_DATA, "tokens.conll:1", id="conll-head-not-int"),
+    pytest.param(["train"], {}, {},
+                 {"embeddings": lambda b: b"word 1.0 2.0\n"},
+                 cli.EXIT_DATA, "embeddings.txt", id="embeddings-no-valid-row"),
+    pytest.param(["train"], {}, {},
+                 {"embeddings": lambda b: b.replace(b" 0.5", b" x", 1)},
+                 cli.EXIT_DATA, "embeddings.txt:1",
+                 id="embeddings-not-a-number"),
+    pytest.param(["train"], {"hidden": 0}, {}, {},
+                 cli.EXIT_USAGE, "hidden", id="hidden-zero"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _reheader(b, version=1)},
+                 cli.EXIT_DATA, "version 1", id="checkpoint-version-1"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
                                              command, values, env, rewrite,
@@ -368,15 +417,23 @@ def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
     model = tmp_path / "model.ckpt"
     save_checkpoint(GruTagger(TaggerConfig(hidden=2, cat_dim=2, n_layers=1),
                               fit_vocabularies(passages), ["O"]), model)
-    files = {"expanded": expanded, "model": model}
-    for key, change in rewrite.items():
-        files[key].write_bytes(change(files[key].read_bytes()))
+    tokens = tmp_path / "tokens.conll"
+    tokens.write_text("1\tShe\tPRON\t_\t_\t2\tnsubj\n"
+                      "2\tsings\tVERB\t_\t_\t0\troot\n")
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("sings" + " 0.5" * 300 + "\n")
+    files = {"train_passages": gold, "expanded": expanded, "model": model,
+             "test_tokens": tokens, "embeddings": embeddings}
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     config = _write_config(tmp_path / "c.cfg", **{
-        "test_passages": gold, "test_tokens": gold, "epochs": 1,
-        "hidden": 2, "cat_dim": 2, "predictions_out": tmp_path / "pred.jsonl",
+        "test_passages": gold, "expanded_out": tmp_path / "out.jsonl",
+        "epochs": 1, "hidden": 2, "cat_dim": 2,
+        "predictions_out": tmp_path / "pred.jsonl",
         "train_log": tmp_path / "log", **files, **values})
+    files["config"] = tmp_path / "c.cfg"
+    for key, change in rewrite.items():
+        files[key].write_bytes(change(files[key].read_bytes()))
     assert cli.main(["--config", config] + command) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err

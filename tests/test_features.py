@@ -150,5 +150,4 @@ def test_context_featurize_matches_direct_call():
                             lexicon=EMPTY_LEXICON)
     a = ctx.featurize(examples[0])
     b = featurize(examples[0], vocab, EMPTY_EMBEDDINGS, EMPTY_LEXICON)
-    assert a.mask_symbols == b.mask_symbols
     assert np.array_equal(a.categorical["upos"], b.categorical["upos"])

@@ -140,6 +140,49 @@ def test_gradient_check_tiny_model():
         assert err < 1e-4, "%s: rel err %.3g" % (name, err)
 
 
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def _per_gate_gru(x, W, U, b, order):
+    """Hidden states of a plain GRU visiting the rows of x in order, with
+    each gate's tensors sliced out of the fused z, r, n blocks."""
+    h = U.shape[1]
+    Wz, Wr, Wn = W[:h], W[h:2 * h], W[2 * h:]
+    Uz, Ur, Un = U[:h], U[h:2 * h], U[2 * h:]
+    bz, br, bn = b[:h], b[h:2 * h], b[2 * h:]
+    H = np.zeros((x.shape[0], h))
+    hprev = np.zeros(h)
+    for t in order:
+        z = _sigmoid(Wz @ x[t] + Uz @ hprev + bz)
+        r = _sigmoid(Wr @ x[t] + Ur @ hprev + br)
+        n = np.tanh(Wn @ x[t] + r * (Un @ hprev) + bn)
+        hprev = (1.0 - z) * n + z * hprev
+        H[t] = hprev
+    return H
+
+
+def test_gru_matches_per_gate_reference():
+    # Both directions of every layer, on random (not zero) biases.
+    tagger, ctx, examples = _tiny_setup(hidden=3)
+    rng = np.random.default_rng(0)
+    for name, p in tagger.params.items():
+        if name.endswith(("/f/b", "/b/b")):
+            p[:] = rng.normal(0.0, 0.5, p.shape)
+    _, cache = tagger.forward(ctx.featurize(examples[0]))
+    h = tagger.config.hidden
+    for layer, lc in enumerate(cache["layers"]):
+        x = lc["x"]
+        T = x.shape[0]
+        for d, cols, order in (("f", slice(0, h), range(T)),
+                               ("b", slice(h, 2 * h), range(T - 1, -1, -1))):
+            base = "l%d/%s/" % (layer, d)
+            expected = _per_gate_gru(x, *(tagger.params[base + k]
+                                          for k in "WUb"), order)
+            np.testing.assert_allclose(lc["y"][:, cols], expected,
+                                       rtol=0, atol=1e-12)
+
+
 def test_gradients_zero_for_aux_head_when_lambda_zero():
     tagger, ctx, examples = _tiny_setup(lambda_aux=0.0)
     feats = ctx.featurize(examples[0])
@@ -208,6 +251,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for bad in ({"hidden": 0}, {"n_layers": 0}, {"cat_dim": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TaggerConfig(**bad)
+    TaggerConfig(cat_dim=0)
 
 
 def test_oracle_predict_single_token():
