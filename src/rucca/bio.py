@@ -22,6 +22,9 @@ PRIMARY_LABEL_IDS = tuple(i for i, lb in enumerate(BIO_LABELS)
                           if "REM" not in lb)
 REMOTE_LABEL_IDS = tuple(i for i, lb in enumerate(BIO_LABELS)
                          if "REM" in lb)
+_PRIMARY_IDS = np.asarray(PRIMARY_LABEL_IDS)
+_REMOTE_IDS = np.asarray(REMOTE_LABEL_IDS)
+_LABELS = np.asarray(BIO_LABELS, dtype=object)
 
 
 class NotRepresentable(Exception):
@@ -142,31 +145,27 @@ def decode_probs(dist: TagDistribution, remote_threshold: float):
     """-> (primary spans, remote spans).
 
     Primary pass: per-token argmax over O + primary labels. Remote pass:
-    a token takes its argmax remote label only when that label's
-    probability strictly exceeds the threshold.
+    decode_remote over the REM columns.
     """
     dist.check()
+    t1 = dist.task1
+    primary = _PRIMARY_IDS[np.argmax(t1[:, _PRIMARY_IDS], axis=1)]
+    return (decode_labels(_LABELS[primary].tolist()),
+            decode_remote(t1[:, _REMOTE_IDS], remote_threshold))
+
+
+def decode_remote(rows: np.ndarray, remote_threshold: float) -> list:
+    """Remote spans from (T, 26) probability rows over the REM labels, in
+    REMOTE_LABEL_IDS order: a token takes its argmax remote label only
+    when that label's probability strictly exceeds the threshold."""
     if not 0.0 <= remote_threshold <= 1.0:
         raise ValueError("remote threshold must be in [0, 1]")
-    t1 = dist.task1
-
-    primary_ids = np.asarray(PRIMARY_LABEL_IDS)
-    sub = t1[:, primary_ids]
-    primary_labels = [BIO_LABELS[primary_ids[j]]
-                      for j in np.argmax(sub, axis=1)]
-    primary = decode_labels(primary_labels)
-
-    remote_ids = np.asarray(REMOTE_LABEL_IDS)
-    rsub = t1[:, remote_ids]
-    best = np.argmax(rsub, axis=1)
-    remote_labels = []
-    for i in range(t1.shape[0]):
-        p = rsub[i, best[i]]
-        remote_labels.append(BIO_LABELS[remote_ids[best[i]]]
-                             if p > remote_threshold else OUTSIDE)
-    remote = [ChildSpan(s.start, s.end, s.category, True)
-              for s in decode_labels(remote_labels)]
-    return primary, remote
+    above = rows.max(axis=1) > remote_threshold
+    if not above.any():
+        return []
+    ids = np.where(above, _REMOTE_IDS[np.argmax(rows, axis=1)],
+                   BIO_INDEX[OUTSIDE])
+    return decode_labels(_LABELS[ids].tolist())
 
 
 def one_hot(labels) -> np.ndarray:

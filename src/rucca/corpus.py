@@ -17,6 +17,12 @@ MASK_SYMBOLS = (OUTSIDE,) + tuple(sorted(CATEGORY_SET)) + (ROOT_MASK,)
 AUX_OUTSIDE = "O"
 
 TOKEN_FIELDS = ("form", "upos", "xpos", "morph", "head", "deprel", "language")
+_TOKEN_KEYS = frozenset(TOKEN_FIELDS)
+# (field, accepted types, expected) of the token fields but morph and head
+_TOKEN_TYPES = (("form", str, "a string"), ("upos", str, "a string"),
+                ("language", str, "a string"),
+                ("xpos", (str, type(None)), "a string or null"),
+                ("deprel", (str, type(None)), "a string or null"))
 PASSAGE_FIELDS = ("passage_id", "language", "tokens", "nodes", "edges", "root")
 EXAMPLE_FIELDS = ("passage_id", "tokens", "mask", "focus_node", "target_bio",
                   "target_aux", "representable")
@@ -53,6 +59,37 @@ class MaskedExample:
 
 
 # ---------------------------------------------------------------------------
+# Record value types
+
+_JSON_TYPES = ((bool, "a boolean"), (dict, "an object"), (list, "a list"),
+               (str, "a string"), ((int, float), "a number"),
+               (type(None), "null"))
+
+
+def _type_error(where, name, value, expected):
+    kind = next(n for t, n in _JSON_TYPES if isinstance(value, t))
+    return CorpusError("%s: %s is %s, expected %s"
+                       % (where, name, kind, expected))
+
+
+def _objects(value, where, name):
+    if not isinstance(value, list) or \
+            not all(isinstance(v, dict) for v in value):
+        raise _type_error(where, name, value, "a list of objects")
+    return value
+
+
+def _strings(value, where, name, nullable=False):
+    if value is None and nullable:
+        return None
+    if not isinstance(value, list) or \
+            not all(isinstance(v, str) for v in value):
+        raise _type_error(where, name, value, "a list of strings"
+                          + (" or null" if nullable else ""))
+    return tuple(value)
+
+
+# ---------------------------------------------------------------------------
 # Passage files (JSON lines)
 
 def _token_to_record(tok: TokenRow) -> dict:
@@ -62,14 +99,21 @@ def _token_to_record(tok: TokenRow) -> dict:
 
 
 def _token_from_record(rec: dict, where: str) -> TokenRow:
-    if set(rec) != set(TOKEN_FIELDS):
+    if rec.keys() != _TOKEN_KEYS:
         raise CorpusError("%s: token fields %s, expected %s"
                           % (where, sorted(rec), sorted(TOKEN_FIELDS)))
+    for key, kinds, expected in _TOKEN_TYPES:
+        if not isinstance(rec[key], kinds):
+            raise _type_error(where, "token " + key, rec[key], expected)
+    morph = rec["morph"]
+    if not isinstance(morph, dict) or \
+            not all(isinstance(v, str) for v in morph.values()):
+        raise _type_error(where, "token morph", morph, "an object of strings")
     head = rec["head"]
     if head is not None and head != "root" and not isinstance(head, int):
         raise CorpusError("%s: bad head %r" % (where, head))
     return TokenRow(form=rec["form"], upos=rec["upos"], xpos=rec["xpos"],
-                    morph=tuple(sorted(rec["morph"].items())),
+                    morph=tuple(sorted(morph.items())),
                     head=head, deprel=rec["deprel"],
                     language=rec["language"])
 
@@ -92,16 +136,17 @@ def passage_from_record(rec: dict, where: str = "record") -> Passage:
     if set(rec) != set(PASSAGE_FIELDS):
         raise CorpusError("%s: passage fields %s, expected %s"
                           % (where, sorted(rec), sorted(PASSAGE_FIELDS)))
-    tokens = tuple(_token_from_record(t, where) for t in rec["tokens"])
+    tokens = tuple(_token_from_record(t, where)
+                   for t in _objects(rec["tokens"], where, "tokens"))
     nodes = []
-    for n in rec["nodes"]:
+    for n in _objects(rec["nodes"], where, "nodes"):
         if set(n) != {"id", "kind", "position"}:
             raise CorpusError("%s: bad node record %s" % (where, n))
         if n["kind"] not in ("terminal", "nonterminal"):
             raise CorpusError("%s: bad node kind %r" % (where, n["kind"]))
         nodes.append(Node(id=n["id"], kind=n["kind"], position=n["position"]))
     edges = []
-    for e in rec["edges"]:
+    for e in _objects(rec["edges"], where, "edges"):
         if set(e) != {"parent", "child", "category", "remote"}:
             raise CorpusError("%s: bad edge record %s" % (where, e))
         if e["category"] not in CATEGORY_SET:
@@ -302,17 +347,17 @@ def load_examples(path) -> list:
         if set(rec) != set(EXAMPLE_FIELDS):
             raise CorpusError("%s: example fields %s, expected %s"
                               % (where, sorted(rec), sorted(EXAMPLE_FIELDS)))
-        tokens = tuple(_token_from_record(t, where) for t in rec["tokens"])
+        tokens = tuple(_token_from_record(t, where)
+                       for t in _objects(rec["tokens"], where, "tokens"))
+        mask = _strings(rec["mask"], where, "mask")
+        target_bio, target_aux = (
+            _strings(rec[key], where, key, nullable=True)
+            for key in ("target_bio", "target_aux"))
         try:
             examples.append(MaskedExample(
-                passage_id=rec["passage_id"], tokens=tokens,
-                mask=tuple(rec["mask"]),
-                focus_node=rec["focus_node"],
-                target_bio=tuple(rec["target_bio"])
-                if rec["target_bio"] is not None else None,
-                target_aux=tuple(rec["target_aux"])
-                if rec["target_aux"] is not None else None,
-                representable=rec["representable"]))
+                passage_id=rec["passage_id"], tokens=tokens, mask=mask,
+                focus_node=rec["focus_node"], target_bio=target_bio,
+                target_aux=target_aux, representable=rec["representable"]))
         except CorpusError as exc:
             raise CorpusError("%s: %s" % (where, exc)) from None
     return examples

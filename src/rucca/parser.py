@@ -3,11 +3,13 @@
 Each step tags the whole sentence with a mask describing the focus node,
 decodes BIO probabilities into child spans, applies the structural
 constraints, then recurses into every multi-token child with an updated
-mask until terminal nodes are reached. Remote spans are resolved against
-the finished primary tree.
+mask until terminal nodes are reached. The primary tree does not depend
+on the remote threshold: the trace keeps each tagged node's remote
+probability rows, and resolve_remotes turns them into remote edges of the
+finished tree at any threshold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +50,9 @@ class TraceStep:
     decoded_remote: tuple
     constrained: tuple
     firings: tuple
+    node: str  # the focus node's id
+    # (T, 26) task1 columns of the REM labels, in bio.REMOTE_LABEL_IDS order
+    remote_rows: np.ndarray = field(repr=False, compare=False)
 
     def render(self):
         return ("depth=%d focus=%s arc=%s decoded=%s remote=%s "
@@ -65,6 +70,9 @@ class TraceStep:
 class ParseTrace:
     steps: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    # node id -> (span, depth) of every non-terminal, depth-capped ones too
+    nonterminals: dict = field(default_factory=dict)
+    tree_notes: int = 0  # leading notes written while building the tree
 
     def render(self):
         lines = [s.render() for s in self.steps]
@@ -253,8 +261,7 @@ class _Builder:
         self.language = language
         self.nodes = []
         self.edges = []
-        self.depths = {}
-        self.spans = {}
+        self.nonterminals = {}  # node id -> (span, depth)
         self._next = 0
         for i in range(len(tokens)):
             self.nodes.append(Node(id="t%d" % i, kind="terminal",
@@ -264,13 +271,12 @@ class _Builder:
         nid = "n%d" % self._next
         self._next += 1
         self.nodes.append(Node(id=nid, kind="nonterminal"))
-        self.depths[nid] = depth
-        self.spans[nid] = span
+        self.nonterminals[nid] = (span, depth)
         return nid
 
-    def add_edge(self, parent, child, category, remote=False):
+    def add_edge(self, parent, child, category):
         self.edges.append(Edge(parent=parent, child=child,
-                               category=category, remote=remote))
+                               category=category))
 
     def passage(self):
         nonterms = [n for n in self.nodes if not n.is_terminal()]
@@ -283,8 +289,9 @@ class _Builder:
 
 def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
           language=None):
-    """-> (Passage, ParseTrace). The returned passage always validates and
-    every node yield is contiguous."""
+    """-> (Passage, ParseTrace) with remotes resolved at
+    cfg.remote_threshold. The returned passage always validates and every
+    node yield is contiguous."""
     if not tokens:
         raise ParseError("empty token sequence")
     tokens = tuple(tokens)
@@ -292,7 +299,6 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
     builder = _Builder(tokens, passage_id, language)
     trace = ParseTrace()
     mwe_mask = match(ctx.lexicon, tokens)
-    pending_remotes = []
 
     def tag(focus_node, span, mask_symbol):
         mask = tuple(mask_symbol if span[0] <= i < span[1] else OUTSIDE
@@ -324,7 +330,8 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
             attach_flat(node_id, span, force_sp=incoming_is_h)
             return
         mask, dist = tag(node_id, span, mask_symbol)
-        primary, remote = bio.decode_probs(dist, cfg.remote_threshold)
+        # Remote spans are decoded again by resolve_remotes.
+        primary, _ = bio.decode_probs(dist, cfg.remote_threshold)
         firings = []
 
         kept = []
@@ -360,11 +367,10 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
 
         trace.steps.append(TraceStep(
             depth=depth, focus=span, arc=mask_symbol, mask=mask,
-            decoded_primary=tuple(primary), decoded_remote=tuple(remote),
-            constrained=tuple(children), firings=tuple(firings)))
-
-        for s in remote:
-            pending_remotes.append((node_id, (s.start, s.end), s.category))
+            decoded_primary=tuple(primary), decoded_remote=(),
+            constrained=tuple(children), firings=tuple(firings),
+            node=node_id,
+            remote_rows=dist.task1[:, bio.REMOTE_LABEL_IDS]))
 
         for s in children:
             if s.end - s.start == 1:
@@ -378,36 +384,50 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
 
     root = builder.new_nonterminal((0, len(tokens)), 0)
     expand_node(root, (0, len(tokens)), ROOT_MASK, 1, incoming_is_h=False)
+    trace.nonterminals = builder.nonterminals
+    trace.tree_notes = len(trace.notes)
+    return resolve_remotes(builder.passage(), trace, cfg.remote_threshold)
 
-    # Remote resolution: attach each remote span to the deepest node whose
-    # primary yield equals the span.
+
+def resolve_remotes(passage, trace, remote_threshold):
+    """-> (Passage, ParseTrace): a parse's primary tree with the remote
+    edges its trace's remote rows give at remote_threshold. Each remote
+    span is attached to the deepest node whose primary yield equals it."""
+    steps = [replace(step, decoded_remote=tuple(
+        bio.decode_remote(step.remote_rows, remote_threshold)))
+        for step in trace.steps]
     span_to_node = {}
-    for nid, (s, e) in builder.spans.items():
-        best = span_to_node.get((s, e))
-        if best is None or builder.depths[nid] > builder.depths[best]:
-            span_to_node[(s, e)] = nid
-    for i in range(len(tokens)):
+    for nid, (span, depth) in trace.nonterminals.items():
+        best = span_to_node.get(span)
+        if best is None or depth > trace.nonterminals[best][1]:
+            span_to_node[span] = nid
+    for i in range(len(passage.tokens)):
         span_to_node.setdefault((i, i + 1), "t%d" % i)
-    existing = {(e.parent, e.child, e.category, e.remote)
-                for e in builder.edges}
-    for parent, span, category in pending_remotes:
-        target = span_to_node.get(span)
-        if target is None or target == parent or target == root:
-            trace.notes.append("dropped remote %s %s from %s"
-                               % (category, span, parent))
-            continue
-        key = (parent, target, category, True)
-        if key in existing or (parent, target, category, False) in existing:
-            trace.notes.append("duplicate remote %s %s from %s"
-                               % (category, span, parent))
-            continue
-        existing.add(key)
-        builder.add_edge(parent, target, category, remote=True)
+    edges = [e for e in passage.edges if not e.remote]
+    existing = {(e.parent, e.child, e.category, e.remote) for e in edges}
+    notes = trace.notes[:trace.tree_notes]
+    for step in steps:
+        parent = step.node
+        for s in step.decoded_remote:
+            span = (s.start, s.end)
+            target = span_to_node.get(span)
+            if target is None or target == parent or target == passage.root:
+                notes.append("dropped remote %s %s from %s"
+                             % (s.category, span, parent))
+                continue
+            key = (parent, target, s.category, True)
+            if key in existing or \
+                    (parent, target, s.category, False) in existing:
+                notes.append("duplicate remote %s %s from %s"
+                             % (s.category, span, parent))
+                continue
+            existing.add(key)
+            edges.append(Edge(parent=parent, child=target,
+                              category=s.category, remote=True))
 
-    passage = builder.passage()
-    violations = validate(passage, require_contiguous=True)
+    resolved = replace(passage, edges=tuple(edges))
+    violations = validate(resolved, require_contiguous=True)
     if violations:
         raise ParseError("parser produced invalid passage: %s"
                          % "; ".join(violations))
-    return passage, trace
-
+    return resolved, replace(trace, steps=steps, notes=notes)

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -244,6 +245,54 @@ def test_tune_oracle_prefers_smallest_threshold(tmp_path, capsys):
     assert "remote_threshold=0.05" in out.read_text()
 
 
+def test_tune_tags_once_and_matches_a_parse_per_threshold(
+        tmp_path, monkeypatch, capsys):
+    """tune prints the table of a full parse and score at every threshold,
+    while the tagger runs only as often as in one parse of the dev set."""
+    passages = _gold_corpus()
+    gold = tmp_path / "gold.jsonl"
+    dev = tmp_path / "dev.jsonl"
+    save_passages(passages, gold)
+    dev_passages = passages + random_corpus(seed=3, count=4)
+    save_passages(dev_passages, dev)
+    config = _write_config(
+        tmp_path / "c.cfg", train_passages=gold, expanded=tmp_path / "e",
+        expanded_out=tmp_path / "e", model=tmp_path / "m.ckpt",
+        train_log=tmp_path / "log", dev_passages=dev, epochs=20, hidden=8,
+        cat_dim=2, batch_size=4, learning_rate=0.05, seed=13)
+    assert cli.main(["--config", config, "expand"]) == cli.EXIT_OK
+    assert cli.main(["--config", config, "train"]) == cli.EXIT_OK
+    capsys.readouterr()
+
+    loaded = cli.load_config(config)
+    model, ctx = cli._tagger_and_context(loaded)
+    dcfg = cli._decoder_config(loaded)
+    rows = []
+    for theta in cli.THRESHOLD_SWEEP:
+        report = cli.score_parses(dev_passages, model, ctx,
+                                  replace(dcfg, remote_threshold=theta))
+        rows.append("%8.2f %12.4f %12.4f" % (
+            theta, report.labeled["remote"].f1, report.labeled["avg"].f1))
+    # A trained model, unlike the oracle, scores differently by threshold.
+    assert len({row.split(None, 1)[1] for row in rows}) > 1
+    one_pass = sum(len(trace.steps) for _, trace in cli.parse_sentences(
+        cli._sentences(dev_passages), model, ctx, dcfg))
+
+    calls = []
+    predict = GruTagger.predict
+
+    def counted(self, example, feats):
+        calls.append(example.focus_node)
+        return predict(self, example, feats)
+
+    monkeypatch.setattr(GruTagger, "predict", counted)
+    assert cli.main(["--config", config, "tune",
+                     "--out", str(tmp_path / "tuned.cfg")]) == cli.EXIT_OK
+    table = capsys.readouterr().out.splitlines()[1:-1]
+    assert table == rows
+    assert len(calls) == one_pass
+
+
 def test_missing_required_key_is_usage_error(tmp_path, capsys):
     config = _write_config(tmp_path / "c.cfg")
     rc = cli.main(["--config", config, "expand"])
@@ -338,6 +387,14 @@ def _unknown_label(record):
     record["target_bio"] = ["B-XYZ"] * len(record["tokens"])
 
 
+def _mask_not_a_list(record):
+    record["mask"] = 5
+
+
+def _morph_not_an_object(record):
+    record["tokens"][0]["morph"] = []
+
+
 def _not_utf8(blob):
     return b"\xff\xfe" + blob
 
@@ -386,6 +443,14 @@ def _not_utf8(blob):
     pytest.param(["train"], {}, {},
                  {"expanded": _edit_last_record(_unknown_label)},
                  cli.EXIT_DATA, "expanded.jsonl:", id="example-unknown-label"),
+    pytest.param(["train"], {}, {},
+                 {"expanded": _edit_last_record(_mask_not_a_list)},
+                 cli.EXIT_DATA, "expanded.jsonl:",
+                 id="example-mask-not-a-list"),
+    pytest.param(["expand"], {}, {},
+                 {"train_passages": _edit_last_record(_morph_not_an_object)},
+                 cli.EXIT_DATA, "gold.jsonl:",
+                 id="passage-morph-not-an-object"),
     pytest.param(["expand"], {}, {}, {"train_passages": _not_utf8},
                  cli.EXIT_DATA, "gold.jsonl", id="passages-not-utf8"),
     pytest.param(["expand"], {}, {}, {"config": _not_utf8},

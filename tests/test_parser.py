@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from rucca.evaluator import score
 from rucca.graph import all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
-                          parse)
+                          parse, resolve_remotes)
 from rucca.lexicon import MweMask, match
 from rucca.tagger import OracleTagger
 
-from helpers import (FixedTagger, context_for, fig1_passage,
+from helpers import (FixedTagger, RandomTagger, context_for, fig1_passage,
                      fixture_corpus, random_corpus, single_token_passage,
                      two_scene_5tok_passage)
 
@@ -267,3 +269,31 @@ def test_parse_scene_invariant_with_oracle():
             sp = [c for c, _ in predicted.primary_children(e.child)
                   if c.category in ("S", "P")]
             assert len(sp) == 1
+
+
+@pytest.mark.parametrize("max_depth", [20, 2])
+def test_resolve_remotes_matches_parse_at_every_threshold(max_depth):
+    """Tagging once and re-resolving the remotes at a threshold gives the
+    passage and trace of a parse at that threshold."""
+    corpus = fixture_corpus()
+    ctx = context_for(corpus)
+    cfg = DecoderConfig(max_depth=max_depth)
+    remotes, notes = 0, set()
+    for seed, gold in enumerate(corpus):
+        tree = parse(gold.tokens, RandomTagger(seed), ctx, cfg,
+                     passage_id=gold.passage_id)
+        for theta in cli.THRESHOLD_SWEEP:
+            expected, expected_trace = parse(
+                gold.tokens, RandomTagger(seed), ctx,
+                replace(cfg, remote_threshold=theta),
+                passage_id=gold.passage_id)
+            got, got_trace = resolve_remotes(*tree, theta)
+            assert got == expected, (gold.passage_id, theta)
+            assert got_trace.render() == expected_trace.render()
+            remotes += sum(e.remote for e in got.edges)
+            notes.update(n.split()[0] for n in got_trace.notes)
+    # The random rows give remotes, dropped and duplicate ones, and the
+    # shallow cap adds depth-cap notes written before resolution.
+    assert remotes > 0
+    assert notes == {"dropped", "duplicate"} | (
+        {"depth"} if max_depth == 2 else set())
