@@ -9,11 +9,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import corpus, evaluator, features, tagger as tagger_mod
 from .lexicon import EMPTY_LEXICON, load_lexicon
-from .parser import DecoderConfig, ParseError, parse, resolve_remotes
+from .parser import DecoderConfig, ParseError, parse
 from .tagger import CheckpointError, NumericError, TaggerConfig, TrainConfig
 
 ENV_PREFIX = "RUCCA_"
@@ -157,14 +157,11 @@ def parse_sentences(sentences, model, ctx, dcfg):
             for pid, tokens, language in sentences]
 
 
-def _score(parsed, gold) -> evaluator.EvalReport:
-    return evaluator.score_corpus(
-        [(predicted, g) for (predicted, _), g in zip(parsed, gold)]).overall
-
-
 def score_parses(gold, model, ctx, dcfg) -> evaluator.EvalReport:
     """Overall report of parsing the gold passages' sentences."""
-    return _score(parse_sentences(_sentences(gold), model, ctx, dcfg), gold)
+    parsed = parse_sentences(_sentences(gold), model, ctx, dcfg)
+    return evaluator.score_corpus(
+        [(predicted, g) for (predicted, _), g in zip(parsed, gold)]).overall
 
 
 def cmd_expand(config, args):
@@ -268,12 +265,14 @@ def cmd_tune(config, args):
     dcfg = _decoder_config(config)
     best = None
     print("%8s %12s %12s" % ("theta", "remote F1", "avg labeled F1"))
-    # The primary trees do not depend on the threshold: tag once, then
-    # re-resolve only the remotes at each threshold.
-    parsed = parse_sentences(_sentences(gold), model, ctx, dcfg)
+    # The threshold reaches only the remotes, so every threshold tags the
+    # same focus nodes: the first parse of the dev set tags them, and the
+    # others replay its predictions.
+    model = tagger_mod.ReplayTagger(model)
     for theta in THRESHOLD_SWEEP:
-        report = _score([resolve_remotes(passage, trace, theta)
-                         for passage, trace in parsed], gold)
+        report = score_parses(
+            gold, model, ctx,
+            replace(dcfg, remote_threshold=theta))
         avg = report.labeled["avg"].f1
         rem = report.labeled["remote"].f1
         print("%8.2f %12.4f %12.4f" % (theta, rem, avg))

@@ -398,6 +398,25 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
     return tagger, log
 
 
+class ReplayTagger:
+    """Answers each distinct example with the wrapped tagger's first
+    prediction for it. A prediction depends only on the example while the
+    featurizer context stays the same, so parsing the same sentences again
+    under another decoder setting tags each focus node once."""
+
+    def __init__(self, tagger):
+        self.tagger = tagger
+        self._predicted = {}
+
+    def predict(self, example: MaskedExample,
+                feats: FeaturizedExample) -> bio.TagDistribution:
+        dist = self._predicted.get(example)
+        if dist is None:
+            dist = self._predicted[example] = self.tagger.predict(example,
+                                                                  feats)
+        return dist
+
+
 # ---------------------------------------------------------------------------
 # Oracle tagger (test double emitting one-hot gold distributions)
 

@@ -10,7 +10,7 @@ from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
                           parse, resolve_remotes)
 from rucca.lexicon import MweMask, match
-from rucca.tagger import OracleTagger
+from rucca.tagger import OracleTagger, ReplayTagger
 
 from helpers import (FixedTagger, RandomTagger, context_for, fig1_passage,
                      fixture_corpus, random_corpus, single_token_passage,
@@ -297,3 +297,23 @@ def test_resolve_remotes_matches_parse_at_every_threshold(max_depth):
     assert remotes > 0
     assert notes == {"dropped", "duplicate"} | (
         {"depth"} if max_depth == 2 else set())
+
+
+def test_replayed_predictions_give_a_fresh_parse_at_every_threshold():
+    """Parsing a sentence again through ReplayTagger at another threshold
+    tags no node twice and gives that threshold's parse."""
+    corpus = fixture_corpus()
+    ctx = context_for(corpus)
+    for seed, gold in enumerate(corpus):
+        inner = RandomTagger(seed)
+        replay = ReplayTagger(inner)
+        for theta in cli.THRESHOLD_SWEEP:
+            cfg = DecoderConfig(remote_threshold=theta)
+            got, got_trace = parse(gold.tokens, replay, ctx, cfg,
+                                   passage_id=gold.passage_id)
+            expected, expected_trace = parse(
+                gold.tokens, RandomTagger(seed), ctx, cfg,
+                passage_id=gold.passage_id)
+            assert got == expected, (gold.passage_id, theta)
+            assert got_trace.render() == expected_trace.render()
+        assert inner.calls == len(got_trace.steps)
