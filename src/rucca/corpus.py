@@ -18,11 +18,21 @@ AUX_OUTSIDE = "O"
 
 TOKEN_FIELDS = ("form", "upos", "xpos", "morph", "head", "deprel", "language")
 _TOKEN_KEYS = frozenset(TOKEN_FIELDS)
-# (field, accepted types, expected) of the token fields but morph and head
-_TOKEN_TYPES = (("form", str, "a string"), ("upos", str, "a string"),
-                ("language", str, "a string"),
-                ("xpos", (str, type(None)), "a string or null"),
-                ("deprel", (str, type(None)), "a string or null"))
+# (accepted JSON types, expected) of a record field; a type must match
+# exactly, so a boolean is not an integer
+_STR = ((str,), "a string")
+_STR_OR_NULL = ((str, type(None)), "a string or null")
+_BOOL = ((bool,), "a boolean")
+# (field, type) of the scalar fields of each kind of record
+_TOKEN_TYPES = (("form", _STR), ("upos", _STR), ("language", _STR),
+                ("xpos", _STR_OR_NULL), ("deprel", _STR_OR_NULL))
+_NODE_TYPES = (("id", _STR),
+               ("position", ((int, type(None)), "an integer or null")))
+_EDGE_TYPES = (("parent", _STR), ("child", _STR), ("category", _STR),
+               ("remote", _BOOL))
+_PASSAGE_TYPES = (("passage_id", _STR), ("language", _STR), ("root", _STR))
+_EXAMPLE_TYPES = (("passage_id", _STR), ("focus_node", _STR),
+                  ("representable", _BOOL))
 PASSAGE_FIELDS = ("passage_id", "language", "tokens", "nodes", "edges", "root")
 EXAMPLE_FIELDS = ("passage_id", "tokens", "mask", "focus_node", "target_bio",
                   "target_aux", "representable")
@@ -72,6 +82,12 @@ def _type_error(where, name, value, expected):
                        % (where, name, kind, expected))
 
 
+def _check_types(rec, types, where, prefix=""):
+    for key, (kinds, expected) in types:
+        if type(rec[key]) not in kinds:
+            raise _type_error(where, prefix + key, rec[key], expected)
+
+
 def _objects(value, where, name):
     if not isinstance(value, list) or \
             not all(isinstance(v, dict) for v in value):
@@ -102,15 +118,13 @@ def _token_from_record(rec: dict, where: str) -> TokenRow:
     if rec.keys() != _TOKEN_KEYS:
         raise CorpusError("%s: token fields %s, expected %s"
                           % (where, sorted(rec), sorted(TOKEN_FIELDS)))
-    for key, kinds, expected in _TOKEN_TYPES:
-        if not isinstance(rec[key], kinds):
-            raise _type_error(where, "token " + key, rec[key], expected)
+    _check_types(rec, _TOKEN_TYPES, where, "token ")
     morph = rec["morph"]
     if not isinstance(morph, dict) or \
             not all(isinstance(v, str) for v in morph.values()):
         raise _type_error(where, "token morph", morph, "an object of strings")
     head = rec["head"]
-    if head is not None and head != "root" and not isinstance(head, int):
+    if head is not None and head != "root" and type(head) is not int:
         raise CorpusError("%s: bad head %r" % (where, head))
     return TokenRow(form=rec["form"], upos=rec["upos"], xpos=rec["xpos"],
                     morph=tuple(sorted(morph.items())),
@@ -136,12 +150,14 @@ def passage_from_record(rec: dict, where: str = "record") -> Passage:
     if set(rec) != set(PASSAGE_FIELDS):
         raise CorpusError("%s: passage fields %s, expected %s"
                           % (where, sorted(rec), sorted(PASSAGE_FIELDS)))
+    _check_types(rec, _PASSAGE_TYPES, where)
     tokens = tuple(_token_from_record(t, where)
                    for t in _objects(rec["tokens"], where, "tokens"))
     nodes = []
     for n in _objects(rec["nodes"], where, "nodes"):
         if set(n) != {"id", "kind", "position"}:
             raise CorpusError("%s: bad node record %s" % (where, n))
+        _check_types(n, _NODE_TYPES, where, "node ")
         if n["kind"] not in ("terminal", "nonterminal"):
             raise CorpusError("%s: bad node kind %r" % (where, n["kind"]))
         nodes.append(Node(id=n["id"], kind=n["kind"], position=n["position"]))
@@ -149,12 +165,13 @@ def passage_from_record(rec: dict, where: str = "record") -> Passage:
     for e in _objects(rec["edges"], where, "edges"):
         if set(e) != {"parent", "child", "category", "remote"}:
             raise CorpusError("%s: bad edge record %s" % (where, e))
+        _check_types(e, _EDGE_TYPES, where, "edge ")
         if e["category"] not in CATEGORY_SET:
             raise CorpusError("%s: unknown category %r on edge %s->%s"
                               % (where, e["category"], e["parent"],
                                  e["child"]))
         edges.append(Edge(parent=e["parent"], child=e["child"],
-                          category=e["category"], remote=bool(e["remote"])))
+                          category=e["category"], remote=e["remote"]))
     return Passage(passage_id=rec["passage_id"], language=rec["language"],
                    tokens=tokens, nodes=tuple(nodes), edges=tuple(edges),
                    root=rec["root"])
@@ -347,6 +364,7 @@ def load_examples(path) -> list:
         if set(rec) != set(EXAMPLE_FIELDS):
             raise CorpusError("%s: example fields %s, expected %s"
                               % (where, sorted(rec), sorted(EXAMPLE_FIELDS)))
+        _check_types(rec, _EXAMPLE_TYPES, where)
         tokens = tuple(_token_from_record(t, where)
                        for t in _objects(rec["tokens"], where, "tokens"))
         mask = _strings(rec["mask"], where, "mask")

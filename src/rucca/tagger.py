@@ -44,6 +44,8 @@ class TaggerConfig:
             raise ValueError("n_layers must be >= 1")
         if self.cat_dim < 0:
             raise ValueError("cat_dim must be >= 0")
+        if not (np.isfinite(self.lambda_aux) and self.lambda_aux >= 0):
+            raise ValueError("lambda_aux must be finite and >= 0")
 
 
 @dataclass
@@ -57,8 +59,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not self.grad_clip >= 0:  # NaN too
+            raise ValueError("grad_clip must be >= 0 (0: no clipping)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -77,6 +81,24 @@ def _check_finite(name, *arrays):
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericError("non-finite values in %s" % name)
+
+
+class Params(dict):
+    """Name -> a copy of arrays[name], held as a view into one little-endian
+    float64 vector, `flat`, in sorted-name order (the checkpoint body).
+    Iteration keeps the order of `arrays`."""
+
+    def __init__(self, arrays):
+        names = sorted(arrays)
+        self.flat = np.concatenate([np.ravel(arrays[name]) for name in names],
+                                   dtype="<f8")
+        ends = np.cumsum([np.size(arrays[name]) for name in names])
+        views = dict(zip(names, np.split(self.flat, ends[:-1])))
+        super().__init__((name, views[name].reshape(np.shape(a)))
+                         for name, a in arrays.items())
+
+    def manifest(self):
+        return [[name, list(self[name].shape)] for name in sorted(self)]
 
 
 class GruTagger:
@@ -123,10 +145,7 @@ class GruTagger:
             linear("l%d/hw" % layer, m, m)
         linear("out1", bio.N_BIO, m)
         linear("out2", len(self.aux_vocab), m)
-        return params
-
-    def clone_params(self):
-        return {k: v.copy() for k, v in self.params.items()}
+        return Params(params)
 
     # -- forward ------------------------------------------------------------
 
@@ -239,12 +258,13 @@ class GruTagger:
         grads[base + "b"] += da.sum(axis=0)
         return da @ p[base + "W"]
 
-    def gradients(self, feats, y1, y2):
-        """Exact analytic gradients of loss() w.r.t. every parameter."""
+    def gradients(self, feats, y1, y2, out=None):
+        """Exact analytic gradients of loss(), written into out if given."""
         dist, cache = self.forward(feats)
         value, _ = self.loss(feats, y1, y2, cache)
         T = feats.length
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = Params(self.params) if out is None else out
+        grads.flat.fill(0.0)
 
         d1 = dist.task1.copy()
         d1[np.arange(T), y1] -= 1.0
@@ -285,7 +305,7 @@ class GruTagger:
             sl = df[:, offset:offset + self.config.cat_dim]
             np.add.at(grads["emb/" + name], feats.categorical[name], sl)
             offset += self.config.cat_dim
-        _check_finite("backward pass", *grads.values())
+        _check_finite("backward pass", grads.flat)
         return value, grads
 
 
@@ -293,31 +313,31 @@ class GruTagger:
 # Training
 
 class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
     def step(self, params, grads):
+        """Updates params in place; overwrites grads to save memory."""
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        for k in sorted(params):
-            g = grads[k]
-            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * g * g
-            mhat = self.m[k] / b1t
-            vhat = self.v[k] / b2t
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m *= self.b1
+        self.m += (1.0 - self.b1) * grads
+        self.v *= self.b2
+        self.v += (1.0 - self.b2) * grads * grads
+        denom = np.sqrt(np.divide(self.v, b2t, out=grads), out=grads)
+        denom += self.eps
+        params -= self.m / b1t * self.lr / denom  # mhat * lr == lr * mhat
 
 
 def clip_gradients(grads, max_norm):
+    # Per tensor, in draw order: one dot product rounds differently.
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for k in grads:
-            grads[k] *= scale
+        grads.flat *= max_norm / total
     return total
 
 
@@ -358,20 +378,22 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
     tagger = GruTagger(config.tagger, ctx.vocab, build_aux_vocab(usable))
     feats = [ctx.featurize(ex) for ex in usable]
     targets = [tagger.target_ids(ex) for ex in usable]
-    optimizer = _Adam(tagger.params, config.learning_rate)
+    optimizer = _Adam(tagger.params.flat.size, config.learning_rate)
     rng = np.random.default_rng(config.tagger.seed)
     log = []
     best_f1 = -1.0
-    best_params = None
+    best_flat = None
+    acc = Params(tagger.params)  # each batch's mean gradient
+    grads = Params(tagger.params)  # each example's gradient
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(usable))
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            acc = {k: np.zeros_like(v) for k, v in tagger.params.items()}
+            acc.flat.fill(0.0)
             for i in batch:
                 try:
-                    value, grads = tagger.gradients(feats[i], *targets[i])
+                    value, _ = tagger.gradients(feats[i], *targets[i], grads)
                 except NumericError as exc:
                     raise NumericError(
                         "epoch %d batch %d: %s"
@@ -380,21 +402,20 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
                     raise NumericError("non-finite loss at epoch %d batch %d"
                                        % (epoch, start // config.batch_size))
                 losses.append(value)
-                for k in acc:
-                    acc[k] += grads[k] / len(batch)
+                acc.flat += np.divide(grads.flat, len(batch), out=grads.flat)
             clip_gradients(acc, config.grad_clip)
-            optimizer.step(tagger.params, acc)
+            optimizer.step(tagger.params.flat, acc.flat)
         record = {"epoch": epoch, "loss": float(np.mean(losses))}
         if dev_score is not None:
             record["dev_f1"] = dev_score(tagger)
             if record["dev_f1"] > best_f1:
                 best_f1 = record["dev_f1"]
-                best_params = tagger.clone_params()
+                best_flat = tagger.params.flat.copy()
         log.append(record)
         if log_hook:
             log_hook(record)
-    if best_params is not None:
-        tagger.params = best_params
+    if best_flat is not None:
+        tagger.params.flat[:] = best_flat
     return tagger, log
 
 
@@ -478,7 +499,6 @@ VERSION = 2  # 2: one W, U and b per GRU direction (1: one per gate)
 
 
 def save_checkpoint(tagger: GruTagger, path):
-    names = sorted(tagger.params)
     header = {
         "version": VERSION,
         "config": asdict(tagger.config),
@@ -486,8 +506,7 @@ def save_checkpoint(tagger: GruTagger, path):
         "vocab": {"tables": {k: dict(v)
                              for k, v in tagger.vocab.tables.items()},
                   "morph_keys": list(tagger.vocab.morph_keys)},
-        "tensors": [[name, list(tagger.params[name].shape)]
-                    for name in names],
+        "tensors": tagger.params.manifest(),
     }
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
@@ -495,9 +514,7 @@ def save_checkpoint(tagger: GruTagger, path):
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for name in names:
-            f.write(np.ascontiguousarray(
-                tagger.params[name], dtype="<f8").tobytes())
+        f.write(tagger.params.flat)
 
 
 def load_checkpoint(path) -> GruTagger:
@@ -523,18 +540,11 @@ def load_checkpoint(path) -> GruTagger:
                 AttributeError) as exc:
             raise CheckpointError("%s: bad checkpoint header: %s"
                                   % (path, exc)) from None
-        if tensors != [[name, list(tagger.params[name].shape)]
-                       for name in sorted(tagger.params)]:
+        if tensors != tagger.params.manifest():
             raise CheckpointError("%s: tensors do not match the config"
                                   % path)
-        for name, shape in tensors:
-            count = int(np.prod(shape))
-            data = f.read(count * 8)
-            if len(data) != count * 8:
-                raise CheckpointError("%s: truncated tensor %s"
-                                      % (path, name))
-            tagger.params[name] = np.frombuffer(
-                data, dtype="<f8").reshape(shape).copy()
+        if f.readinto(tagger.params.flat) != tagger.params.flat.nbytes:
+            raise CheckpointError("%s: truncated tensor data" % path)
         if f.read(1):
             raise CheckpointError("%s: trailing bytes after the last tensor"
                                   % path)

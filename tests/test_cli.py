@@ -395,6 +395,23 @@ def _morph_not_an_object(record):
     record["tokens"][0]["morph"] = []
 
 
+def _node_position_string(record):
+    node = next(n for n in record["nodes"] if n["position"] is not None)
+    node["position"] = str(node["position"])
+
+
+def _edge_category_list(record):
+    record["edges"][0]["category"] = [record["edges"][0]["category"]]
+
+
+def _edge_remote_string(record):
+    record["edges"][0]["remote"] = "no"
+
+
+def _representable_string(record):
+    record["representable"] = "no"
+
+
 def _not_utf8(blob):
     return b"\xff\xfe" + blob
 
@@ -470,6 +487,28 @@ def _not_utf8(blob):
     pytest.param(["parse"], {}, {},
                  {"model": lambda b: _reheader(b, version=1)},
                  cli.EXIT_DATA, "version 1", id="checkpoint-version-1"),
+    pytest.param(["train"], {}, {"RUCCA_LEARNING_RATE": "nan"}, {},
+                 cli.EXIT_USAGE, "learning_rate", id="learning-rate-nan"),
+    pytest.param(["train"], {}, {"RUCCA_GRAD_CLIP": "nan"}, {},
+                 cli.EXIT_USAGE, "grad_clip", id="grad-clip-nan"),
+    pytest.param(["train"], {"lambda_aux": -1}, {}, {},
+                 cli.EXIT_USAGE, "lambda_aux", id="lambda-aux-negative"),
+    pytest.param(["expand"], {}, {},
+                 {"train_passages": _edit_last_record(_node_position_string)},
+                 cli.EXIT_DATA, "node position is a string",
+                 id="node-position-string"),
+    pytest.param(["expand"], {}, {},
+                 {"train_passages": _edit_last_record(_edge_category_list)},
+                 cli.EXIT_DATA, "edge category is a list",
+                 id="edge-category-list"),
+    pytest.param(["expand"], {}, {},
+                 {"train_passages": _edit_last_record(_edge_remote_string)},
+                 cli.EXIT_DATA, "edge remote is a string",
+                 id="edge-remote-string"),
+    pytest.param(["train"], {}, {},
+                 {"expanded": _edit_last_record(_representable_string)},
+                 cli.EXIT_DATA, "representable is a string",
+                 id="example-representable-string"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
                                              command, values, env, rewrite,

@@ -52,6 +52,57 @@ def test_load_rejects_unknown_fields(tmp_path):
         load_passages(path)
 
 
+def _first(key):
+    """An edit of the first item of a record's list `key`."""
+    return lambda rec, **kv: rec[key][0].update(kv)
+
+
+def _terminal(rec, **kv):
+    next(n for n in rec["nodes"] if n["position"] is not None).update(kv)
+
+
+# (edit, keyword arguments, message) of passage records
+@pytest.mark.parametrize("edit, values, message", [
+    (dict.update, {"passage_id": 1}, "passage_id is a number"),
+    (dict.update, {"language": None}, "language is null"),
+    (dict.update, {"root": ["n0"]}, "root is a list"),
+    (_first("nodes"), {"id": ["n0"]}, "node id is a list"),
+    (_terminal, {"position": "0"}, "node position is a string"),
+    (_terminal, {"position": False}, "node position is a boolean"),
+    (_terminal, {"position": 0.0}, "node position is a number"),
+    (_first("edges"), {"parent": ["n0"]}, "edge parent is a list"),
+    (_first("edges"), {"child": 1}, "edge child is a number"),
+    (_first("edges"), {"category": ["H"]}, "edge category is a list"),
+    (_first("edges"), {"remote": "no"}, "edge remote is a string"),
+    (_first("tokens"), {"head": True}, "bad head True"),
+])
+def test_load_passages_rejects_wrong_field_types(tmp_path, edit, values,
+                                                 message):
+    rec = passage_to_record(fig1_passage())
+    edit(rec, **values)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(CorpusError, match="bad.jsonl:1: " + message):
+        load_passages(path)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"passage_id": None}, "passage_id is null"),
+    ({"focus_node": 0}, "focus_node is a number"),
+    ({"representable": "no"}, "representable is a string"),
+    ({"representable": 1}, "representable is a number"),
+])
+def test_load_examples_rejects_wrong_field_types(tmp_path, values, message):
+    path = tmp_path / "ex.jsonl"
+    save_examples(expand(fig1_passage())[:1], path)
+    header, line = path.read_text().splitlines()
+    rec = json.loads(line)
+    rec.update(values)
+    path.write_text(header + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(CorpusError, match="ex.jsonl:2: " + message):
+        load_examples(path)
+
+
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n")

@@ -1,13 +1,18 @@
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rucca import bio
 from rucca.corpus import expand
 from rucca.features import FeaturizerContext, fit_vocabularies
-from rucca.tagger import (GruTagger, NumericError, OracleTagger,
-                          TaggerConfig, TrainConfig, build_aux_vocab,
-                          load_checkpoint, oracle_predict, save_checkpoint,
-                          token_accuracy, train)
+from rucca.tagger import (MAGIC, GruTagger, NumericError, OracleTagger,
+                          Params, TaggerConfig, TrainConfig, _Adam,
+                          build_aux_vocab, clip_gradients, load_checkpoint,
+                          oracle_predict, save_checkpoint, token_accuracy,
+                          train)
 
 from helpers import (context_for, fig1_passage, random_corpus,
                      single_token_passage, two_scene_5tok_passage)
@@ -251,10 +256,17 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    for bad in ({"hidden": 0}, {"n_layers": 0}, {"cat_dim": -1}):
+    for bad in ({"learning_rate": np.nan}, {"learning_rate": np.inf},
+                {"grad_clip": np.nan}, {"grad_clip": -1.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    TrainConfig(grad_clip=0.0)
+    for bad in ({"hidden": 0}, {"n_layers": 0}, {"cat_dim": -1},
+                {"lambda_aux": np.nan}, {"lambda_aux": np.inf},
+                {"lambda_aux": -1.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             TaggerConfig(**bad)
-    TaggerConfig(cat_dim=0)
+    TaggerConfig(cat_dim=0, lambda_aux=0.0)
 
 
 def test_oracle_predict_single_token():
@@ -316,3 +328,148 @@ def test_token_accuracy_perfect_on_oracleish_setup():
     tagger.params["out1/b"][:] = -10.0
     tagger.params["out1/b"][y1[0]] = 10.0
     assert token_accuracy(tagger, ctx, examples) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Parameter layout: one vector, viewed tensor by tensor
+
+def _reference_params(tagger):
+    """name -> array in draw order: the seeded initialisation drawn into
+    separate arrays (reference for the layout tests)."""
+    cfg = tagger.config
+    rng = np.random.default_rng(cfg.seed)
+    h, m = cfg.hidden, 2 * cfg.hidden
+    ref = {}
+
+    def linear(name, rows, cols):
+        ref[name + "/W"] = rng.normal(0.0, np.sqrt(1.0 / cols), (rows, cols))
+        ref[name + "/b"] = np.zeros(rows)
+
+    for name in tagger.feature_names:
+        ref["emb/" + name] = rng.normal(
+            0.0, 0.1, (tagger.vocab.size(name), cfg.cat_dim))
+    linear("in", m, tagger.input_dim)
+    for layer in range(cfg.n_layers):
+        for d in "fb":
+            gates = [(rng.normal(0.0, np.sqrt(1.0 / m), (h, m)),
+                      rng.normal(0.0, np.sqrt(1.0 / h), (h, h)))
+                     for _ in "zrn"]
+            base = "l%d/%s/" % (layer, d)
+            ref[base + "W"] = np.concatenate([w for w, _ in gates])
+            ref[base + "U"] = np.concatenate([u for _, u in gates])
+            ref[base + "b"] = np.zeros(3 * h)
+        linear("l%d/hw" % layer, m, m)
+    linear("out1", bio.N_BIO, m)
+    linear("out2", len(tagger.aux_vocab), m)
+    return ref
+
+
+def assert_tiles_flat(params):
+    """The views lie in params.flat in sorted-name order, without a gap or
+    an overlap, and share its memory."""
+    start = params.flat.__array_interface__["data"][0]
+    offset = 0
+    for name in sorted(params):
+        view = params[name]
+        assert view.flags.c_contiguous, name
+        assert view.__array_interface__["data"][0] == start + 8 * offset, name
+        assert view.size == 0 or np.shares_memory(view, params.flat), name
+        offset += view.size
+    assert offset == params.flat.size
+
+
+_LAYOUT_VOCAB = context_for([fig1_passage()]).vocab
+
+
+@settings(max_examples=30, deadline=None)
+@given(hidden=st.integers(1, 4), n_layers=st.integers(1, 3),
+       cat_dim=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+def test_params_are_views_of_one_vector_in_checkpoint_order(
+        hidden, n_layers, cat_dim, seed):
+    cfg = TaggerConfig(hidden=hidden, n_layers=n_layers, cat_dim=cat_dim,
+                       word_dim=3, seed=seed)
+    tagger = GruTagger(cfg, _LAYOUT_VOCAB, ("H", "O"))
+    reference = _reference_params(tagger)
+    assert list(tagger.params) == list(reference)  # draw order
+    for name, expected in reference.items():
+        assert np.array_equal(tagger.params[name], expected), name
+    assert_tiles_flat(tagger.params)
+    with tempfile.TemporaryDirectory() as d:
+        path = d + "/m.ckpt"
+        save_checkpoint(tagger, path)
+        with open(path, "rb") as f:
+            blob = f.read()
+    (size,) = struct.unpack("<Q", blob[len(MAGIC):len(MAGIC) + 8])
+    assert blob[len(MAGIC) + 8 + size:] == tagger.params.flat.tobytes()
+
+
+def test_restored_and_loaded_params_stay_views(tmp_path):
+    passages = [two_scene_5tok_passage()]
+    ctx = context_for(passages)
+    examples = [ex for p in passages for ex in expand(p)]
+    scores = iter([0.2, 0.9, 0.5])
+    seen = []
+
+    def dev_score(tagger):
+        seen.append(tagger.params.flat.copy())
+        return next(scores)
+
+    tagger, _ = train(examples, ctx, TrainConfig(
+        epochs=3, batch_size=4, tagger=TaggerConfig(hidden=3, cat_dim=2)),
+        dev_score=dev_score)
+    assert not np.array_equal(seen[1], seen[2])
+    assert np.array_equal(tagger.params.flat, seen[1])  # epoch 2 restored
+    assert_tiles_flat(tagger.params)
+    save_checkpoint(tagger, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert np.array_equal(loaded.params.flat, seen[1])
+    assert_tiles_flat(loaded.params)
+
+
+def _adam_reference(params, grads, m, v, lr, t, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step tensor by tensor (reference for _Adam.step)."""
+    b1t = 1.0 - b1 ** t
+    b2t = 1.0 - b2 ** t
+    for k in sorted(params):
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * g * g
+        mhat = m[k] / b1t
+        vhat = v[k] / b2t
+        params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def _clip_reference(grads, max_norm):
+    """clip_gradients tensor by tensor (reference)."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if max_norm > 0 and total > max_norm:
+        scale = max_norm / total
+        for k in grads:
+            grads[k] *= scale
+    return total
+
+
+def test_vector_adam_and_clip_match_per_tensor_reference():
+    tagger, _, _ = _tiny_setup(cat_dim=0)  # zero-size embedding tables
+    params = tagger.params
+    ref = {k: a.copy() for k, a in params.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    optimizer = _Adam(params.flat.size, 0.01)
+    rng = np.random.default_rng(5)
+    for t in range(1, 6):
+        grads = Params(params)
+        grads.flat[:] = rng.normal(0.0, 1.0, grads.flat.size)
+        ref_grads = {k: g.copy() for k, g in grads.items()}
+        norm = clip_gradients(grads, 0.5)
+        assert norm == _clip_reference(ref_grads, 0.5) > 0.5
+        for k in ref_grads:
+            assert np.array_equal(grads[k], ref_grads[k]), k
+        optimizer.step(params.flat, grads.flat)
+        _adam_reference(ref, ref_grads, m, v, 0.01, t)
+        for k in ref:
+            assert np.array_equal(params[k], ref[k]), (t, k)
+        assert np.array_equal(
+            optimizer.m, np.concatenate([m[k].ravel() for k in sorted(m)]))
+        assert np.array_equal(
+            optimizer.v, np.concatenate([v[k].ravel() for k in sorted(v)]))
