@@ -6,7 +6,7 @@ values, affixes, capitalization, length bucket, language, mask symbol),
 and a boolean MWE flag.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,8 +153,8 @@ EMPTY_EMBEDDINGS = WordEmbeddingTable(vectors={}, dim=WORD_DIM)
 
 def load_embeddings(path, dim=WORD_DIM) -> WordEmbeddingTable:
     """Text format: one "word v1 ... v<dim>" row per line. Rows with the
-    wrong dimension are skipped and counted; a value that is not a number
-    is an EmbeddingError."""
+    wrong dimension are skipped and counted; a value that is not a finite
+    number is an EmbeddingError."""
     vectors = {}
     skipped = 0
     for lineno, line in text_lines(path):
@@ -170,6 +170,9 @@ def load_embeddings(path, dim=WORD_DIM) -> WordEmbeddingTable:
         except ValueError as exc:
             raise EmbeddingError("%s:%d: %s" % (path, lineno, exc)) \
                 from None
+        if not np.all(np.isfinite(vectors[word])):
+            raise EmbeddingError("%s:%d: non-finite value for %r"
+                                 % (path, lineno, word))
     if not vectors:
         raise EmbeddingError("no valid embedding rows in %s" % path)
     return WordEmbeddingTable(vectors=vectors, dim=dim, skipped=skipped)
@@ -194,6 +197,19 @@ class FeaturizerContext:
     def featurize(self, example: MaskedExample) -> "FeaturizedExample":
         return featurize(example, self.vocab, self.embeddings, self.lexicon)
 
+    def remask(self, feats: FeaturizedExample, mask) -> FeaturizedExample:
+        """The features of feats' sentence under another mask: only the
+        mask ids are new, every other array is feats' own."""
+        categorical = dict(feats.categorical)
+        if "mask" in categorical:
+            categorical["mask"] = _mask_ids(self.vocab, mask)
+        return replace(feats, categorical=categorical)
+
+
+def _mask_ids(vocab: FeatureVocabularies, mask) -> np.ndarray:
+    return np.array([vocab.index("mask", sym) for sym in mask],
+                    dtype=np.int64)
+
 
 def featurize(example: MaskedExample, vocab: FeatureVocabularies,
               embeddings: WordEmbeddingTable,
@@ -202,18 +218,20 @@ def featurize(example: MaskedExample, vocab: FeatureVocabularies,
     n = len(tokens)
     word_vectors = np.stack([embeddings.lookup(t.form) for t in tokens]) \
         if n else np.zeros((0, embeddings.dim))
+    symbols = [_token_symbols(t) for t in tokens]
+    morphs = [dict(t.morph) for t in tokens]
     categorical = {}
     for name in vocab.feature_names():
         if name == "mask":
-            idx = [vocab.index("mask", sym) for sym in example.mask]
-        elif name.startswith("morph:"):
+            categorical[name] = _mask_ids(vocab, example.mask)
+            continue
+        if name.startswith("morph:"):
             key = name[len("morph:"):]
-            idx = [vocab.index(name, dict(t.morph).get(key, NONE))
-                   for t in tokens]
+            column = [m.get(key, NONE) for m in morphs]
         else:
-            idx = [vocab.index(name, _token_symbols(t)[name])
-                   for t in tokens]
-        categorical[name] = np.array(idx, dtype=np.int64)
+            column = [s[name] for s in symbols]
+        categorical[name] = np.array([vocab.index(name, sym)
+                                      for sym in column], dtype=np.int64)
     mwe = np.array(match(lex, tokens).flags, dtype=float) if n \
         else np.zeros(0)
     return FeaturizedExample(length=n, word_vectors=word_vectors,

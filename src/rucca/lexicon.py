@@ -1,6 +1,7 @@
 """Multiword-expression lexicons and greedy leftmost-longest span matching."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .corpus import text_lines
 
@@ -11,6 +12,7 @@ class ExpressionLexicon:
     expressions: frozenset  # of token tuples, lowercased
     duplicates_dropped: int = 0
 
+    @cached_property
     def max_length(self) -> int:
         return max((len(e) for e in self.expressions), default=0)
 
@@ -47,7 +49,7 @@ def match(lexicon: ExpressionLexicon, tokens) -> MweMask:
     """Greedy leftmost-longest matching over lowercased surface forms."""
     forms = [t.form.lower() for t in tokens]
     n = len(forms)
-    max_len = min(lexicon.max_length(), n)
+    max_len = min(lexicon.max_length, n)
     spans = []
     i = 0
     while i < n:

@@ -299,13 +299,19 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
     builder = _Builder(tokens, passage_id, language)
     trace = ParseTrace()
     mwe_mask = match(ctx.lexicon, tokens)
+    root_feats = None
 
     def tag(focus_node, span, mask_symbol):
+        # The root featurizes the sentence; every later node only remasks.
+        nonlocal root_feats
         mask = tuple(mask_symbol if span[0] <= i < span[1] else OUTSIDE
                      for i in range(len(tokens)))
         example = MaskedExample(passage_id=passage_id, tokens=tokens,
                                 mask=mask, focus_node=focus_node)
-        feats = ctx.featurize(example)
+        if root_feats is None:
+            feats = root_feats = ctx.featurize(example)
+        else:
+            feats = ctx.remask(root_feats, example.mask)
         return example.mask, tagger.predict(example, feats)
 
     def attach_flat(node_id, span, force_sp):
@@ -384,6 +390,9 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
 
     root = builder.new_nonterminal((0, len(tokens)), 0)
     expand_node(root, (0, len(tokens)), ROOT_MASK, 1, incoming_is_h=False)
+    # expand_node refers to itself: without this its closures, the root's
+    # features among them, would wait for the cycle collector.
+    del expand_node
     trace.nonterminals = builder.nonterminals
     trace.tree_notes = len(trace.notes)
     return resolve_remotes(builder.passage(), trace, cfg.remote_threshold)

@@ -11,6 +11,7 @@ are exact and runs are bit-deterministic under a fixed seed.
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -105,7 +106,9 @@ class GruTagger:
     """Trainable tagger; implements predict(example, feats)."""
 
     def __init__(self, config: TaggerConfig, vocab: FeatureVocabularies,
-                 aux_vocab):
+                 aux_vocab, draw=None):
+        """draw(std, shape) gives each weight tensor's initial values; by
+        default normal draws seeded by config.seed."""
         self.config = config
         self.vocab = vocab
         self.aux_vocab = tuple(aux_vocab)
@@ -113,30 +116,30 @@ class GruTagger:
         self.feature_names = vocab.feature_names()
         self.input_dim = (config.word_dim
                           + config.cat_dim * len(self.feature_names) + 1)
-        self.params = self._init_params()
+        if draw is None:
+            draw = partial(np.random.default_rng(config.seed).normal, 0.0)
+        self.params = self._init_params(draw)
 
     # -- parameters ---------------------------------------------------------
 
-    def _init_params(self):
+    def _init_params(self, draw):
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
         h, m = cfg.hidden, 2 * cfg.hidden
         params = {}
 
         def linear(name, rows, cols):
-            params[name + "/W"] = rng.normal(0.0, np.sqrt(1.0 / cols),
-                                             (rows, cols))
+            params[name + "/W"] = draw(np.sqrt(1.0 / cols), (rows, cols))
             params[name + "/b"] = np.zeros(rows)
 
         for name in self.feature_names:
-            params["emb/" + name] = rng.normal(
-                0.0, 0.1, (self.vocab.size(name), cfg.cat_dim))
+            params["emb/" + name] = draw(
+                0.1, (self.vocab.size(name), cfg.cat_dim))
         linear("in", m, self.input_dim)
         for layer in range(cfg.n_layers):
             for d in ("f", "b"):
                 # Drawn gate by gate (z, r, n), W before U, then stacked.
-                blocks = [(rng.normal(0.0, np.sqrt(1.0 / m), (h, m)),
-                           rng.normal(0.0, np.sqrt(1.0 / h), (h, h)))
+                blocks = [(draw(np.sqrt(1.0 / m), (h, m)),
+                           draw(np.sqrt(1.0 / h), (h, h)))
                           for _ in range(3)]
                 base = "l%d/%s/" % (layer, d)
                 params[base + "W"] = np.concatenate([w for w, _ in blocks])
@@ -533,8 +536,10 @@ def load_checkpoint(path) -> GruTagger:
                 tables={k: dict(v)
                         for k, v in header["vocab"]["tables"].items()},
                 morph_keys=tuple(header["vocab"]["morph_keys"]))
+            # The tensors are read below: allocate them, draw nothing.
             tagger = GruTagger(TaggerConfig(**header["config"]), vocab,
-                               header["aux_vocab"])
+                               header["aux_vocab"],
+                               draw=lambda std, shape: np.empty(shape))
             tensors = header["tensors"]
         except (struct.error, ValueError, KeyError, TypeError,
                 AttributeError) as exc:

@@ -221,6 +221,17 @@ def brute_force_yield(passage, node_id):
     return frozenset(positions)
 
 
+def assert_same_features(a, b):
+    """Two FeaturizedExamples hold equal arrays of equal dtype and shape."""
+    assert a.length == b.length
+    assert list(a.categorical) == list(b.categorical)
+    pairs = [(a.word_vectors, b.word_vectors), (a.mwe, b.mwe)] + \
+        [(a.categorical[k], b.categorical[k]) for k in a.categorical]
+    for x, y in pairs:
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
 def context_for(passages, lexicon=EMPTY_LEXICON, embeddings=None):
     examples = [ex for p in passages for ex in expand(p)]
     return FeaturizerContext(

@@ -482,6 +482,9 @@ def _not_utf8(blob):
                  {"embeddings": lambda b: b.replace(b" 0.5", b" x", 1)},
                  cli.EXIT_DATA, "embeddings.txt:1",
                  id="embeddings-not-a-number"),
+    pytest.param(["parse"], {}, {},
+                 {"embeddings": lambda b: b.replace(b" 0.5", b" nan", 1)},
+                 cli.EXIT_DATA, "embeddings.txt:1", id="embeddings-nan"),
     pytest.param(["train"], {"hidden": 0}, {}, {},
                  cli.EXIT_USAGE, "hidden", id="hidden-zero"),
     pytest.param(["parse"], {}, {},

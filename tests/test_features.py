@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from rucca.corpus import MaskedExample, expand
-from rucca.features import (EMPTY_EMBEDDINGS, EmbeddingError,
-                            FeaturizerContext, affix, caps_class,
-                            featurize, fit_vocabularies, length_bucket,
-                            load_embeddings)
+from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
+from rucca.features import (EMPTY_EMBEDDINGS, NONE, EmbeddingError,
+                            FeaturizedExample, FeaturizerContext,
+                            WordEmbeddingTable, _token_symbols, affix,
+                            caps_class, featurize, fit_vocabularies,
+                            length_bucket, load_embeddings)
 from rucca.graph import make_token
-from rucca.lexicon import EMPTY_LEXICON, ExpressionLexicon
+from rucca.lexicon import EMPTY_LEXICON, ExpressionLexicon, match
 
-from helpers import fig1_passage, single_token_passage
+from helpers import assert_same_features, fig1_passage, single_token_passage
 
 
 def _example(tokens, mask=None):
@@ -151,3 +155,93 @@ def test_context_featurize_matches_direct_call():
     a = ctx.featurize(examples[0])
     b = featurize(examples[0], vocab, EMPTY_EMBEDDINGS, EMPTY_LEXICON)
     assert np.array_equal(a.categorical["upos"], b.categorical["upos"])
+
+
+def test_load_embeddings_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "vec.txt"
+    row = " ".join(["0.5"] * 300)
+    for bad in ("nan", "inf", "-Infinity"):
+        path.write_text("dog %s\ncat %s %s\n" % (row, bad, row[4:]))
+        with pytest.raises(EmbeddingError, match=r"vec\.txt:2: non-finite"):
+            load_embeddings(path)
+
+
+def _featurize_per_table(example, vocab, embeddings, lex):
+    """featurize as one pass over the tokens per feature table: the
+    reference for the single pass over the tokens."""
+    tokens = example.tokens
+    n = len(tokens)
+    word_vectors = np.stack([embeddings.lookup(t.form) for t in tokens]) \
+        if n else np.zeros((0, embeddings.dim))
+    categorical = {}
+    for name in vocab.feature_names():
+        if name == "mask":
+            idx = [vocab.index("mask", sym) for sym in example.mask]
+        elif name.startswith("morph:"):
+            key = name[len("morph:"):]
+            idx = [vocab.index(name, dict(t.morph).get(key, NONE))
+                   for t in tokens]
+        else:
+            idx = [vocab.index(name, _token_symbols(t)[name])
+                   for t in tokens]
+        categorical[name] = np.array(idx, dtype=np.int64)
+    mwe = np.array(match(lex, tokens).flags, dtype=float) if n \
+        else np.zeros(0)
+    return FeaturizedExample(length=n, word_vectors=word_vectors,
+                             categorical=categorical, mwe=mwe)
+
+
+_FORMS = ("in", "front", "of", "Paris", "DOG", "x", "iPhone", "42", "de")
+
+_token = st.builds(
+    make_token,
+    form=st.sampled_from(_FORMS),
+    upos=st.sampled_from(("NOUN", "VERB", "ADP", "WEIRD")),
+    xpos=st.none() | st.sampled_from(("NN", "VB")),
+    morph=st.dictionaries(st.sampled_from(("Number", "Tense", "Case")),
+                          st.sampled_from(("Sing", "Plur", "Past")),
+                          max_size=3),
+    deprel=st.none() | st.sampled_from(("nsubj", "obj")),
+    language=st.sampled_from(("en", "fr")))
+
+
+@st.composite
+def _featurizer_case(draw):
+    """A context whose vocabularies were fit on some tokens, an example of
+    other tokens (so unseen symbols occur) and a second mask."""
+    seen = draw(st.lists(_token, min_size=1, max_size=6))
+    tokens = tuple(draw(st.lists(_token, max_size=8)))
+    masks = st.lists(st.sampled_from(MASK_SYMBOLS), min_size=len(tokens),
+                     max_size=len(tokens)).map(tuple)
+    example = MaskedExample(passage_id="x", tokens=tokens, mask=draw(masks),
+                            focus_node="n0")
+    lexicon = ExpressionLexicon(language="en", expressions=frozenset(
+        {("in", "front", "of"), ("paris",), ("dog", "x")}))
+    embeddings = WordEmbeddingTable(
+        vectors={"in": np.arange(3.0), "paris": -np.ones(3)}, dim=3)
+    ctx = FeaturizerContext(vocab=fit_vocabularies([_example(seen)]),
+                            embeddings=embeddings, lexicon=lexicon)
+    return ctx, example, draw(masks)
+
+
+@given(_featurizer_case())
+def test_featurize_matches_per_table_reference(case):
+    ctx, example, _ = case
+    assert_same_features(
+        ctx.featurize(example),
+        _featurize_per_table(example, ctx.vocab, ctx.embeddings,
+                             ctx.lexicon))
+
+
+@given(_featurizer_case())
+def test_remask_equals_featurize_under_the_new_mask(case):
+    ctx, example, mask = case
+    feats = ctx.featurize(example)
+    remasked = ctx.remask(feats, mask)
+    assert_same_features(remasked,
+                         ctx.featurize(replace(example, mask=mask)))
+    # Only the mask ids are new; the sentence's arrays are shared.
+    assert remasked.word_vectors is feats.word_vectors
+    assert remasked.mwe is feats.mwe
+    for name, ids in feats.categorical.items():
+        assert (remasked.categorical[name] is ids) == (name != "mask")

@@ -82,3 +82,32 @@ def test_match_order_independence():
     a = match(_lex("in front of", "the door"), tokens)
     b = match(_lex("the door", "in front of"), tokens)
     assert a == b
+
+
+def _match_reference(expressions, forms):
+    """Greedy leftmost-longest matching by trying every expression at every
+    position, with no length bound: the reference for match."""
+    forms = [f.lower() for f in forms]
+    spans = []
+    i = 0
+    while i < len(forms):
+        lengths = [len(e) for e in expressions
+                   if tuple(forms[i:i + len(e)]) == e]
+        if lengths:
+            spans.append((i, i + max(lengths)))
+            i += max(lengths)
+        else:
+            i += 1
+    return tuple(spans)
+
+
+@given(st.frozensets(st.lists(st.sampled_from("abc"), min_size=1,
+                              max_size=5).map(tuple), max_size=8),
+       st.lists(st.sampled_from("abcABd"), max_size=14))
+def test_match_equals_brute_force_reference(expressions, forms):
+    lex = ExpressionLexicon(language="en", expressions=expressions)
+    assert lex.max_length == max(map(len, expressions), default=0)
+    mask = match(lex, _tokens(*forms))
+    assert mask.spans == _match_reference(expressions, forms)
+    covered = {j for start, end in mask.spans for j in range(start, end)}
+    assert mask.flags == tuple(j in covered for j in range(len(forms)))

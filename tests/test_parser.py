@@ -1,10 +1,13 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rucca import bio, cli
+from rucca import bio, cli, features
 from rucca.evaluator import score
+from rucca.features import WordEmbeddingTable
 from rucca.graph import all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
@@ -12,8 +15,9 @@ from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
 from rucca.lexicon import MweMask, match
 from rucca.tagger import OracleTagger, ReplayTagger
 
-from helpers import (FixedTagger, RandomTagger, context_for, fig1_passage,
-                     fixture_corpus, random_corpus, single_token_passage,
+from helpers import (FixedTagger, RandomTagger, assert_same_features,
+                     context_for, fig1_passage, fixture_corpus,
+                     random_corpus, single_token_passage,
                      two_scene_5tok_passage)
 
 NO_MWE = MweMask(flags=(), spans=())
@@ -317,3 +321,63 @@ def test_replayed_predictions_give_a_fresh_parse_at_every_threshold():
             assert got == expected, (gold.passage_id, theta)
             assert got_trace.render() == expected_trace.render()
         assert inner.calls == len(got_trace.steps)
+
+
+def test_parse_featurizes_each_sentence_once(monkeypatch):
+    """Every tagged node gets the features a fresh featurize of its own
+    example gives, from one featurize call per sentence."""
+    corpus = fixture_corpus()
+    bigrams = sorted({(a.form.lower(), b.form.lower()) for p in corpus
+                      for a, b in zip(p.tokens, p.tokens[1:])})
+    lexicon = ExpressionLexicon(language="en",
+                                expressions=frozenset(bigrams[::7]))
+    forms = sorted({t.form for p in corpus for t in p.tokens})
+    rng = np.random.default_rng(5)
+    embeddings = WordEmbeddingTable(
+        vectors={f: rng.normal(size=4) for f in forms[::2]}, dim=4)
+    ctx = context_for(corpus, lexicon=lexicon, embeddings=embeddings)
+    featurize = features.featurize
+    featurized = []
+
+    def counted(example, *args):
+        featurized.append(example.tokens)
+        return featurize(example, *args)
+
+    tagged = []
+
+    class Recording(OracleTagger):
+        def predict(self, example, feats):
+            tagged.append((example, feats))
+            return super().predict(example, feats)
+
+    monkeypatch.setattr(features, "featurize", counted)
+    parsed = cli.parse_sentences(cli._sentences(corpus), Recording(corpus),
+                                 ctx, DecoderConfig())
+    assert featurized == [p.tokens for p in corpus]
+    assert len(tagged) == sum(len(t.steps) for _, t in parsed) \
+        > 2 * len(corpus)
+    for example, feats in tagged:
+        assert_same_features(feats, featurize(example, ctx.vocab,
+                                              ctx.embeddings, ctx.lexicon))
+    assert any(feats.mwe.any() for _, feats in tagged)
+    assert any(feats.word_vectors.any() for _, feats in tagged)
+
+
+def test_parse_frees_its_features_on_return():
+    """No tagged node's features outlive the parse waiting for the cycle
+    collector."""
+    gold = fig1_passage()
+    refs = []
+
+    class Recording(OracleTagger):
+        def predict(self, example, feats):
+            refs.append(weakref.ref(feats))
+            return super().predict(example, feats)
+
+    gc.disable()
+    try:
+        parse(gold.tokens, Recording([gold]), context_for([gold]),
+              DecoderConfig(), passage_id=gold.passage_id)
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

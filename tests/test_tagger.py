@@ -317,6 +317,22 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    tagger, _, _ = _tiny_setup()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tagger, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = load_checkpoint(path)
+    assert loaded.params.flat.tobytes() == tagger.params.flat.tobytes()
+    assert list(loaded.params) == list(tagger.params)
+    save_checkpoint(loaded, tmp_path / "m2.ckpt")
+    assert (tmp_path / "m2.ckpt").read_bytes() == path.read_bytes()
+
+
 def test_token_accuracy_perfect_on_oracleish_setup():
     passages = [single_token_passage()]
     ctx = context_for(passages)
