@@ -1,12 +1,14 @@
-"""Recursive inference driver: tag, decode, constrain, recurse.
+"""Inference: tag, decode, constrain, recurse.
 
 Each step tags the whole sentence with a mask describing the focus node,
 decodes BIO probabilities into child spans, applies the structural
 constraints, then recurses into every multi-token child with an updated
-mask until terminal nodes are reached. The primary tree does not depend
-on the remote threshold: the trace keeps each tagged node's remote
-probability rows, and resolve_remotes turns them into remote edges of the
-finished tree at any threshold.
+mask until terminal nodes are reached. A node's tags depend only on its
+mask, so the focus nodes of one depth are tagged in one batch; the tree,
+its node ids and its trace are then assembled depth first. The primary
+tree does not depend on the remote threshold: the trace keeps each
+tagged node's remote probability rows, and resolve_remotes turns them
+into remote edges of the finished tree at any threshold.
 """
 
 from dataclasses import dataclass, field, replace
@@ -93,14 +95,10 @@ def _span_qualifies_as_scene(span, tokens, cfg, action_flags):
     return False
 
 
-def _merge_scene_spans(spans, tokens, cfg, firings):
+def _merge_scene_spans(spans, tokens, action_flags, cfg, firings):
     """Constraint 1: an H span with no verb/action noun is merged into the
     nearest preceding qualifying H span (else the nearest following one).
     Spans swallowed by the merged interval are absorbed."""
-    if cfg.action_noun_lexicon is not None:
-        action_flags = match(cfg.action_noun_lexicon, tokens).flags
-    else:
-        action_flags = (False,) * len(tokens)
     spans = sorted(spans, key=lambda s: s.start)
     while True:
         h_spans = [s for s in spans if s.category == "H"]
@@ -232,14 +230,25 @@ def _mwe_integrity(spans, mwe_spans, focus, firings):
     return spans
 
 
-def apply_constraints(spans, tokens, dist, mwe_mask, cfg: DecoderConfig,
-                      at_scene_level, focus=None, firings=None):
-    """The three decoding constraints, in order; returns sorted spans."""
+def action_noun_flags(tokens, cfg: DecoderConfig):
+    """Per token: does an expression of cfg's action-noun lexicon cover
+    it? Constraint 1 counts such a token as a scene's verb."""
+    if cfg.action_noun_lexicon is None:
+        return (False,) * len(tokens)
+    return match(cfg.action_noun_lexicon, tokens).flags
+
+
+def apply_constraints(spans, tokens, dist, mwe_mask, action_flags,
+                      cfg: DecoderConfig, at_scene_level, focus=None,
+                      firings=None):
+    """The three decoding constraints, in order; returns sorted spans.
+    action_flags are the sentence's action_noun_flags."""
     if firings is None:
         firings = []
     if focus is None:
         focus = (0, len(tokens))
-    spans = _merge_scene_spans(list(spans), tokens, cfg, firings)
+    spans = _merge_scene_spans(list(spans), tokens, action_flags, cfg,
+                               firings)
     if at_scene_level:
         spans = _force_single_state_process(spans, dist, focus, firings)
     spans = _mwe_integrity(spans, mwe_mask.spans, focus, firings)
@@ -252,6 +261,19 @@ def apply_constraints(spans, tokens, dist, mwe_mask, cfg: DecoderConfig,
 
 def _fallback_category(token):
     return "F" if token.upos in FUNCTION_UPOS else "C"
+
+
+@dataclass
+class _Focus:
+    """A non-terminal of a parse in progress. Tagging it sets step (left
+    None at the depth cap) and, per child in step.constrained, the child's
+    _Focus, or None for a terminal."""
+    span: tuple  # (start, end)
+    arc: str  # the mask symbol: category of the incoming arc, or ROOT_MASK
+    depth: int
+    incoming_is_h: bool
+    step: TraceStep = None
+    children: list = None
 
 
 class _Builder:
@@ -278,6 +300,41 @@ class _Builder:
         self.edges.append(Edge(parent=parent, child=child,
                                category=category))
 
+    def attach_flat(self, node_id, span, force_sp, verb_upos):
+        """Every token of span as a child of node_id; with force_sp the
+        first verb (else the first token) is its P."""
+        start, end = span
+        sp_pos = None
+        if force_sp:
+            verbs = [i for i in range(start, end)
+                     if self.tokens[i].upos in verb_upos]
+            sp_pos = verbs[0] if verbs else start
+        for i in range(start, end):
+            if i == sp_pos:
+                self.add_edge(node_id, "t%d" % i, "P")
+            else:
+                self.add_edge(node_id, "t%d" % i,
+                              _fallback_category(self.tokens[i]))
+
+    def add_subtree(self, node_id, focus, trace, verb_upos):
+        """Numbers focus's descendants and adds their edges, steps and
+        depth-cap notes depth first, children in span order."""
+        if focus.step is None:
+            trace.notes.append("depth cap at node %s span %s"
+                               % (node_id, focus.span))
+            self.attach_flat(node_id, focus.span, focus.incoming_is_h,
+                             verb_upos)
+            return
+        focus.step.node = node_id
+        trace.steps.append(focus.step)
+        for s, child in zip(focus.step.constrained, focus.children):
+            if child is None:
+                self.add_edge(node_id, "t%d" % s.start, s.category)
+            else:
+                child_id = self.new_nonterminal(child.span, child.depth)
+                self.add_edge(node_id, child_id, s.category)
+                self.add_subtree(child_id, child, trace, verb_upos)
+
     def passage(self):
         nonterms = [n for n in self.nodes if not n.is_terminal()]
         terms = [n for n in self.nodes if n.is_terminal()]
@@ -285,6 +342,58 @@ class _Builder:
                        tokens=tuple(self.tokens),
                        nodes=tuple(nonterms + terms),
                        edges=tuple(self.edges), root="n0")
+
+
+def _expand(focus, mask, dist, tokens, mwe_mask, action_flags, cfg):
+    """Sets focus.step and focus.children from its tagger output: decodes,
+    clips and constrains the child spans and covers every focus token."""
+    start, end = focus.span
+    # Remote spans are decoded again by resolve_remotes.
+    primary, _ = bio.decode_probs(dist, cfg.remote_threshold)
+    firings = []
+
+    kept = []
+    for s in primary:
+        if s.end <= start or s.start >= end:
+            firings.append("drop out-of-focus span (%d,%d)"
+                           % (s.start, s.end))
+            continue
+        if s.start < start or s.end > end:
+            firings.append("clip span (%d,%d) to focus"
+                           % (s.start, s.end))
+            s = bio.ChildSpan(max(s.start, start), min(s.end, end),
+                              s.category, False)
+        kept.append(s)
+
+    scene_level = focus.incoming_is_h or (
+        focus.arc == ROOT_MASK
+        and not any(s.category == "H" for s in kept))
+    spans = apply_constraints(kept, tokens, dist, mwe_mask, action_flags,
+                              cfg, scene_level, focus=focus.span,
+                              firings=firings)
+
+    # Cover focus tokens missed by every child span.
+    covered = set()
+    for s in spans:
+        covered.update(s.positions())
+    children = list(spans)
+    for i in range(start, end):
+        if i not in covered:
+            children.append(bio.ChildSpan(i, i + 1,
+                                          _fallback_category(tokens[i]),
+                                          False))
+    children.sort(key=lambda s: s.start)
+
+    focus.step = TraceStep(
+        depth=focus.depth, focus=focus.span, arc=focus.arc, mask=mask,
+        decoded_primary=tuple(primary), decoded_remote=(),
+        constrained=tuple(children), firings=tuple(firings), node=None,
+        remote_rows=dist.task1[:, bio.REMOTE_LABEL_IDS])
+    focus.children = [
+        None if s.end - s.start == 1 else
+        _Focus((s.start, s.end), s.category, focus.depth + 1,
+               s.category == "H")
+        for s in children]
 
 
 def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
@@ -296,103 +405,36 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
         raise ParseError("empty token sequence")
     tokens = tuple(tokens)
     language = language or tokens[0].language
+    mwe_mask = match(ctx.lexicon, tokens)
+    action_flags = action_noun_flags(tokens, cfg)
+    root = _Focus((0, len(tokens)), ROOT_MASK, 1, incoming_is_h=False)
+    level = [root]
+    root_feats = None
+    # One batch per depth; the nodes at the depth cap stay untagged. Ids
+    # are given after tagging, so examples carry no focus node.
+    while level and level[0].depth < cfg.max_depth:
+        examples = [MaskedExample(
+            passage_id=passage_id, tokens=tokens,
+            mask=tuple(focus.arc if focus.span[0] <= i < focus.span[1]
+                       else OUTSIDE for i in range(len(tokens))),
+            focus_node=None) for focus in level]
+        # The root featurizes the sentence; every later node only remasks.
+        if root_feats is None:
+            root_feats = ctx.featurize(examples[0])
+            feats = [root_feats]
+        else:
+            feats = [ctx.remask(root_feats, ex.mask) for ex in examples]
+        dists = tagger.predict_batch(examples, feats)
+        for focus, example, dist in zip(level, examples, dists):
+            _expand(focus, example.mask, dist, tokens, mwe_mask,
+                    action_flags, cfg)
+        level = [child for focus in level for child in focus.children
+                 if child is not None]
+
     builder = _Builder(tokens, passage_id, language)
     trace = ParseTrace()
-    mwe_mask = match(ctx.lexicon, tokens)
-    root_feats = None
-
-    def tag(focus_node, span, mask_symbol):
-        # The root featurizes the sentence; every later node only remasks.
-        nonlocal root_feats
-        mask = tuple(mask_symbol if span[0] <= i < span[1] else OUTSIDE
-                     for i in range(len(tokens)))
-        example = MaskedExample(passage_id=passage_id, tokens=tokens,
-                                mask=mask, focus_node=focus_node)
-        if root_feats is None:
-            feats = root_feats = ctx.featurize(example)
-        else:
-            feats = ctx.remask(root_feats, example.mask)
-        return example.mask, tagger.predict(example, feats)
-
-    def attach_flat(node_id, span, force_sp):
-        start, end = span
-        sp_pos = None
-        if force_sp:
-            verbs = [i for i in range(start, end)
-                     if tokens[i].upos in cfg.verb_upos]
-            sp_pos = verbs[0] if verbs else start
-        for i in range(start, end):
-            if i == sp_pos:
-                builder.add_edge(node_id, "t%d" % i, "P")
-            else:
-                builder.add_edge(node_id, "t%d" % i,
-                                 _fallback_category(tokens[i]))
-
-    def expand_node(node_id, span, mask_symbol, depth, incoming_is_h):
-        start, end = span
-        if depth >= cfg.max_depth:
-            trace.notes.append("depth cap at node %s span %s"
-                               % (node_id, (start, end)))
-            attach_flat(node_id, span, force_sp=incoming_is_h)
-            return
-        mask, dist = tag(node_id, span, mask_symbol)
-        # Remote spans are decoded again by resolve_remotes.
-        primary, _ = bio.decode_probs(dist, cfg.remote_threshold)
-        firings = []
-
-        kept = []
-        for s in primary:
-            if s.end <= start or s.start >= end:
-                firings.append("drop out-of-focus span (%d,%d)"
-                               % (s.start, s.end))
-                continue
-            if s.start < start or s.end > end:
-                firings.append("clip span (%d,%d) to focus"
-                               % (s.start, s.end))
-                s = bio.ChildSpan(max(s.start, start), min(s.end, end),
-                                  s.category, False)
-            kept.append(s)
-
-        scene_level = incoming_is_h or (
-            mask_symbol == ROOT_MASK
-            and not any(s.category == "H" for s in kept))
-        spans = apply_constraints(kept, tokens, dist, mwe_mask, cfg,
-                                  scene_level, focus=span, firings=firings)
-
-        # Cover focus tokens missed by every child span.
-        covered = set()
-        for s in spans:
-            covered.update(s.positions())
-        children = list(spans)
-        for i in range(start, end):
-            if i not in covered:
-                children.append(bio.ChildSpan(i, i + 1,
-                                              _fallback_category(tokens[i]),
-                                              False))
-        children.sort(key=lambda s: s.start)
-
-        trace.steps.append(TraceStep(
-            depth=depth, focus=span, arc=mask_symbol, mask=mask,
-            decoded_primary=tuple(primary), decoded_remote=(),
-            constrained=tuple(children), firings=tuple(firings),
-            node=node_id,
-            remote_rows=dist.task1[:, bio.REMOTE_LABEL_IDS]))
-
-        for s in children:
-            if s.end - s.start == 1:
-                builder.add_edge(node_id, "t%d" % s.start, s.category)
-            else:
-                child_id = builder.new_nonterminal((s.start, s.end),
-                                                   depth + 1)
-                builder.add_edge(node_id, child_id, s.category)
-                expand_node(child_id, (s.start, s.end), s.category,
-                            depth + 1, s.category == "H")
-
-    root = builder.new_nonterminal((0, len(tokens)), 0)
-    expand_node(root, (0, len(tokens)), ROOT_MASK, 1, incoming_is_h=False)
-    # expand_node refers to itself: without this its closures, the root's
-    # features among them, would wait for the cycle collector.
-    del expand_node
+    builder.add_subtree(builder.new_nonterminal(root.span, 0), root, trace,
+                        cfg.verb_upos)
     trace.nonterminals = builder.nonterminals
     trace.tree_notes = len(trace.notes)
     return resolve_remotes(builder.passage(), trace, cfg.remote_threshold)

@@ -73,9 +73,18 @@ def _sigmoid(x):
 
 
 def _softmax(logits):
-    m = logits.max(axis=1, keepdims=True)
+    m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _first_row(cache):
+    """A forward_batch cache with every array cut to its first example."""
+    if isinstance(cache, dict):
+        return {k: _first_row(v) for k, v in cache.items()}
+    if isinstance(cache, list):
+        return [_first_row(v) for v in cache]
+    return cache[0]
 
 
 def _check_finite(name, *arrays):
@@ -102,8 +111,18 @@ class Params(dict):
         return [[name, list(self[name].shape)] for name in sorted(self)]
 
 
+class Tagger:
+    """Base of the taggers that tag one example at a time with
+    predict(example, feats). The parser calls predict_batch(examples,
+    feats_list) with the focus nodes of one depth of one sentence."""
+
+    def predict_batch(self, examples, feats_list):
+        return [self.predict(example, feats)
+                for example, feats in zip(examples, feats_list)]
+
+
 class GruTagger:
-    """Trainable tagger; implements predict(example, feats)."""
+    """Trainable tagger; tags a batch with one forward_batch."""
 
     def __init__(self, config: TaggerConfig, vocab: FeatureVocabularies,
                  aux_vocab, draw=None):
@@ -159,55 +178,108 @@ class GruTagger:
         cols.append(feats.mwe[:, None])
         return np.concatenate(cols, axis=1)
 
-    def _gru_direction(self, x, base):
-        """One GRU direction run from the first row of x to the last ->
-        (H, cache); the backward direction is run on x[::-1]."""
-        p = self.params
-        U = p[base + "U"]
-        T, h = x.shape[0], U.shape[1]
-        a = x @ p[base + "W"].T + p[base + "b"]  # every input projection
-        hs = np.zeros((T + 1, h))  # hs[t] is the state before step t
-        gates = np.zeros((T, 3 * h))  # z, r, n
-        un = np.zeros((T, h))  # n block of U @ hs[t]
-        for t in range(T):
-            rec = U @ hs[t]
-            zr = _sigmoid(a[t, :2 * h] + rec[:2 * h])
-            z, r = zr[:h], zr[h:]
-            n = np.tanh(a[t, 2 * h:] + r * rec[2 * h:])
-            hs[t + 1] = (1.0 - z) * n + z * hs[t]
-            gates[t, :2 * h], gates[t, 2 * h:] = zr, n
-            un[t] = rec[2 * h:]
-        return hs[1:], {"x": x, "hprev": hs[:-1], "gates": gates, "un": un}
+    def _affine(self, x, prefix):
+        """x @ W.T + b over x's last axis, as one product of all rows."""
+        W = self.params[prefix + "W"]
+        rows = x.reshape(-1, x.shape[-1])
+        return (rows @ W.T + self.params[prefix + "b"]).reshape(
+            x.shape[:-1] + (W.shape[0],))
 
-    def forward(self, feats: FeaturizedExample):
-        """-> (TagDistribution, cache). Cache is reused by gradients()."""
+    def _gru_layer(self, x, layer):
+        """Both GRU directions of one layer over x (B, T, m), stepped
+        together: the forward one from t = 0 to T - 1, the backward one
+        on x[:, ::-1] -> ((Hf, Hb), (cache_f, cache_b)), each H (B, T, h)
+        in its own direction's order. Each step computes the formulas in
+        its comments operation by operation into preallocated blocks: a
+        batch of one gives their exact values, a wider batch the same up
+        to the rounding of its matrix products."""
+        p = self.params
+        B, T, h = x.shape[0], x.shape[1], self.config.hidden
+        bases = ("l%d/f/" % layer, "l%d/b/" % layer)
+        xs = (x, x[:, ::-1])
+        # A batch of one multiplies by the view U.T, which BLAS runs as
+        # U @ h; wider batches read a row-major copy, which it multiplies
+        # faster.
+        UTs = [p[base + "U"].T if B == 1
+               else np.ascontiguousarray(p[base + "U"].T) for base in bases]
+        # Every input projection, in one product per direction, stored
+        # step-major so that each step reads and writes whole blocks.
+        a_zr = np.empty((T, 2, B, 2 * h))
+        a_n = np.empty((T, 2, B, h))
+        for d, base in enumerate(bases):
+            a = self._affine(xs[d].transpose(1, 0, 2), base)
+            a_zr[:, d], a_n[:, d] = a[..., :2 * h], a[..., 2 * h:]
+        hs = np.zeros((T + 1, 2, B, h))  # hs[t]: the state before step t
+        zr_all = np.empty((T, 2, B, 2 * h))
+        n_all = np.empty((T, 2, B, h))
+        rec = np.empty((T, 2, B, 3 * h))  # U @ hs[t]
+        tmp = np.empty((2, B, h))
+        for t in range(T):
+            for d in (0, 1):
+                np.matmul(hs[t, d], UTs[d], out=rec[t, d])
+            # zr = sigmoid(a[t, :2h] + rec[t, :2h]) = 1 / (1 + exp(-...))
+            zr = zr_all[t]
+            np.add(a_zr[t], rec[t, ..., :2 * h], out=zr)
+            np.negative(zr, out=zr)
+            np.exp(zr, out=zr)
+            np.add(zr, 1.0, out=zr)
+            np.divide(1.0, zr, out=zr)
+            z, r = zr[..., :h], zr[..., h:]
+            # n = tanh(a[t, 2h:] + r * rec[t, 2h:])
+            n = n_all[t]
+            np.multiply(r, rec[t, ..., 2 * h:], out=n)
+            np.add(a_n[t], n, out=n)
+            np.tanh(n, out=n)
+            # hs[t + 1] = (1 - z) * n + z * hs[t]
+            np.subtract(1.0, z, out=tmp)
+            np.multiply(tmp, n, out=tmp)
+            np.multiply(z, hs[t], out=hs[t + 1])
+            np.add(tmp, hs[t + 1], out=hs[t + 1])
+        gates = np.concatenate([zr_all, n_all], axis=3)  # z, r, n
+        hs, gates, rec = (v.transpose(1, 2, 0, 3) for v in (hs, gates, rec))
+        return (hs[0, :, 1:], hs[1, :, 1:]), tuple(
+            {"x": xs[d], "hprev": hs[d, :, :-1], "gates": gates[d],
+             "un": rec[d, :, :, 2 * h:]} for d in (0, 1))
+
+    def forward_batch(self, feats_list):
+        """-> ([TagDistribution], cache) for examples of one length T, run
+        together: every array of the cache has a leading batch axis."""
+        if len({feats.length for feats in feats_list}) != 1:
+            raise ValueError("forward_batch needs one or more examples of "
+                             "one length")
         cfg = self.config
-        f = self._input_matrix(feats)
-        x = f @ self.params["in/W"].T + self.params["in/b"]
+        f = np.stack([self._input_matrix(feats) for feats in feats_list])
+        x = self._affine(f, "in/")
         layers = []
         for layer in range(cfg.n_layers):
-            hf, cf = self._gru_direction(x, "l%d/f/" % layer)
-            hb, cb = self._gru_direction(x[::-1], "l%d/b/" % layer)
-            y = np.concatenate([hf, hb[::-1]], axis=1)
-            gate = _sigmoid(x @ self.params["l%d/hw/W" % layer].T
-                            + self.params["l%d/hw/b" % layer])
+            (hf, hb), (cf, cb) = self._gru_layer(x, layer)
+            y = np.concatenate([hf, hb[:, ::-1]], axis=2)
+            gate = _sigmoid(self._affine(x, "l%d/hw/" % layer))
             out = gate * y + (1.0 - gate) * x
             layers.append({"x": x, "y": y, "gate": gate,
                            "cf": cf, "cb": cb})
             x = out
-        logits1 = x @ self.params["out1/W"].T + self.params["out1/b"]
-        logits2 = x @ self.params["out2/W"].T + self.params["out2/b"]
+        logits1 = self._affine(x, "out1/")
+        logits2 = self._affine(x, "out2/")
         _check_finite("forward pass", logits1, logits2)
-        dist = bio.TagDistribution(task1=_softmax(logits1),
-                                   task2=_softmax(logits2))
+        task1, task2 = _softmax(logits1), _softmax(logits2)
+        dists = [bio.TagDistribution(task1=t1, task2=t2)
+                 for t1, t2 in zip(task1, task2)]
         cache = {"f": f, "layers": layers, "top": x,
-                 "logits1": logits1, "logits2": logits2, "feats": feats}
-        return dist, cache
+                 "logits1": logits1, "logits2": logits2}
+        return dists, cache
 
-    def predict(self, example: MaskedExample,
-                feats: FeaturizedExample) -> bio.TagDistribution:
-        dist, _ = self.forward(feats)
-        return dist
+    def forward(self, feats: FeaturizedExample):
+        """-> (TagDistribution, cache): forward_batch of one example, its
+        cache without the batch axis. The cache is reused by gradients()."""
+        dists, cache = self.forward_batch([feats])
+        cache = _first_row(cache)
+        cache["feats"] = feats
+        return dists[0], cache
+
+    def predict_batch(self, examples, feats_list):
+        """-> one TagDistribution per example, all from one forward."""
+        return self.forward_batch(feats_list)[0] if examples else []
 
     # -- loss and gradients -------------------------------------------------
 
@@ -432,13 +504,16 @@ class ReplayTagger:
         self.tagger = tagger
         self._predicted = {}
 
-    def predict(self, example: MaskedExample,
-                feats: FeaturizedExample) -> bio.TagDistribution:
-        dist = self._predicted.get(example)
-        if dist is None:
-            dist = self._predicted[example] = self.tagger.predict(example,
-                                                                  feats)
-        return dist
+    def predict_batch(self, examples, feats_list):
+        """The wrapped tagger tags the examples not seen before, in one
+        batch."""
+        dists = [self._predicted.get(example) for example in examples]
+        misses = [i for i, dist in enumerate(dists) if dist is None]
+        fresh = self.tagger.predict_batch([examples[i] for i in misses],
+                                          [feats_list[i] for i in misses])
+        for i, dist in zip(misses, fresh):
+            dists[i] = self._predicted[examples[i]] = dist
+        return dists
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +525,7 @@ def oracle_predict(gold, focus) -> bio.TagDistribution:
     return bio.TagDistribution(task1=bio.one_hot(labels), task2=None)
 
 
-class OracleTagger:
+class OracleTagger(Tagger):
     """Implements the tagger interface by looking up the gold passage via
     the mask feature: the focus node is the gold node whose yield and arc
     category match the mask."""

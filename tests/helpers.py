@@ -10,6 +10,7 @@ from rucca.features import (EMPTY_EMBEDDINGS, FeaturizerContext,
                             fit_vocabularies)
 from rucca.graph import Edge, Node, Passage, make_token
 from rucca.lexicon import EMPTY_LEXICON
+from rucca.tagger import Tagger
 
 
 def single_token_passage(pid="single", form="Go", upos="VERB"):
@@ -240,7 +241,7 @@ def context_for(passages, lexicon=EMPTY_LEXICON, embeddings=None):
         lexicon=lexicon)
 
 
-class FixedTagger:
+class FixedTagger(Tagger):
     """Emits a pre-set distribution for every call."""
 
     def __init__(self, dist):
@@ -250,7 +251,7 @@ class FixedTagger:
         return self.dist
 
 
-class RandomTagger:
+class RandomTagger(Tagger):
     """Deterministic stream of random (but valid) tag distributions."""
 
     def __init__(self, seed, n_aux=5, concentration=0.25):

@@ -248,7 +248,7 @@ def test_tune_oracle_prefers_smallest_threshold(tmp_path, capsys):
 def test_tune_tags_once_and_matches_a_parse_per_threshold(
         tmp_path, monkeypatch, capsys):
     """tune prints the table of a full parse and score at every threshold,
-    while the tagger runs only as often as in one parse of the dev set."""
+    while the tagger tags only as many rows as one parse of the dev set."""
     passages = _gold_corpus()
     gold = tmp_path / "gold.jsonl"
     dev = tmp_path / "dev.jsonl"
@@ -278,19 +278,19 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
     one_pass = sum(len(trace.steps) for _, trace in cli.parse_sentences(
         cli._sentences(dev_passages), model, ctx, dcfg))
 
-    calls = []
-    predict = GruTagger.predict
+    rows_tagged = []
+    predict_batch = GruTagger.predict_batch
 
-    def counted(self, example, feats):
-        calls.append(example.focus_node)
-        return predict(self, example, feats)
+    def counted(self, examples, feats_list):
+        rows_tagged.extend(examples)
+        return predict_batch(self, examples, feats_list)
 
-    monkeypatch.setattr(GruTagger, "predict", counted)
+    monkeypatch.setattr(GruTagger, "predict_batch", counted)
     assert cli.main(["--config", config, "tune",
                      "--out", str(tmp_path / "tuned.cfg")]) == cli.EXIT_OK
     table = capsys.readouterr().out.splitlines()[1:-1]
     assert table == rows
-    assert len(calls) == one_pass
+    assert len(rows_tagged) == one_pass
 
 
 def test_missing_required_key_is_usage_error(tmp_path, capsys):

@@ -10,8 +10,8 @@ from rucca.evaluator import score
 from rucca.features import WordEmbeddingTable
 from rucca.graph import all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
-from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
-                          parse, resolve_remotes)
+from rucca.parser import (DecoderConfig, ParseError, action_noun_flags,
+                          apply_constraints, parse, resolve_remotes)
 from rucca.lexicon import MweMask, match
 from rucca.tagger import OracleTagger, ReplayTagger
 
@@ -21,6 +21,7 @@ from helpers import (FixedTagger, RandomTagger, assert_same_features,
                      two_scene_5tok_passage)
 
 NO_MWE = MweMask(flags=(), spans=())
+NO_ACTION_NOUNS = (False,)
 
 
 def _uniformish(n):
@@ -41,7 +42,8 @@ def test_constraint_scene_merge_backward():
                      ("today", "ADV"))
     spans = _spans((0, 2, "H"), (2, 4, "H"))  # second scene has no verb
     out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE,
-                            DecoderConfig(), at_scene_level=False)
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            at_scene_level=False)
     assert out == _spans((0, 4, "H"))
 
 
@@ -50,7 +52,8 @@ def test_constraint_scene_merge_forward_fallback():
                      ("she", "PRON"), ("sings", "VERB"))
     spans = _spans((0, 2, "H"), (2, 4, "H"))  # first scene has no verb
     out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE,
-                            DecoderConfig(), at_scene_level=False)
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            at_scene_level=False)
     assert out == _spans((0, 4, "H"))
 
 
@@ -61,7 +64,8 @@ def test_constraint_scene_merge_action_noun_qualifies():
                      ("she", "PRON"), ("sings", "VERB"))
     spans = _spans((0, 2, "H"), (2, 4, "H"))
     cfg = DecoderConfig(action_noun_lexicon=lex)
-    out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE, cfg,
+    out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE,
+                            action_noun_flags(tokens, cfg), cfg,
                             at_scene_level=False)
     assert out == spans  # both scenes qualify, nothing merges
 
@@ -70,7 +74,8 @@ def test_constraint_no_qualifying_scene_leaves_spans():
     tokens = _tokens(("red", "ADJ"), ("blue", "ADJ"))
     spans = _spans((0, 1, "H"), (1, 2, "H"))
     out = apply_constraints(spans, tokens, _uniformish(2), NO_MWE,
-                            DecoderConfig(), at_scene_level=False)
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            at_scene_level=False)
     assert out == spans
 
 
@@ -85,7 +90,8 @@ def test_constraint_single_state_process_dedup():
     t1[2, bio.BIO_INDEX["B-P"]] = 0.7
     dist = bio.TagDistribution(task1=t1)
     spans = _spans((0, 1, "A"), (1, 2, "P"), (2, 3, "P"))
-    out = apply_constraints(spans, tokens, dist, NO_MWE, DecoderConfig(),
+    out = apply_constraints(spans, tokens, dist, NO_MWE,
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
                             at_scene_level=True)
     assert out == _spans((0, 1, "A"), (1, 2, "C"), (2, 3, "P"))
 
@@ -97,7 +103,8 @@ def test_constraint_single_state_process_inserts_when_missing():
     t1[1, bio.BIO_INDEX["O"]] = 0.9
     t1[1, bio.BIO_INDEX["B-S"]] = 0.1
     dist = bio.TagDistribution(task1=t1)
-    out = apply_constraints([], tokens, dist, NO_MWE, DecoderConfig(),
+    out = apply_constraints([], tokens, dist, NO_MWE,
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
                             at_scene_level=True)
     assert out == [bio.ChildSpan(1, 2, "S", False)]
 
@@ -111,7 +118,8 @@ def test_constraint_mwe_merges_adjacent_spans():
     # boundary at 3 falls inside the MWE span (2, 5)
     spans = _spans((0, 3, "A"), (3, 6, "A"))
     out = apply_constraints(spans, tokens, _uniformish(6), mwe,
-                            DecoderConfig(), at_scene_level=False)
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            at_scene_level=False)
     assert out == _spans((0, 6, "A"))
 
 
@@ -123,7 +131,8 @@ def test_constraint_mwe_ignores_non_ha_spans():
         tokens)
     spans = _spans((0, 2, "C"), (2, 4, "E"))
     out = apply_constraints(spans, tokens, _uniformish(4), mwe,
-                            DecoderConfig(), at_scene_level=False)
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            at_scene_level=False)
     assert out == spans
 
 
@@ -131,7 +140,8 @@ def test_constraint_fixpoint_on_compatible_spans():
     tokens = _tokens(("she", "PRON"), ("sings", "VERB"), ("well", "ADV"))
     spans = _spans((0, 1, "A"), (1, 2, "P"), (2, 3, "D"))
     out = apply_constraints(spans, tokens, _uniformish(3), NO_MWE,
-                            DecoderConfig(), at_scene_level=True)
+                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            at_scene_level=True)
     assert out == spans
 
 
@@ -381,3 +391,58 @@ def test_parse_frees_its_features_on_return():
         assert len(refs) == 3 and all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+class _BatchRecording(OracleTagger):
+    """The oracle, recording the masks of each predict_batch call."""
+
+    def __init__(self, passages):
+        super().__init__(passages)
+        self.batches = []
+
+    def predict_batch(self, examples, feats_list):
+        self.batches.append(sorted(ex.mask for ex in examples))
+        return super().predict_batch(examples, feats_list)
+
+
+def _preorder(passage):
+    """Non-terminal ids of passage, depth first, children in edge order."""
+    order, stack = [], [passage.root]
+    while stack:
+        nid = stack.pop()
+        order.append(nid)
+        stack.extend(reversed([c for _, c in passage.primary_children(nid)
+                               if not passage.node(c).is_terminal()]))
+    return order
+
+
+@pytest.mark.parametrize("max_depth", [20, 2])
+def test_parse_tags_each_depth_in_one_batch(max_depth):
+    """One predict_batch call per depth, holding exactly that depth's
+    trace steps; depth-capped nodes are never tagged; ids and steps follow
+    a depth-first walk of the parsed tree."""
+    corpus = fixture_corpus()
+    ctx = context_for(corpus)
+    cfg = DecoderConfig(max_depth=max_depth)
+    capped, widest = 0, 0
+    for gold in corpus:
+        tagger = _BatchRecording([gold])
+        predicted, trace = parse(gold.tokens, tagger, ctx, cfg,
+                                 passage_id=gold.passage_id)
+        depths = sorted({s.depth for s in trace.steps})
+        assert depths == list(range(1, len(depths) + 1)) and \
+            depths[-1] < max_depth
+        assert tagger.batches == [
+            sorted(s.mask for s in trace.steps if s.depth == d)
+            for d in depths]
+        order = _preorder(predicted)
+        assert order == ["n%d" % i for i in range(len(order))]
+        capped_ids = [n.split()[4] for n in trace.notes
+                      if n.startswith("depth cap")]
+        assert [s.node for s in trace.steps] == \
+            [n for n in order if n not in capped_ids]
+        assert capped_ids == [n for n in order if n in capped_ids]
+        capped += len(capped_ids)
+        widest = max([widest] + [len(b) for b in tagger.batches])
+    # Only the root is tagged under a cap at 2.
+    assert (capped > 0, widest > 1) == (max_depth == 2, max_depth > 2)

@@ -1,12 +1,13 @@
 import struct
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rucca import bio
-from rucca.corpus import expand
+from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
 from rucca.features import FeaturizerContext, fit_vocabularies
 from rucca.tagger import (MAGIC, GruTagger, NumericError, OracleTagger,
                           Params, TaggerConfig, TrainConfig, _Adam,
@@ -55,6 +56,72 @@ def test_forward_deterministic_under_seed():
     db, _ = b.forward(feats)
     assert np.array_equal(da.task1, db.task1)
     assert np.array_equal(da.task2, db.task2)
+
+
+def _assert_first_rows(single, batch):
+    """single is batch, a nest of dicts and lists of arrays, with every
+    array cut to its first row."""
+    if isinstance(single, dict):
+        assert single.keys() == batch.keys()
+        for k in single:
+            _assert_first_rows(single[k], batch[k])
+    elif isinstance(single, list):
+        assert len(single) == len(batch)
+        for x, y in zip(single, batch):
+            _assert_first_rows(x, y)
+    else:
+        assert single.shape == batch.shape[1:]
+        assert single.tobytes() == batch[0].tobytes()
+
+
+def test_forward_is_a_batch_of_one():
+    tagger, ctx, examples = _tiny_setup(hidden=5)
+    for ex in examples:
+        feats = ctx.featurize(ex)
+        dist, cache = tagger.forward(feats)
+        dists, batch_cache = tagger.forward_batch([feats])
+        assert dist.task1.tobytes() == dists[0].task1.tobytes()
+        assert dist.task2.tobytes() == dists[0].task2.tobytes()
+        assert cache.pop("feats") is feats
+        _assert_first_rows(cache, batch_cache)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 7),
+                          st.sampled_from(MASK_SYMBOLS[1:])),
+                min_size=1, max_size=6))
+def test_predict_batch_rows_match_single_forwards(foci):
+    """Each row of a batch is its example's own forward, up to the
+    rounding of one (B, h) @ (h, 3h) product per step."""
+    tagger, ctx, examples = _tiny_setup(hidden=6)
+    root = examples[0]
+    batch = []
+    for start, length, symbol in foci:
+        end = min(start + length, len(root.tokens))
+        mask = tuple(symbol if start <= i < end else "O"
+                     for i in range(len(root.tokens)))
+        batch.append(replace(root, mask=mask, focus_node=None))
+    feats = [ctx.featurize(ex) for ex in batch]
+    dists = tagger.predict_batch(batch, feats)
+    assert len(dists) == len(batch)
+    for dist, f in zip(dists, feats):
+        alone, _ = tagger.forward(f)
+        np.testing.assert_allclose(dist.task1, alone.task1, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(dist.task2, alone.task2, rtol=0,
+                                   atol=1e-12)
+
+
+def test_forward_batch_rejects_mixed_lengths():
+    tagger, ctx, examples = _tiny_setup()
+    long = ctx.featurize(examples[0])
+    short = ctx.featurize(MaskedExample(
+        passage_id="s", tokens=examples[0].tokens[:3], mask=("ROOT",) * 3,
+        focus_node=None))
+    with pytest.raises(ValueError):
+        tagger.forward_batch([long, short])
+    with pytest.raises(ValueError):
+        tagger.predict_batch([examples[0]] * 2, [long, short])
 
 
 def test_loss_uniform_analytic_value():
@@ -128,7 +195,6 @@ def test_gradient_check_tiny_model():
     # 3-token sentence, h=4, both heads active.
     passages = [two_scene_5tok_passage()]
     tokens = passages[0].tokens[:3]
-    from rucca.corpus import MaskedExample
     example = MaskedExample(passage_id="t", tokens=tokens,
                             mask=("ROOT", "ROOT", "ROOT"),
                             focus_node="n0",
