@@ -411,13 +411,15 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
     level = [root]
     root_feats = None
     # One batch per depth; the nodes at the depth cap stay untagged. Ids
-    # are given after tagging, so examples carry no focus node.
+    # are given after tagging, so an example names its node by depth: the
+    # nodes of one depth have disjoint spans, so depth and mask tell every
+    # node of the parse apart, a unary chain's too.
     while level and level[0].depth < cfg.max_depth:
         examples = [MaskedExample(
             passage_id=passage_id, tokens=tokens,
             mask=tuple(focus.arc if focus.span[0] <= i < focus.span[1]
                        else OUTSIDE for i in range(len(tokens))),
-            focus_node=None) for focus in level]
+            focus_node="depth %d" % focus.depth) for focus in level]
         # The root featurizes the sentence; every later node only remasks.
         if root_feats is None:
             root_feats = ctx.featurize(examples[0])

@@ -189,19 +189,11 @@ class GruTagger:
         """Both GRU directions of one layer over x (B, T, m), stepped
         together: the forward one from t = 0 to T - 1, the backward one
         on x[:, ::-1] -> ((Hf, Hb), (cache_f, cache_b)), each H (B, T, h)
-        in its own direction's order. Each step computes the formulas in
-        its comments operation by operation into preallocated blocks: a
-        batch of one gives their exact values, a wider batch the same up
-        to the rounding of its matrix products."""
+        in its own direction's order."""
         p = self.params
         B, T, h = x.shape[0], x.shape[1], self.config.hidden
         bases = ("l%d/f/" % layer, "l%d/b/" % layer)
         xs = (x, x[:, ::-1])
-        # A batch of one multiplies by the view U.T, which BLAS runs as
-        # U @ h; wider batches read a row-major copy, which it multiplies
-        # faster.
-        UTs = [p[base + "U"].T if B == 1
-               else np.ascontiguousarray(p[base + "U"].T) for base in bases]
         # Every input projection, in one product per direction, stored
         # step-major so that each step reads and writes whole blocks.
         a_zr = np.empty((T, 2, B, 2 * h))
@@ -213,28 +205,13 @@ class GruTagger:
         zr_all = np.empty((T, 2, B, 2 * h))
         n_all = np.empty((T, 2, B, h))
         rec = np.empty((T, 2, B, 3 * h))  # U @ hs[t]
-        tmp = np.empty((2, B, h))
         for t in range(T):
-            for d in (0, 1):
-                np.matmul(hs[t, d], UTs[d], out=rec[t, d])
-            # zr = sigmoid(a[t, :2h] + rec[t, :2h]) = 1 / (1 + exp(-...))
-            zr = zr_all[t]
-            np.add(a_zr[t], rec[t, ..., :2 * h], out=zr)
-            np.negative(zr, out=zr)
-            np.exp(zr, out=zr)
-            np.add(zr, 1.0, out=zr)
-            np.divide(1.0, zr, out=zr)
-            z, r = zr[..., :h], zr[..., h:]
-            # n = tanh(a[t, 2h:] + r * rec[t, 2h:])
-            n = n_all[t]
-            np.multiply(r, rec[t, ..., 2 * h:], out=n)
-            np.add(a_n[t], n, out=n)
-            np.tanh(n, out=n)
-            # hs[t + 1] = (1 - z) * n + z * hs[t]
-            np.subtract(1.0, z, out=tmp)
-            np.multiply(tmp, n, out=tmp)
-            np.multiply(z, hs[t], out=hs[t + 1])
-            np.add(tmp, hs[t + 1], out=hs[t + 1])
+            for d, base in enumerate(bases):
+                np.matmul(hs[t, d], p[base + "U"].T, out=rec[t, d])
+            zr_all[t] = _sigmoid(a_zr[t] + rec[t, ..., :2 * h])
+            z, r = zr_all[t, ..., :h], zr_all[t, ..., h:]
+            n_all[t] = np.tanh(a_n[t] + r * rec[t, ..., 2 * h:])
+            hs[t + 1] = (1.0 - z) * n_all[t] + z * hs[t]
         gates = np.concatenate([zr_all, n_all], axis=3)  # z, r, n
         hs, gates, rec = (v.transpose(1, 2, 0, 3) for v in (hs, gates, rec))
         return (hs[0, :, 1:], hs[1, :, 1:]), tuple(
@@ -310,7 +287,8 @@ class GruTagger:
         return value, cache
 
     def _gru_backward(self, dH, cache, base, grads):
-        """Backpropagates dH through one _gru_direction run; returns dx."""
+        """Backpropagates dH through one direction's cache of a _gru_layer
+        run; returns dx."""
         p = self.params
         U = p[base + "U"]
         T, h = dH.shape
@@ -498,7 +476,9 @@ class ReplayTagger:
     """Answers each distinct example with the wrapped tagger's first
     prediction for it. A prediction depends only on the example while the
     featurizer context stays the same, so parsing the same sentences again
-    under another decoder setting tags each focus node once."""
+    under another decoder setting tags each focus node once. The parser's
+    examples name their node's depth, so the nodes of a unary chain, which
+    share a mask, are told apart."""
 
     def __init__(self, tagger):
         self.tagger = tagger

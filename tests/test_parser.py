@@ -333,6 +333,36 @@ def test_replayed_predictions_give_a_fresh_parse_at_every_threshold():
         assert inner.calls == len(got_trace.steps)
 
 
+def test_replay_tags_every_node_of_a_unary_chain():
+    """The nodes of a unary chain share their span and mask; replay still
+    tags each of them once, as a parse does."""
+    gold = two_scene_5tok_passage()
+    ctx = context_for([gold])
+    n = len(gold.tokens)
+    t1 = np.zeros((n, bio.N_BIO))
+    t1[0, bio.BIO_INDEX["B-H"]] = 1.0
+    t1[1:, bio.BIO_INDEX["I-H"]] = 1.0
+    dist = bio.TagDistribution(task1=t1)
+
+    class Counting(FixedTagger):
+        rows = 0
+
+        def predict(self, example, feats):
+            self.rows += 1
+            return super().predict(example, feats)
+
+    inner = Counting(dist)
+    cfg = DecoderConfig(max_depth=5)
+    got, got_trace = parse(gold.tokens, ReplayTagger(inner), ctx, cfg)
+    expected, expected_trace = parse(gold.tokens, FixedTagger(dist), ctx,
+                                     cfg)
+    masks = [s.mask for s in got_trace.steps]
+    assert len(set(masks)) < len(masks)
+    assert inner.rows == len(masks)
+    assert got == expected
+    assert got_trace.render() == expected_trace.render()
+
+
 def test_parse_featurizes_each_sentence_once(monkeypatch):
     """Every tagged node gets the features a fresh featurize of its own
     example gives, from one featurize call per sentence."""
