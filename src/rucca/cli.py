@@ -145,6 +145,14 @@ def _tagger_and_context(config, oracle_gold=None):
         vocab=model.vocab, embeddings=_embeddings(config), lexicon=lexicon)
 
 
+def _gold_passages(path):
+    """The passages of a gold file, which must hold at least one."""
+    passages = corpus.load_passages(path)
+    if not passages:
+        raise corpus.CorpusError("%s: no passages" % path)
+    return passages
+
+
 def _sentences(passages):
     return [(p.passage_id, p.tokens, p.language) for p in passages]
 
@@ -181,8 +189,8 @@ def cmd_train(config, args):
     seed = args.seed if args.seed is not None \
         else config.get_int("seed", 13)
     examples = corpus.load_examples(config.path("expanded", required=True))
-    dev = corpus.load_passages(config.path("dev_passages")) \
-        if config.path("dev_passages") else []
+    dev_path = config.path("dev_passages")
+    dev = _gold_passages(dev_path) if dev_path else []
     language = config.get("language", "en")
     ctx = features.FeaturizerContext(
         vocab=features.fit_vocabularies(examples),
@@ -218,7 +226,7 @@ def cmd_parse(config, args):
     dcfg = _decoder_config(config)
     out = config.get("predictions_out", "predictions.jsonl")
     if args.oracle:
-        gold = corpus.load_passages(
+        gold = _gold_passages(
             args.input or config.path("test_passages", required=True))
         model, ctx = _tagger_and_context(config, oracle_gold=gold)
         sentences = _sentences(gold)
@@ -258,7 +266,7 @@ def cmd_eval(config, args):
 
 
 def cmd_tune(config, args):
-    gold = corpus.load_passages(
+    gold = _gold_passages(
         args.dev or config.path("dev_passages", required=True))
     model, ctx = _tagger_and_context(
         config, oracle_gold=gold if args.oracle else None)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import MASK_SYMBOLS, CorpusError, MaskedExample, text_lines
-from .lexicon import ExpressionLexicon, match
+from .lexicon import ExpressionLexicon, MweMask, match
 
 PAD = "<pad>"
 OOV = "<oov>"
@@ -183,7 +183,8 @@ class FeaturizedExample:
     length: int
     word_vectors: np.ndarray  # (T, dim), frozen
     categorical: dict  # feature name -> int array (T,)
-    mwe: np.ndarray  # (T,) float 0/1
+    mwe: np.ndarray  # (T,) float 0/1, the flags of mwe_mask
+    mwe_mask: MweMask
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ class FeaturizerContext:
 
     def remask(self, feats: FeaturizedExample, mask) -> FeaturizedExample:
         """The features of feats' sentence under another mask: only the
-        mask ids are new, every other array is feats' own."""
+        mask ids are new, every other field is feats' own."""
         categorical = dict(feats.categorical)
         if "mask" in categorical:
             categorical["mask"] = _mask_ids(self.vocab, mask)
@@ -232,7 +233,8 @@ def featurize(example: MaskedExample, vocab: FeatureVocabularies,
             column = [s[name] for s in symbols]
         categorical[name] = np.array([vocab.index(name, sym)
                                       for sym in column], dtype=np.int64)
-    mwe = np.array(match(lex, tokens).flags, dtype=float) if n \
-        else np.zeros(0)
+    mwe_mask = match(lex, tokens)
     return FeaturizedExample(length=n, word_vectors=word_vectors,
-                             categorical=categorical, mwe=mwe)
+                             categorical=categorical,
+                             mwe=np.array(mwe_mask.flags, dtype=float),
+                             mwe_mask=mwe_mask)

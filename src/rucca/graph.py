@@ -19,16 +19,6 @@ ROOT_MASK = "ROOT"
 OUTSIDE = "O"
 
 
-class CategoryError(ValueError):
-    """Raised when an unknown edge category symbol is parsed."""
-
-
-def parse_category(symbol: str) -> str:
-    if symbol not in CATEGORY_SET:
-        raise CategoryError("unknown category: %r" % (symbol,))
-    return symbol
-
-
 @dataclass(frozen=True)
 class TokenRow:
     """One token with its lexical/morphological/syntactic annotations."""

@@ -72,8 +72,9 @@ class TraceStep:
 class ParseTrace:
     steps: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    # node id -> (span, depth) of every non-terminal, depth-capped ones too
-    nonterminals: dict = field(default_factory=dict)
+    # span -> id of the deepest non-terminal with that span, depth-capped
+    # ones included
+    deepest: dict = field(default_factory=dict)
     tree_notes: int = 0  # leading notes written while building the tree
 
     def render(self):
@@ -271,7 +272,6 @@ class _Focus:
     span: tuple  # (start, end)
     arc: str  # the mask symbol: category of the incoming arc, or ROOT_MASK
     depth: int
-    incoming_is_h: bool
     step: TraceStep = None
     children: list = None
 
@@ -283,17 +283,19 @@ class _Builder:
         self.language = language
         self.nodes = []
         self.edges = []
-        self.nonterminals = {}  # node id -> (span, depth)
+        # span -> id of its deepest non-terminal. Ids are given depth first,
+        # so a later id with a span lies deeper on the same unary chain.
+        self.deepest = {}
         self._next = 0
         for i in range(len(tokens)):
             self.nodes.append(Node(id="t%d" % i, kind="terminal",
                                    position=i))
 
-    def new_nonterminal(self, span, depth):
+    def new_nonterminal(self, span):
         nid = "n%d" % self._next
         self._next += 1
         self.nodes.append(Node(id=nid, kind="nonterminal"))
-        self.nonterminals[nid] = (span, depth)
+        self.deepest[span] = nid
         return nid
 
     def add_edge(self, parent, child, category):
@@ -322,7 +324,7 @@ class _Builder:
         if focus.step is None:
             trace.notes.append("depth cap at node %s span %s"
                                % (node_id, focus.span))
-            self.attach_flat(node_id, focus.span, focus.incoming_is_h,
+            self.attach_flat(node_id, focus.span, focus.arc == "H",
                              verb_upos)
             return
         focus.step.node = node_id
@@ -331,7 +333,7 @@ class _Builder:
             if child is None:
                 self.add_edge(node_id, "t%d" % s.start, s.category)
             else:
-                child_id = self.new_nonterminal(child.span, child.depth)
+                child_id = self.new_nonterminal(child.span)
                 self.add_edge(node_id, child_id, s.category)
                 self.add_subtree(child_id, child, trace, verb_upos)
 
@@ -365,7 +367,7 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags, cfg):
                               s.category, False)
         kept.append(s)
 
-    scene_level = focus.incoming_is_h or (
+    scene_level = focus.arc == "H" or (
         focus.arc == ROOT_MASK
         and not any(s.category == "H" for s in kept))
     spans = apply_constraints(kept, tokens, dist, mwe_mask, action_flags,
@@ -391,8 +393,7 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags, cfg):
         remote_rows=dist.task1[:, bio.REMOTE_LABEL_IDS])
     focus.children = [
         None if s.end - s.start == 1 else
-        _Focus((s.start, s.end), s.category, focus.depth + 1,
-               s.category == "H")
+        _Focus((s.start, s.end), s.category, focus.depth + 1)
         for s in children]
 
 
@@ -405,9 +406,8 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
         raise ParseError("empty token sequence")
     tokens = tuple(tokens)
     language = language or tokens[0].language
-    mwe_mask = match(ctx.lexicon, tokens)
     action_flags = action_noun_flags(tokens, cfg)
-    root = _Focus((0, len(tokens)), ROOT_MASK, 1, incoming_is_h=False)
+    root = _Focus((0, len(tokens)), ROOT_MASK, 1)
     level = [root]
     root_feats = None
     # One batch per depth; the nodes at the depth cap stay untagged. Ids
@@ -428,16 +428,16 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
             feats = [ctx.remask(root_feats, ex.mask) for ex in examples]
         dists = tagger.predict_batch(examples, feats)
         for focus, example, dist in zip(level, examples, dists):
-            _expand(focus, example.mask, dist, tokens, mwe_mask,
+            _expand(focus, example.mask, dist, tokens, root_feats.mwe_mask,
                     action_flags, cfg)
         level = [child for focus in level for child in focus.children
                  if child is not None]
 
     builder = _Builder(tokens, passage_id, language)
     trace = ParseTrace()
-    builder.add_subtree(builder.new_nonterminal(root.span, 0), root, trace,
+    builder.add_subtree(builder.new_nonterminal(root.span), root, trace,
                         cfg.verb_upos)
-    trace.nonterminals = builder.nonterminals
+    trace.deepest = builder.deepest
     trace.tree_notes = len(trace.notes)
     return resolve_remotes(builder.passage(), trace, cfg.remote_threshold)
 
@@ -449,15 +449,11 @@ def resolve_remotes(passage, trace, remote_threshold):
     steps = [replace(step, decoded_remote=tuple(
         bio.decode_remote(step.remote_rows, remote_threshold)))
         for step in trace.steps]
-    span_to_node = {}
-    for nid, (span, depth) in trace.nonterminals.items():
-        best = span_to_node.get(span)
-        if best is None or depth > trace.nonterminals[best][1]:
-            span_to_node[span] = nid
+    span_to_node = dict(trace.deepest)
     for i in range(len(passage.tokens)):
         span_to_node.setdefault((i, i + 1), "t%d" % i)
     edges = [e for e in passage.edges if not e.remote]
-    existing = {(e.parent, e.child, e.category, e.remote) for e in edges}
+    existing = {(e.parent, e.child, e.category) for e in edges}
     notes = trace.notes[:trace.tree_notes]
     for step in steps:
         parent = step.node
@@ -468,9 +464,8 @@ def resolve_remotes(passage, trace, remote_threshold):
                 notes.append("dropped remote %s %s from %s"
                              % (s.category, span, parent))
                 continue
-            key = (parent, target, s.category, True)
-            if key in existing or \
-                    (parent, target, s.category, False) in existing:
+            key = (parent, target, s.category)
+            if key in existing:
                 notes.append("duplicate remote %s %s from %s"
                              % (s.category, span, parent))
                 continue

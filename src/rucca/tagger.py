@@ -16,9 +16,9 @@ from functools import partial
 import numpy as np
 
 from . import bio
-from .corpus import AUX_OUTSIDE, CorpusError, MaskedExample
+from .corpus import AUX_OUTSIDE, CorpusError, MaskedExample, expand
 from .features import FeaturizedExample, FeatureVocabularies
-from .graph import OUTSIDE, ROOT_MASK, all_yields, non_terminals
+from .graph import OUTSIDE
 
 
 class NumericError(RuntimeError):
@@ -499,54 +499,27 @@ class ReplayTagger:
 # ---------------------------------------------------------------------------
 # Oracle tagger (test double emitting one-hot gold distributions)
 
-def oracle_predict(gold, focus) -> bio.TagDistribution:
-    """One-hot distribution reproducing encode(gold, focus)."""
-    labels = bio.encode(gold, focus)  # raises NotRepresentable
-    return bio.TagDistribution(task1=bio.one_hot(labels), task2=None)
-
-
 class OracleTagger(Tagger):
-    """Implements the tagger interface by looking up the gold passage via
-    the mask feature: the focus node is the gold node whose yield and arc
-    category match the mask."""
+    """Implements the tagger interface from the gold passages: an
+    example's passage id and mask give the BIO target that corpus.expand
+    gives the first gold node with that mask."""
 
     def __init__(self, passages):
-        self.by_id = {p.passage_id: p for p in passages}
-        self._order = {pid: non_terminals(p)
-                       for pid, p in self.by_id.items()}
-
-    def _find_focus(self, passage, mask):
-        span = frozenset(i for i, s in enumerate(mask) if s != OUTSIDE)
-        symbols = {s for s in mask if s != OUTSIDE}
-        if len(symbols) != 1 or not span:
-            return None
-        symbol = symbols.pop()
-        yields = all_yields(passage)
-        for nid in self._order[passage.passage_id]:
-            if yields[nid] != span:
-                continue
-            if symbol == ROOT_MASK:
-                if nid == passage.root:
-                    return nid
-            elif nid != passage.root:
-                incoming = passage.incoming_primary(nid)
-                if incoming and incoming[0].category == symbol:
-                    return nid
-        return None
+        # A later passage with the same id replaces an earlier one.
+        gold = {p.passage_id: p for p in passages}
+        self.targets = {}  # (passage id, mask) -> target_bio or None
+        for pid, passage in gold.items():
+            for ex in expand(passage):
+                self.targets.setdefault((pid, ex.mask), ex.target_bio)
 
     def predict(self, example: MaskedExample,
                 feats: FeaturizedExample) -> bio.TagDistribution:
-        passage = self.by_id.get(example.passage_id)
-        focus = self._find_focus(passage, example.mask) \
-            if passage is not None else None
-        if focus is None:
-            return bio.TagDistribution(
-                task1=bio.one_hot([OUTSIDE] * len(example.tokens)))
-        try:
-            return oracle_predict(passage, focus)
-        except bio.NotRepresentable:
-            return bio.TagDistribution(
-                task1=bio.one_hot([OUTSIDE] * len(example.tokens)))
+        """One-hot target of the example's mask; all O when the mask names
+        no gold node or that node's children are not representable."""
+        target = self.targets.get((example.passage_id, example.mask))
+        if target is None:
+            target = [OUTSIDE] * len(example.tokens)
+        return bio.TagDistribution(task1=bio.one_hot(target))
 
 
 # ---------------------------------------------------------------------------

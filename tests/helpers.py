@@ -84,6 +84,20 @@ def two_scene_5tok_passage(pid="mini"):
                    nodes=nodes, edges=edges, root="n0")
 
 
+def nonrepresentable_passage():
+    """Root whose non-terminal child has a discontinuous yield."""
+    tokens = tuple(make_token(f, u) for f, u in
+                   (("doors", "NOUN"), ("are", "AUX"), ("open", "ADJ")))
+    return Passage(
+        passage_id="gap", language="en", tokens=tokens,
+        nodes=(Node("n0", "nonterminal"), Node("n1", "nonterminal"),
+               Node("t0", "terminal", 0), Node("t1", "terminal", 1),
+               Node("t2", "terminal", 2)),
+        edges=(Edge("n0", "n1", "A"), Edge("n0", "t1", "P"),
+               Edge("n1", "t0", "C"), Edge("n1", "t2", "C")),
+        root="n0")
+
+
 # ---------------------------------------------------------------------------
 # Random passage generator
 
@@ -225,6 +239,7 @@ def brute_force_yield(passage, node_id):
 def assert_same_features(a, b):
     """Two FeaturizedExamples hold equal arrays of equal dtype and shape."""
     assert a.length == b.length
+    assert a.mwe_mask == b.mwe_mask
     assert list(a.categorical) == list(b.categorical)
     pairs = [(a.word_vectors, b.word_vectors), (a.mwe, b.mwe)] + \
         [(a.categorical[k], b.categorical[k]) for k in a.categorical]

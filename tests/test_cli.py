@@ -8,11 +8,11 @@ from rucca import cli
 from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
-from rucca.graph import Edge, Node, Passage, make_token, non_terminals
+from rucca.graph import non_terminals
 from rucca.tagger import MAGIC, GruTagger, TaggerConfig, save_checkpoint
 
-from helpers import (fig1_passage, random_corpus, single_token_passage,
-                     two_scene_5tok_passage)
+from helpers import (fig1_passage, nonrepresentable_passage, random_corpus,
+                     single_token_passage, two_scene_5tok_passage)
 
 
 def _write_config(path, **values):
@@ -25,20 +25,6 @@ def _write_config(path, **values):
 def _gold_corpus():
     return [single_token_passage(), fig1_passage(),
             two_scene_5tok_passage()]
-
-
-def _nonrepresentable_passage():
-    """Root whose non-terminal child has a discontinuous yield."""
-    tokens = tuple(make_token(f, u) for f, u in
-                   (("doors", "NOUN"), ("are", "AUX"), ("open", "ADJ")))
-    return Passage(
-        passage_id="gap", language="en", tokens=tokens,
-        nodes=(Node("n0", "nonterminal"), Node("n1", "nonterminal"),
-               Node("t0", "terminal", 0), Node("t1", "terminal", 1),
-               Node("t2", "terminal", 2)),
-        edges=(Edge("n0", "n1", "A"), Edge("n0", "t1", "P"),
-               Edge("n1", "t0", "C"), Edge("n1", "t2", "C")),
-        root="n0")
 
 
 def test_expand_counts(tmp_path, capsys):
@@ -69,7 +55,7 @@ def test_expand_counts_single_token(tmp_path, capsys):
 
 def test_expand_reports_nonrepresentable(tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
-    save_passages([_nonrepresentable_passage()], gold)
+    save_passages([nonrepresentable_passage()], gold)
     config = _write_config(tmp_path / "c.cfg", train_passages=gold,
                            expanded_out=tmp_path / "e.jsonl")
     assert cli.main(["--config", config, "expand"]) == cli.EXIT_OK
@@ -291,6 +277,31 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
     table = capsys.readouterr().out.splitlines()[1:-1]
     assert table == rows
     assert len(rows_tagged) == one_pass
+
+
+def test_empty_gold_file_is_a_data_error(tmp_path, capsys):
+    """A gold passage file with no passage, where one is needed, ends in
+    one data error naming it: tune with a trained tagger or the oracle,
+    train with it as dev_passages, and parse --oracle."""
+    config, _, model, _ = _expand_then_train(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("# rucca passages v1\n")
+    with_dev = _write_config(tmp_path / "dev.cfg",
+                             **cli.load_config(config).values,
+                             dev_passages=empty)
+    trained = model.read_bytes()
+    capsys.readouterr()
+    for argv in (["--config", config, "tune", "--dev", str(empty)],
+                 ["--config", config, "tune", "--oracle", "--dev",
+                  str(empty)],
+                 ["--config", with_dev, "train"],
+                 ["--config", config, "parse", "--oracle", "--input",
+                  str(empty)]):
+        assert cli.main(argv) == cli.EXIT_DATA, argv
+        captured = capsys.readouterr()
+        assert captured.err == "data error: %s: no passages\n" % empty
+    assert not (tmp_path / "c.cfg.tuned").exists()
+    assert model.read_bytes() == trained
 
 
 def test_missing_required_key_is_usage_error(tmp_path, capsys):

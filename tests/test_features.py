@@ -188,7 +188,8 @@ def _featurize_per_table(example, vocab, embeddings, lex):
     mwe = np.array(match(lex, tokens).flags, dtype=float) if n \
         else np.zeros(0)
     return FeaturizedExample(length=n, word_vectors=word_vectors,
-                             categorical=categorical, mwe=mwe)
+                             categorical=categorical, mwe=mwe,
+                             mwe_mask=match(lex, tokens))
 
 
 _FORMS = ("in", "front", "of", "Paris", "DOG", "x", "iPhone", "42", "de")
@@ -243,5 +244,6 @@ def test_remask_equals_featurize_under_the_new_mask(case):
     # Only the mask ids are new; the sentence's arrays are shared.
     assert remasked.word_vectors is feats.word_vectors
     assert remasked.mwe is feats.mwe
+    assert remasked.mwe_mask is feats.mwe_mask
     for name, ids in feats.categorical.items():
         assert (remasked.categorical[name] is ids) == (name != "mask")

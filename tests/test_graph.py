@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rucca.graph import (CATEGORIES, CategoryError, Edge, Node, Passage,
-                         all_yields, make_token, non_terminals,
-                         parse_category, validate)
+from rucca.graph import (CATEGORIES, CATEGORY_SET, Edge, Node, Passage,
+                         all_yields, make_token, non_terminals, validate)
 
 from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
                      random_corpus, single_token_passage)
@@ -11,12 +10,8 @@ from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
 
 def test_category_vocabulary_is_closed():
     assert len(CATEGORIES) == 13
-    for c in CATEGORIES:
-        assert parse_category(c) == c
-    with pytest.raises(CategoryError):
-        parse_category("X")
-    with pytest.raises(CategoryError):
-        parse_category("h")
+    assert CATEGORY_SET == set(CATEGORIES)
+    assert "X" not in CATEGORY_SET and "h" not in CATEGORY_SET
 
 
 def test_validate_minimal_passage():

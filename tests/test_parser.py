@@ -5,15 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rucca import bio, cli, features
+from rucca import bio, cli, features, parser
 from rucca.evaluator import score
 from rucca.features import WordEmbeddingTable
-from rucca.graph import all_yields, make_token, validate
+from rucca.graph import Edge, all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, action_noun_flags,
                           apply_constraints, parse, resolve_remotes)
 from rucca.lexicon import MweMask, match
-from rucca.tagger import OracleTagger, ReplayTagger
+from rucca.tagger import OracleTagger, ReplayTagger, Tagger
 
 from helpers import (FixedTagger, RandomTagger, assert_same_features,
                      context_for, fig1_passage, fixture_corpus,
@@ -403,6 +403,32 @@ def test_parse_featurizes_each_sentence_once(monkeypatch):
     assert any(feats.word_vectors.any() for _, feats in tagged)
 
 
+def test_parse_matches_each_lexicon_once(monkeypatch):
+    """A parse matches the MWE lexicon once, in the root's featurize, and
+    the action-noun lexicon once."""
+    gold = fig1_passage()
+    mwe = ExpressionLexicon(language="en",
+                            expressions=frozenset({("she", "sings")}))
+    action = ExpressionLexicon(language="en",
+                               expressions=frozenset({("guitar",)}))
+    matched = []
+
+    def counted(lexicon, tokens):
+        matched.append(lexicon)
+        return match(lexicon, tokens)
+
+    monkeypatch.setattr(features, "match", counted)
+    monkeypatch.setattr(parser, "match", counted)
+    _, trace = parse(gold.tokens, OracleTagger([gold]),
+                     context_for([gold], lexicon=mwe),
+                     DecoderConfig(action_noun_lexicon=action),
+                     passage_id=gold.passage_id)
+    assert len(matched) == 2 and mwe in matched and action in matched
+    # The constraint reads featurize's match.
+    assert any(f.startswith("mwe-merge") for step in trace.steps
+               for f in step.firings)
+
+
 def test_parse_frees_its_features_on_return():
     """No tagged node's features outlive the parse waiting for the cycle
     collector."""
@@ -476,3 +502,43 @@ def test_parse_tags_each_depth_in_one_batch(max_depth):
         widest = max([widest] + [len(b) for b in tagger.batches])
     # Only the root is tagged under a cap at 2.
     assert (capped > 0, widest > 1) == (max_depth == 2, max_depth > 2)
+
+
+class _ScriptedTagger(Tagger):
+    """One-hot labels by the mask's symbol and span."""
+
+    def __init__(self, labels):
+        self.labels = labels  # (symbol, (start, end)) -> BIO labels
+
+    def predict(self, example, feats):
+        inside = [i for i, sym in enumerate(example.mask) if sym != "O"]
+        key = (example.mask[inside[0]], (inside[0], inside[-1] + 1))
+        return bio.TagDistribution(task1=bio.one_hot(self.labels[key]))
+
+
+@pytest.mark.parametrize("max_depth", [20, 4])
+def test_remote_to_a_unary_chain_span_attaches_to_its_deepest_node(
+        max_depth):
+    """[Dogs bark] is a unary chain H > S > C; the scene [cats meow] has
+    a remote A over its span, which attaches to the chain's deepest node,
+    also when the depth cap leaves that node untagged."""
+    gold = two_scene_5tok_passage()
+    tagger = _ScriptedTagger({
+        ("ROOT", (0, 5)): ["B-H", "I-H", "B-L", "B-H", "I-H"],
+        ("H", (0, 2)): ["B-C", "I-C", "O", "O", "O"],  # forced to S
+        ("S", (0, 2)): ["B-C", "I-C", "O", "O", "O"],
+        ("C", (0, 2)): ["B-C", "B-C", "O", "O", "O"],
+        ("H", (3, 5)): ["B-REM-A", "I-REM-A", "O", "B-A", "B-P"],
+    })
+    predicted, trace = parse(gold.tokens, tagger, context_for([gold]),
+                             DecoderConfig(max_depth=max_depth))
+    yields = all_yields(predicted)
+    chain = [n.id for n in predicted.nodes
+             if not n.is_terminal() and yields[n.id] == {0, 1}]
+    (scene,) = [nid for nid, y in yields.items() if y == {3, 4}]
+    assert [predicted.incoming_primary(nid)[0].category
+            for nid in chain] == ["H", "S", "C"]
+    assert [e for e in predicted.edges if e.remote] == [
+        Edge(scene, chain[-1], "A", remote=True)]
+    capped = ["depth cap at node %s span (0, 2)" % chain[-1]]
+    assert trace.notes == (capped if max_depth == 4 else [])

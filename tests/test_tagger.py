@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from rucca import bio
 from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
 from rucca.features import FeaturizerContext, fit_vocabularies
+from rucca.graph import Edge, Node, Passage, make_token
 from rucca.tagger import (MAGIC, GruTagger, NumericError, OracleTagger,
                           Params, TaggerConfig, TrainConfig, _Adam,
                           build_aux_vocab, clip_gradients, load_checkpoint,
-                          oracle_predict, save_checkpoint, token_accuracy,
-                          train)
+                          save_checkpoint, token_accuracy, train)
 
-from helpers import (context_for, fig1_passage, random_corpus,
+from helpers import (context_for, fig1_passage, fixture_corpus,
+                     nonrepresentable_passage, random_corpus,
                      single_token_passage, two_scene_5tok_passage)
 
 
@@ -335,36 +336,107 @@ def test_train_config_validation():
     TaggerConfig(cat_dim=0, lambda_aux=0.0)
 
 
+def _gold_one_hot(passage, nid):
+    return bio.one_hot(bio.encode(passage, nid))
+
+
+def _oracle_task1(passage, nid):
+    """The oracle's task1 rows for the expanded example of passage's node
+    nid."""
+    (example,) = [ex for ex in expand(passage) if ex.focus_node == nid]
+    return OracleTagger([passage]).predict(example, None).task1
+
+
 def test_oracle_predict_single_token():
     p = single_token_passage()
-    dist = oracle_predict(p, "n0")
-    assert dist.task1[0, bio.BIO_INDEX["B-H"]] == 1.0
+    task1 = _oracle_task1(p, "n0")
+    assert task1[0, bio.BIO_INDEX["B-H"]] == 1.0
+    assert np.array_equal(task1, _gold_one_hot(p, "n0"))
 
 
 def test_oracle_predict_fig1_root():
     p = fig1_passage()
-    dist = oracle_predict(p, "n0")
+    task1 = _oracle_task1(p, "n0")
     labels = ["B-H", "I-H", "I-H", "B-L", "B-H", "I-H", "I-H"]
-    for i, lb in enumerate(labels):
-        assert dist.task1[i, bio.BIO_INDEX[lb]] == 1.0
+    assert np.array_equal(task1, bio.one_hot(labels))
+    assert np.array_equal(task1, _gold_one_hot(p, "n0"))
 
 
 def test_oracle_predict_remote_rows():
     p = fig1_passage()
-    dist = oracle_predict(p, "n2")
-    assert dist.task1[0, bio.BIO_INDEX["B-REM-A"]] == 1.0
-    assert dist.task1[4, bio.BIO_INDEX["B-A"]] == 1.0
+    task1 = _oracle_task1(p, "n2")
+    assert task1[0, bio.BIO_INDEX["B-REM-A"]] == 1.0
+    assert task1[4, bio.BIO_INDEX["B-A"]] == 1.0
+    assert np.array_equal(task1, _gold_one_hot(p, "n2"))
 
 
 def test_oracle_tagger_resolves_focus_from_mask():
     p = fig1_passage()
     oracle = OracleTagger([p])
-    examples = {ex.focus_node: ex for ex in expand(p)}
     ctx = context_for([p])
-    for nid, ex in examples.items():
+    for ex in expand(p):
         dist = oracle.predict(ex, ctx.featurize(ex))
-        expected = oracle_predict(p, nid)
-        assert np.array_equal(dist.task1, expected.task1)
+        assert np.array_equal(dist.task1, _gold_one_hot(p, ex.focus_node))
+        assert dist.task2 is None
+
+
+def _all_o(example):
+    return bio.one_hot(["O"] * len(example.tokens))
+
+
+def test_oracle_gives_every_expanded_target_over_the_fixture_corpus():
+    """Each expanded example of the fixture corpus gets its one-hot
+    target; a non-representable node, a mask that names no gold node
+    and an unknown passage id get all O."""
+    corpus = fixture_corpus()
+    oracle = OracleTagger(corpus)
+    examples = [ex for p in corpus for ex in expand(p)]
+    for ex in examples:
+        assert np.array_equal(oracle.predict(ex, None).task1,
+                              bio.one_hot(ex.target_bio))
+    p = fig1_passage()
+    root = expand(p)[0]
+    # Another arc over the root's span names no gold node.
+    for ex in (replace(root, mask=("A",) * len(root.tokens)),
+               replace(root, passage_id="unknown")):
+        assert np.array_equal(OracleTagger([p]).predict(ex, None).task1,
+                              _all_o(ex))
+    gap = nonrepresentable_passage()
+    skipped = [ex for ex in expand(gap) if not ex.representable]
+    assert skipped
+    for ex in skipped:
+        assert np.array_equal(OracleTagger([gap]).predict(ex, None).task1,
+                              _all_o(ex))
+
+
+def test_oracle_gives_a_shared_mask_its_first_nodes_target():
+    """n1 and n2 form a unary chain of H arcs, so they share a mask; the
+    mask gives n1's target, as corpus.expand lists n1 first."""
+    tokens = (make_token("Go", "VERB"), make_token("now", "ADV"))
+    p = Passage(
+        passage_id="chain", language="en", tokens=tokens,
+        nodes=(Node("n0", "nonterminal"), Node("n1", "nonterminal"),
+               Node("n2", "nonterminal"), Node("t0", "terminal", 0),
+               Node("t1", "terminal", 1)),
+        edges=(Edge("n0", "n1", "H"), Edge("n1", "n2", "H"),
+               Edge("n2", "t0", "P"), Edge("n2", "t1", "D")),
+        root="n0")
+    examples = expand(p)
+    assert examples[1].mask == examples[2].mask == ("H", "H")
+    oracle = OracleTagger([p])
+    for ex in examples[1:]:
+        assert np.array_equal(oracle.predict(ex, None).task1,
+                              _gold_one_hot(p, "n1"))
+
+
+def test_oracle_keeps_the_last_passage_of_an_id():
+    first, second = fig1_passage(pid="same"), two_scene_5tok_passage("same")
+    oracle = OracleTagger([first, second])
+    for ex in expand(second):
+        assert np.array_equal(oracle.predict(ex, None).task1,
+                              bio.one_hot(ex.target_bio))
+    root = expand(first)[0]
+    assert np.array_equal(oracle.predict(root, None).task1, _all_o(root))
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
