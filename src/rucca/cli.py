@@ -109,13 +109,11 @@ def _train_config(config, seed) -> TrainConfig:
 def _decoder_config(config) -> DecoderConfig:
     action_path = config.path("action_nouns")
     action = load_lexicon(action_path, "any") if action_path else None
-    verbs = config.get("verb_upos", "VERB")
     try:
         return DecoderConfig(
             remote_threshold=config.get_float("remote_threshold", 0.3),
             max_depth=config.get_int("max_depth", 20),
-            action_noun_lexicon=action,
-            verb_upos=frozenset(verbs.split(",")))
+            action_noun_lexicon=action)
     except ValueError as exc:
         raise ConfigError(exc) from None
 

@@ -282,21 +282,12 @@ def load_conll_tokens(path, language="en") -> list:
 
 def aux_labels(passage: Passage) -> tuple:
     """Per-token label: category of the token's highest-attaching edge,
-    i.e. the edge from the root to the token's topmost non-root ancestor."""
-
-    def parent_edge(node_id):
-        incoming = passage.incoming_primary(node_id)
-        return incoming[0] if incoming else None
-
+    i.e. of the root's primary child whose yield holds the token."""
+    yields = all_yields(passage)
     labels = [AUX_OUTSIDE] * len(passage.tokens)
-    for n in passage.nodes:
-        if not n.is_terminal():
-            continue
-        edge = parent_edge(n.id)
-        while edge is not None and edge.parent != passage.root:
-            edge = parent_edge(edge.parent)
-        if edge is not None:
-            labels[n.position] = edge.category
+    for edge, child in passage.primary_children(passage.root):
+        for i in yields[child]:
+            labels[i] = edge.category
     return tuple(labels)
 
 
@@ -318,23 +309,27 @@ def build_mask(passage: Passage, node_id: str) -> tuple:
 def expand(passage: Passage) -> list:
     """One MaskedExample per non-terminal node, in traversal order.
 
-    Nodes whose children are not BIO-representable are emitted with
-    representable=False and no BIO target; callers skip them for training.
+    Nodes whose children are not BIO-representable, and nodes whose mask
+    an earlier node has (a unary chain of arcs sharing a category), are
+    emitted with representable=False and no BIO target: one input gets one
+    target. Callers skip them for training.
     """
     aux = aux_labels(passage)
     examples = []
+    seen = set()
     for node_id in non_terminals(passage):
         mask = build_mask(passage, node_id)
-        try:
-            target = tuple(bio.encode(passage, node_id))
-            representable = True
-        except bio.NotRepresentable:
-            target = None
-            representable = False
+        target = None
+        if mask not in seen:
+            seen.add(mask)
+            try:
+                target = tuple(bio.encode(passage, node_id))
+            except bio.NotRepresentable:
+                pass
         examples.append(MaskedExample(
             passage_id=passage.passage_id, tokens=passage.tokens,
             mask=mask, focus_node=node_id, target_bio=target,
-            target_aux=aux, representable=representable))
+            target_aux=aux, representable=target is not None))
     return examples
 
 

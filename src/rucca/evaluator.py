@@ -6,7 +6,7 @@ Labeled/Unlabeled x Avg/Prim/Rem cell layout plus a per-category
 breakdown and mono-/multi-scene corpus splits.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .graph import CATEGORIES, Passage, all_yields, validate
@@ -91,39 +91,43 @@ def signatures(passage: Passage) -> Counter:
     return sigs
 
 
-def _matched(pred_sigs, gold_sigs):
-    return sum((pred_sigs & gold_sigs).values())
-
-
-def _cell(pred_sigs, gold_sigs, keep):
-    p = Counter({s: c for s, c in pred_sigs.items() if keep(s)})
-    g = Counter({s: c for s, c in gold_sigs.items() if keep(s)})
-    return Counts(matched=_matched(p, g), predicted=sum(p.values()),
-                  gold=sum(g.values()))
+def _add(pred, gold, *cells):  # one key's matched, predicted, gold counts
+    for cell in cells:
+        cell[0] += min(pred, gold)
+        cell[1] += pred
+        cell[2] += gold
 
 
 def score(pred: Passage, gold: Passage) -> EvalReport:
+    """One pass over the union of the signatures fills the labeled cells
+    and sums the unlabeled (yield, remote) keys that fill the others."""
     if tuple(t.form for t in pred.tokens) != \
             tuple(t.form for t in gold.tokens):
         raise EvalError("token mismatch between %s and %s"
                         % (pred.passage_id, gold.passage_id))
     ps = signatures(pred)
     gs = signatures(gold)
-    pu = Counter()
-    gu = Counter()
-    for sigs, out in ((ps, pu), (gs, gu)):
-        for (y, _, remote), c in sigs.items():
-            out[(y, remote)] += c
-    report = EvalReport.empty()
-    report.sentences = 1
-    for cell, keep in (("avg", lambda s: True),
-                       ("primary", lambda s: not s[-1]),
-                       ("remote", lambda s: s[-1])):
-        report.labeled[cell] = _cell(ps, gs, keep)
-        report.unlabeled[cell] = _cell(pu, gu, keep)
-    for c in CATEGORIES:
-        report.per_category[c] = _cell(ps, gs, lambda s, c=c: s[1] == c)
-    return report
+    cells = ("avg", "primary", "remote")
+    labeled = {cell: [0, 0, 0] for cell in cells}
+    unlabeled = {cell: [0, 0, 0] for cell in cells}
+    per_category = {c: [0, 0, 0] for c in CATEGORIES}
+    keys = defaultdict(lambda: [0, 0])  # (yield, remote) -> [pred, gold]
+    for sig in ps.keys() | gs.keys():
+        y, category, remote = sig
+        p, g = ps[sig], gs[sig]
+        cell = "remote" if remote else "primary"
+        _add(p, g, labeled["avg"], labeled[cell], per_category[category])
+        key = keys[(y, remote)]
+        key[0] += p
+        key[1] += g
+    for (_, remote), (p, g) in keys.items():
+        cell = "remote" if remote else "primary"
+        _add(p, g, unlabeled["avg"], unlabeled[cell])
+    return EvalReport(
+        labeled={k: Counts(*v) for k, v in labeled.items()},
+        unlabeled={k: Counts(*v) for k, v in unlabeled.items()},
+        per_category={k: Counts(*v) for k, v in per_category.items()},
+        sentences=1)
 
 
 def count_scene_edges(passage: Passage) -> int:

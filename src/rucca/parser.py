@@ -20,6 +20,8 @@ from .corpus import MaskedExample
 from .graph import (OUTSIDE, ROOT_MASK, Edge, Node, Passage, validate)
 from .lexicon import match
 
+# the upos tag of a verb, which makes its span a scene
+VERB_UPOS = "VERB"
 # upos tags whose uncovered tokens fall back to Function instead of Center
 FUNCTION_UPOS = frozenset({"ADP", "DET", "AUX", "CCONJ", "SCONJ", "PART"})
 
@@ -33,7 +35,6 @@ class DecoderConfig:
     remote_threshold: float = 0.3
     max_depth: int = 20
     action_noun_lexicon: object = None  # ExpressionLexicon or None
-    verb_upos: frozenset = frozenset({"VERB"})
 
     def __post_init__(self):
         if not 0.0 <= self.remote_threshold <= 1.0:
@@ -87,47 +88,31 @@ class ParseError(RuntimeError):
     pass
 
 
-def _span_qualifies_as_scene(span, tokens, cfg, action_flags):
-    for i in span.positions():
-        if tokens[i].upos in cfg.verb_upos:
-            return True
-        if action_flags[i]:
-            return True
-    return False
-
-
-def _merge_scene_spans(spans, tokens, action_flags, cfg, firings):
+def _merge_scene_spans(spans, tokens, action_flags, firings):
     """Constraint 1: an H span with no verb/action noun is merged into the
     nearest preceding qualifying H span (else the nearest following one).
     Spans swallowed by the merged interval are absorbed."""
     spans = sorted(spans, key=lambda s: s.start)
+    if all(s.category != "H" for s in spans):  # most calls: no scene
+        return spans
+    scene = [t.upos == VERB_UPOS or a for t, a in zip(tokens, action_flags)]
     while True:
         h_spans = [s for s in spans if s.category == "H"]
-        qualifying = [s for s in h_spans
-                      if _span_qualifies_as_scene(s, tokens, cfg,
-                                                  action_flags)]
+        qualifying = [s for s in h_spans if any(scene[s.start:s.end])]
         weak = [s for s in h_spans if s not in qualifying]
         if not weak or not qualifying:
             return spans
-        target_spans = None
-        for w in weak:
-            before = [q for q in qualifying if q.start < w.start]
-            after = [q for q in qualifying if q.start > w.start]
-            if before:
-                target_spans = (before[-1], w)
-                firings.append("scene-merge backward %s<-%s"
-                               % ((before[-1].start, before[-1].end),
-                                  (w.start, w.end)))
-            elif after:
-                target_spans = (w, after[0])
-                firings.append("scene-merge forward %s->%s"
-                               % ((w.start, w.end),
-                                  (after[0].start, after[0].end)))
-            if target_spans:
-                break
-        if not target_spans:
-            return spans
-        left, right = target_spans
+        # The spans are disjoint, so a qualifying one lies on a side of w.
+        w = weak[0]
+        before = [q for q in qualifying if q.start < w.start]
+        if before:
+            left, right = before[-1], w
+            firings.append("scene-merge backward %s<-%s"
+                           % ((left.start, left.end), (w.start, w.end)))
+        else:
+            left, right = w, qualifying[0]
+            firings.append("scene-merge forward %s->%s"
+                           % ((w.start, w.end), (right.start, right.end)))
         merged = bio.ChildSpan(left.start, right.end, "H", False)
         spans = [s for s in spans
                  if s.end <= merged.start or s.start >= merged.end]
@@ -171,13 +156,11 @@ def _mwe_integrity(spans, mwe_spans, focus, firings):
     wins); otherwise the span is extended to the MWE edge, absorbing any
     overlap."""
     start_f, end_f = focus
-
-    def inside_mwe(boundary):
-        for ms, me in mwe_spans:
-            if ms < boundary < me:
-                return (ms, me)
-        return None
-
+    # boundary strictly inside an MWE -> the first such MWE's span
+    inside_mwe = {}
+    for ms, me in mwe_spans:
+        for boundary in range(ms + 1, me):
+            inside_mwe.setdefault(boundary, (ms, me))
     spans = sorted(spans, key=lambda s: s.start)
     for _ in range(10 * (len(spans) + len(mwe_spans)) + 10):
         violation = None
@@ -187,7 +170,7 @@ def _mwe_integrity(spans, mwe_spans, focus, firings):
             for boundary, is_start in ((s.start, True), (s.end, False)):
                 if boundary in (start_f, end_f):
                     continue
-                mwe = inside_mwe(boundary)
+                mwe = inside_mwe.get(boundary)
                 if mwe is not None:
                     violation = (s, boundary, is_start, mwe)
                     break
@@ -240,16 +223,14 @@ def action_noun_flags(tokens, cfg: DecoderConfig):
 
 
 def apply_constraints(spans, tokens, dist, mwe_mask, action_flags,
-                      cfg: DecoderConfig, at_scene_level, focus=None,
-                      firings=None):
+                      at_scene_level, focus=None, firings=None):
     """The three decoding constraints, in order; returns sorted spans.
     action_flags are the sentence's action_noun_flags."""
     if firings is None:
         firings = []
     if focus is None:
         focus = (0, len(tokens))
-    spans = _merge_scene_spans(list(spans), tokens, action_flags, cfg,
-                               firings)
+    spans = _merge_scene_spans(spans, tokens, action_flags, firings)
     if at_scene_level:
         spans = _force_single_state_process(spans, dist, focus, firings)
     spans = _mwe_integrity(spans, mwe_mask.spans, focus, firings)
@@ -302,14 +283,14 @@ class _Builder:
         self.edges.append(Edge(parent=parent, child=child,
                                category=category))
 
-    def attach_flat(self, node_id, span, force_sp, verb_upos):
+    def attach_flat(self, node_id, span, force_sp):
         """Every token of span as a child of node_id; with force_sp the
         first verb (else the first token) is its P."""
         start, end = span
         sp_pos = None
         if force_sp:
             verbs = [i for i in range(start, end)
-                     if self.tokens[i].upos in verb_upos]
+                     if self.tokens[i].upos == VERB_UPOS]
             sp_pos = verbs[0] if verbs else start
         for i in range(start, end):
             if i == sp_pos:
@@ -318,14 +299,13 @@ class _Builder:
                 self.add_edge(node_id, "t%d" % i,
                               _fallback_category(self.tokens[i]))
 
-    def add_subtree(self, node_id, focus, trace, verb_upos):
+    def add_subtree(self, node_id, focus, trace):
         """Numbers focus's descendants and adds their edges, steps and
         depth-cap notes depth first, children in span order."""
         if focus.step is None:
             trace.notes.append("depth cap at node %s span %s"
                                % (node_id, focus.span))
-            self.attach_flat(node_id, focus.span, focus.arc == "H",
-                             verb_upos)
+            self.attach_flat(node_id, focus.span, focus.arc == "H")
             return
         focus.step.node = node_id
         trace.steps.append(focus.step)
@@ -335,7 +315,7 @@ class _Builder:
             else:
                 child_id = self.new_nonterminal(child.span)
                 self.add_edge(node_id, child_id, s.category)
-                self.add_subtree(child_id, child, trace, verb_upos)
+                self.add_subtree(child_id, child, trace)
 
     def passage(self):
         nonterms = [n for n in self.nodes if not n.is_terminal()]
@@ -371,8 +351,7 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags, cfg):
         focus.arc == ROOT_MASK
         and not any(s.category == "H" for s in kept))
     spans = apply_constraints(kept, tokens, dist, mwe_mask, action_flags,
-                              cfg, scene_level, focus=focus.span,
-                              firings=firings)
+                              scene_level, focus=focus.span, firings=firings)
 
     # Cover focus tokens missed by every child span.
     covered = set()
@@ -435,8 +414,7 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
 
     builder = _Builder(tokens, passage_id, language)
     trace = ParseTrace()
-    builder.add_subtree(builder.new_nonterminal(root.span), root, trace,
-                        cfg.verb_upos)
+    builder.add_subtree(builder.new_nonterminal(root.span), root, trace)
     trace.deepest = builder.deepest
     trace.tree_notes = len(trace.notes)
     return resolve_remotes(builder.passage(), trace, cfg.remote_threshold)

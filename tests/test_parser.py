@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rucca import bio, cli, features, parser
 from rucca.evaluator import score
@@ -42,7 +43,7 @@ def test_constraint_scene_merge_backward():
                      ("today", "ADV"))
     spans = _spans((0, 2, "H"), (2, 4, "H"))  # second scene has no verb
     out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=False)
     assert out == _spans((0, 4, "H"))
 
@@ -52,7 +53,7 @@ def test_constraint_scene_merge_forward_fallback():
                      ("she", "PRON"), ("sings", "VERB"))
     spans = _spans((0, 2, "H"), (2, 4, "H"))  # first scene has no verb
     out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=False)
     assert out == _spans((0, 4, "H"))
 
@@ -65,7 +66,7 @@ def test_constraint_scene_merge_action_noun_qualifies():
     spans = _spans((0, 2, "H"), (2, 4, "H"))
     cfg = DecoderConfig(action_noun_lexicon=lex)
     out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE,
-                            action_noun_flags(tokens, cfg), cfg,
+                            action_noun_flags(tokens, cfg),
                             at_scene_level=False)
     assert out == spans  # both scenes qualify, nothing merges
 
@@ -74,7 +75,7 @@ def test_constraint_no_qualifying_scene_leaves_spans():
     tokens = _tokens(("red", "ADJ"), ("blue", "ADJ"))
     spans = _spans((0, 1, "H"), (1, 2, "H"))
     out = apply_constraints(spans, tokens, _uniformish(2), NO_MWE,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=False)
     assert out == spans
 
@@ -91,7 +92,7 @@ def test_constraint_single_state_process_dedup():
     dist = bio.TagDistribution(task1=t1)
     spans = _spans((0, 1, "A"), (1, 2, "P"), (2, 3, "P"))
     out = apply_constraints(spans, tokens, dist, NO_MWE,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=True)
     assert out == _spans((0, 1, "A"), (1, 2, "C"), (2, 3, "P"))
 
@@ -104,7 +105,7 @@ def test_constraint_single_state_process_inserts_when_missing():
     t1[1, bio.BIO_INDEX["B-S"]] = 0.1
     dist = bio.TagDistribution(task1=t1)
     out = apply_constraints([], tokens, dist, NO_MWE,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=True)
     assert out == [bio.ChildSpan(1, 2, "S", False)]
 
@@ -118,7 +119,7 @@ def test_constraint_mwe_merges_adjacent_spans():
     # boundary at 3 falls inside the MWE span (2, 5)
     spans = _spans((0, 3, "A"), (3, 6, "A"))
     out = apply_constraints(spans, tokens, _uniformish(6), mwe,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=False)
     assert out == _spans((0, 6, "A"))
 
@@ -131,16 +132,115 @@ def test_constraint_mwe_ignores_non_ha_spans():
         tokens)
     spans = _spans((0, 2, "C"), (2, 4, "E"))
     out = apply_constraints(spans, tokens, _uniformish(4), mwe,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=False)
     assert out == spans
+
+
+def _mwe_extend(spans, focus, n=6, mwe_spans=((1, 4),)):
+    """apply_constraints over n verbless tokens with the given MWE spans;
+    -> (spans, firings)."""
+    tokens = _tokens(*[("w%d" % i, "NOUN") for i in range(n)])
+    firings = []
+    out = apply_constraints(spans, tokens, _uniformish(n),
+                            MweMask(flags=(), spans=mwe_spans),
+                            NO_ACTION_NOUNS * n, at_scene_level=False,
+                            focus=focus, firings=firings)
+    return out, firings
+
+
+def test_constraint_mwe_extends_a_start_inside_an_mwe():
+    # nothing ends at 2, inside the MWE (1, 4): the span extends to 1
+    out, firings = _mwe_extend(_spans((2, 5, "A")), (0, 6))
+    assert out == _spans((1, 5, "A"))
+    assert firings == ["mwe-extend (2,5)->(1,5)"]
+
+
+def test_constraint_mwe_extends_an_end_inside_an_mwe():
+    out, firings = _mwe_extend(_spans((0, 2, "H")), (0, 6))
+    assert out == _spans((0, 4, "H"))
+    assert firings == ["mwe-extend (0,2)->(0,4)"]
+
+
+def test_constraint_mwe_extension_stops_at_the_focus_edge():
+    # the MWE (1, 4) starts left of the focus (2, 6)
+    out, firings = _mwe_extend(_spans((3, 6, "A")), (2, 6))
+    assert out == _spans((2, 6, "A"))
+    assert firings == ["mwe-extend (3,6)->(2,6)"]
+
+
+def test_constraint_mwe_extension_absorbs_overlapped_spans():
+    # extending (3, 6) to 1 overlaps (0, 2): the merged span starts at 0
+    # and takes the category of the leftmost span it absorbs
+    out, firings = _mwe_extend(_spans((0, 2, "C"), (3, 6, "A")), (0, 6))
+    assert out == _spans((0, 6, "C"))
+    assert firings == ["mwe-extend (3,6)->(0,6)"]
+
+
+def test_constraint_restores_the_sp_span_an_mwe_merge_took():
+    # (0, 2) ends inside the MWE (1, 3) and merges with the P span; the
+    # scene then has no S/P span, and the best P token takes the merge
+    tokens = _tokens(("she", "PRON"), ("sang", "VERB"), ("at", "ADP"),
+                     ("least", "ADJ"))
+    t1 = np.full((4, bio.N_BIO), 0.01)
+    t1[2, bio.BIO_INDEX["B-P"]] = 0.9
+    firings = []
+    out = apply_constraints(_spans((0, 2, "A"), (2, 4, "P")), tokens,
+                            bio.TagDistribution(task1=t1),
+                            MweMask(flags=(), spans=((1, 3),)),
+                            NO_ACTION_NOUNS * 4, at_scene_level=True,
+                            firings=firings)
+    assert out == _spans((0, 4, "P"))
+    assert firings == ["mwe-merge (0,2)+(2,4)",
+                       "force-single-SP token=2 category=P"]
+
+
+@st.composite
+def _constraint_inputs(draw):
+    """Random disjoint spans inside a random focus, with random per-token
+    verbs and action flags, disjoint MWE spans and tag probabilities."""
+    n = draw(st.integers(1, 12))
+    start = draw(st.integers(0, n - 1))
+    end = draw(st.integers(start + 1, n))
+    cuts = sorted(draw(st.sets(st.integers(start, end), min_size=2)))
+    spans = [bio.ChildSpan(a, b, draw(st.sampled_from("HHAASPCDEF")), False)
+             for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    mwe_cuts = sorted(draw(st.sets(st.integers(0, n))))
+    mwe_spans = tuple((a, b) for a, b in zip(mwe_cuts, mwe_cuts[1:])
+                      if b - a > 1 and draw(st.booleans()))
+    tokens = _tokens(*[("w%d" % i, draw(st.sampled_from(("VERB", "NOUN"))))
+                       for i in range(n)])
+    action_flags = tuple(draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)))
+    probs = draw(st.lists(st.floats(0.01, 1.0), min_size=n * bio.N_BIO,
+                          max_size=n * bio.N_BIO))
+    dist = bio.TagDistribution(
+        task1=np.array(probs).reshape(n, bio.N_BIO))
+    return (spans, tokens, dist, MweMask(flags=(), spans=mwe_spans),
+            action_flags, (start, end))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constraint_inputs(), st.booleans())
+def test_constraints_keep_their_invariants(inputs, at_scene_level):
+    spans, tokens, dist, mwe, action_flags, focus = inputs
+    out = apply_constraints(spans, tokens, dist, mwe, action_flags,
+                            at_scene_level, focus=focus)
+    assert all(focus[0] <= s.start < s.end <= focus[1] for s in out)
+    assert all(a.end <= b.start for a, b in zip(out, out[1:]))
+    for s in out:
+        if s.category in ("H", "A"):
+            assert not any(ms < b < me for b in (s.start, s.end)
+                           if b not in focus for ms, me in mwe.spans)
+    if at_scene_level:
+        assert len([s for s in out if s.category in ("S", "P")]) == 1
 
 
 def test_constraint_fixpoint_on_compatible_spans():
     tokens = _tokens(("she", "PRON"), ("sings", "VERB"), ("well", "ADV"))
     spans = _spans((0, 1, "A"), (1, 2, "P"), (2, 3, "D"))
     out = apply_constraints(spans, tokens, _uniformish(3), NO_MWE,
-                            NO_ACTION_NOUNS * len(tokens), DecoderConfig(),
+                            NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=True)
     assert out == spans
 

@@ -409,11 +409,10 @@ def test_oracle_gives_every_expanded_target_over_the_fixture_corpus():
                               _all_o(ex))
 
 
-def test_oracle_gives_a_shared_mask_its_first_nodes_target():
-    """n1 and n2 form a unary chain of H arcs, so they share a mask; the
-    mask gives n1's target, as corpus.expand lists n1 first."""
+def _chain_passage():
+    """n0 -H-> n1 -H-> n2 over two tokens: n1 and n2 share a mask."""
     tokens = (make_token("Go", "VERB"), make_token("now", "ADV"))
-    p = Passage(
+    return Passage(
         passage_id="chain", language="en", tokens=tokens,
         nodes=(Node("n0", "nonterminal"), Node("n1", "nonterminal"),
                Node("n2", "nonterminal"), Node("t0", "terminal", 0),
@@ -421,6 +420,22 @@ def test_oracle_gives_a_shared_mask_its_first_nodes_target():
         edges=(Edge("n0", "n1", "H"), Edge("n1", "n2", "H"),
                Edge("n2", "t0", "P"), Edge("n2", "t1", "D")),
         root="n0")
+
+
+def test_expand_gives_a_shared_mask_one_target():
+    """Of a unary chain's nodes sharing a mask only the first gets a
+    target, so training sees one target per input."""
+    p = _chain_passage()
+    _, n1, n2 = expand(p)
+    assert n1.mask == n2.mask
+    assert (n1.target_bio, n1.representable) == (("B-H", "I-H"), True)
+    assert (n2.target_bio, n2.representable) == (None, False)
+
+
+def test_oracle_gives_a_shared_mask_its_first_nodes_target():
+    """n1 and n2 form a unary chain of H arcs, so they share a mask; the
+    mask gives n1's target, as corpus.expand lists n1 first."""
+    p = _chain_passage()
     examples = expand(p)
     assert examples[1].mask == examples[2].mask == ("H", "H")
     oracle = OracleTagger([p])
