@@ -54,8 +54,8 @@ class TagDistribution:
         t1 = self.task1
         if t1.ndim != 2 or t1.shape[1] != N_BIO:
             raise ValueError("task1 distribution has shape %s" % (t1.shape,))
-        if np.any(t1 < -atol):
-            raise ValueError("negative probability in task1 rows")
+        if not np.all(t1 >= -atol):  # NaN too
+            raise ValueError("negative or NaN probability in task1 rows")
         if np.any(np.abs(t1.sum(axis=1) - 1.0) > atol):
             raise ValueError("task1 rows do not sum to 1")
 
@@ -141,25 +141,19 @@ def decode_labels(labels) -> list:
     return spans
 
 
-def decode_probs(dist: TagDistribution, remote_threshold: float):
-    """-> (primary spans, remote spans).
-
-    Primary pass: per-token argmax over O + primary labels. Remote pass:
-    decode_remote over the REM columns.
-    """
-    dist.check()
+def decode_probs(dist: TagDistribution) -> list:
+    """Primary spans: per-token argmax over O + primary labels. The
+    caller checks dist; decode_remote decodes the REM columns."""
     t1 = dist.task1
     primary = _PRIMARY_IDS[np.argmax(t1[:, _PRIMARY_IDS], axis=1)]
-    return (decode_labels(_LABELS[primary].tolist()),
-            decode_remote(t1[:, _REMOTE_IDS], remote_threshold))
+    return decode_labels(_LABELS[primary].tolist())
 
 
 def decode_remote(rows: np.ndarray, remote_threshold: float) -> list:
     """Remote spans from (T, 26) probability rows over the REM labels, in
     REMOTE_LABEL_IDS order: a token takes its argmax remote label only
-    when that label's probability strictly exceeds the threshold."""
-    if not 0.0 <= remote_threshold <= 1.0:
-        raise ValueError("remote threshold must be in [0, 1]")
+    when that label's probability strictly exceeds the threshold, which
+    DecoderConfig keeps in [0, 1]."""
     above = rows.max(axis=1) > remote_threshold
     if not above.any():
         return []

@@ -60,6 +60,8 @@ class MaskedExample:
         for t in (self.target_bio, self.target_aux):
             if t is not None and len(t) != len(self.tokens):
                 raise CorpusError("target/token length mismatch")
+        if self.target_bio is not None and self.target_aux is None:
+            raise CorpusError("BIO target without aux target")
         for sym in self.mask:
             if sym not in MASK_SYMBOLS:
                 raise CorpusError("unknown mask symbol %r" % (sym,))

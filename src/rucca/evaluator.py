@@ -9,7 +9,7 @@ breakdown and mono-/multi-scene corpus splits.
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .graph import CATEGORIES, Passage, all_yields, validate
+from .graph import CATEGORIES, Passage, all_yields
 
 
 class EvalError(ValueError):
@@ -79,10 +79,6 @@ class CorpusReport:
 
 def signatures(passage: Passage) -> Counter:
     """Multiset of (yield, category, remote) edge signatures."""
-    violations = validate(passage)
-    if violations:
-        raise EvalError("invalid passage %s: %s"
-                        % (passage.passage_id, "; ".join(violations)))
     yields = all_yields(passage)
     sigs = Counter()
     for e in passage.edges:
@@ -100,7 +96,10 @@ def _add(pred, gold, *cells):  # one key's matched, predicted, gold counts
 
 def score(pred: Passage, gold: Passage) -> EvalReport:
     """One pass over the union of the signatures fills the labeled cells
-    and sums the unlabeled (yield, remote) keys that fill the others."""
+    and sums the unlabeled (yield, remote) keys that fill the others.
+
+    Both passages must be valid (graph.validate), as load_passages and
+    parse leave them: scoring does not check them again."""
     if tuple(t.form for t in pred.tokens) != \
             tuple(t.form for t in gold.tokens):
         raise EvalError("token mismatch between %s and %s"

@@ -104,25 +104,19 @@ class _Index:
 
     @cached_property
     def yields(self):
-        """Read-only map node id -> primary yield, computed bottom-up. A
-        primary cycle reads as empty where it closes; validate() reports
-        it."""
+        """Read-only map node id -> primary yield, computed bottom-up; the
+        primary edges must hold no cycle, as in a valid passage."""
         yields = {}
-        path = set()
 
         def visit(nid):
             if nid in yields:
                 return yields[nid]
-            if nid in path:
-                return frozenset()
             n = self.by_id[nid]
             if n.is_terminal():
                 y = frozenset([n.position])
             else:
-                path.add(nid)
                 y = frozenset().union(
                     *[visit(c) for _, c in self.primary.get(nid, ())])
-                path.remove(nid)
             yields[nid] = y
             return y
 
@@ -143,7 +137,7 @@ def is_contiguous(positions) -> bool:
 
 
 def non_terminals(passage: Passage) -> list:
-    """Non-terminal ids in pre-order over the primary tree.
+    """Non-terminal ids in pre-order over a valid passage's primary tree.
 
     Children are visited left to right by smallest yield position, which
     makes corpus expansion deterministic.
@@ -161,11 +155,7 @@ def non_terminals(passage: Passage) -> list:
             visit(c)
 
     visit(passage.root)
-    # Non-terminals unreachable from the root (invalid passages) go last.
-    placed = set(order)
-    rest = [n.id for n in passage.nodes
-            if not n.is_terminal() and n.id not in placed]
-    return order + sorted(rest)
+    return order
 
 
 def validate(passage: Passage, require_contiguous=False) -> list:

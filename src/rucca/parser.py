@@ -326,12 +326,11 @@ class _Builder:
                        edges=tuple(self.edges), root="n0")
 
 
-def _expand(focus, mask, dist, tokens, mwe_mask, action_flags, cfg):
+def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
     """Sets focus.step and focus.children from its tagger output: decodes,
     clips and constrains the child spans and covers every focus token."""
     start, end = focus.span
-    # Remote spans are decoded again by resolve_remotes.
-    primary, _ = bio.decode_probs(dist, cfg.remote_threshold)
+    primary = bio.decode_probs(dist)
     firings = []
 
     kept = []
@@ -380,7 +379,8 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
           language=None):
     """-> (Passage, ParseTrace) with remotes resolved at
     cfg.remote_threshold. The returned passage always validates and every
-    node yield is contiguous."""
+    node yield is contiguous. Raises ValueError when a tagger output is
+    not one probability row over the BIO labels per token."""
     if not tokens:
         raise ParseError("empty token sequence")
     tokens = tuple(tokens)
@@ -407,8 +407,9 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
             feats = [ctx.remask(root_feats, ex.mask) for ex in examples]
         dists = tagger.predict_batch(examples, feats)
         for focus, example, dist in zip(level, examples, dists):
+            dist.check()
             _expand(focus, example.mask, dist, tokens, root_feats.mwe_mask,
-                    action_flags, cfg)
+                    action_flags)
         level = [child for focus in level for child in focus.children
                  if child is not None]
 

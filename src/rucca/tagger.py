@@ -9,6 +9,7 @@ are exact and runs are bit-deterministic under a fixed seed.
 """
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -196,15 +197,15 @@ class GruTagger:
         xs = (x, x[:, ::-1])
         # Every input projection, in one product per direction, stored
         # step-major so that each step reads and writes whole blocks.
-        a_zr = np.empty((T, 2, B, 2 * h))
-        a_n = np.empty((T, 2, B, h))
+        a_zr = np.empty((T, 2, B, 2 * h), dtype=x.dtype)
+        a_n = np.empty((T, 2, B, h), dtype=x.dtype)
         for d, base in enumerate(bases):
             a = self._affine(xs[d].transpose(1, 0, 2), base)
             a_zr[:, d], a_n[:, d] = a[..., :2 * h], a[..., 2 * h:]
-        hs = np.zeros((T + 1, 2, B, h))  # hs[t]: the state before step t
-        zr_all = np.empty((T, 2, B, 2 * h))
-        n_all = np.empty((T, 2, B, h))
-        rec = np.empty((T, 2, B, 3 * h))  # U @ hs[t]
+        hs = np.zeros((T + 1, 2, B, h), dtype=x.dtype)  # hs[t]: before step t
+        zr_all = np.empty((T, 2, B, 2 * h), dtype=x.dtype)
+        n_all = np.empty((T, 2, B, h), dtype=x.dtype)
+        rec = np.empty((T, 2, B, 3 * h), dtype=x.dtype)  # U @ hs[t]
         for t in range(T):
             for d, base in enumerate(bases):
                 np.matmul(hs[t, d], p[base + "U"].T, out=rec[t, d])
@@ -265,9 +266,6 @@ class GruTagger:
             raise ValueError("example %s has no BIO target"
                              % example.passage_id)
         y1 = np.array([bio.BIO_INDEX[lb] for lb in example.target_bio])
-        if example.target_aux is None:
-            raise ValueError("example %s has no aux target"
-                             % example.passage_id)
         y2 = np.array([self.aux_index.get(a, self.aux_index[AUX_OUTSIDE])
                        for a in example.target_aux])
         return y1, y2
@@ -276,7 +274,7 @@ class GruTagger:
     def _xent(logits, targets):
         m = logits.max(axis=1)
         lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-        return float(np.mean(lse - logits[np.arange(len(targets)), targets]))
+        return np.mean(lse - logits[np.arange(len(targets)), targets])
 
     def loss(self, feats, y1, y2, cache=None):
         if cache is None:
@@ -358,7 +356,6 @@ class GruTagger:
             sl = df[:, offset:offset + self.config.cat_dim]
             np.add.at(grads["emb/" + name], feats.categorical[name], sl)
             offset += self.config.cat_dim
-        _check_finite("backward pass", grads.flat)
         return value, grads
 
 
@@ -444,18 +441,19 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             acc.flat.fill(0.0)
-            for i in batch:
-                try:
+            try:
+                for i in batch:
                     value, _ = tagger.gradients(feats[i], *targets[i], grads)
-                except NumericError as exc:
-                    raise NumericError(
-                        "epoch %d batch %d: %s"
-                        % (epoch, start // config.batch_size, exc))
-                if not np.isfinite(value):
-                    raise NumericError("non-finite loss at epoch %d batch %d"
-                                       % (epoch, start // config.batch_size))
-                losses.append(value)
-                acc.flat += np.divide(grads.flat, len(batch), out=grads.flat)
+                    if not np.isfinite(value):
+                        raise NumericError("non-finite loss")
+                    losses.append(value)
+                    acc.flat += np.divide(grads.flat, len(batch),
+                                          out=grads.flat)
+                # The mean is finite only if every example's gradient is.
+                _check_finite("backward pass", acc.flat)
+            except NumericError as exc:
+                raise NumericError("epoch %d batch %d: %s" % (
+                    epoch, start // config.batch_size, exc)) from None
             clip_gradients(acc, config.grad_clip)
             optimizer.step(tagger.params.flat, acc.flat)
         record = {"epoch": epoch, "loss": float(np.mean(losses))}
@@ -556,6 +554,8 @@ def load_checkpoint(path) -> GruTagger:
             raise CheckpointError("not a rucca checkpoint: %s" % path)
         try:
             (size,) = struct.unpack("<Q", f.read(8))
+            if size > os.fstat(f.fileno()).st_size:  # before read allocates it
+                raise ValueError("header size %d exceeds the file" % size)
             header = json.loads(f.read(size).decode("utf-8"))
             if header["version"] != VERSION:
                 raise CheckpointError("checkpoint version %s, expected %d"

@@ -281,3 +281,31 @@ class RandomTagger(Tagger):
         t1 = self.rng.gamma(self.concentration, 1.0, (n, bio.N_BIO))
         t1 = t1 / t1.sum(axis=1, keepdims=True)
         return bio.TagDistribution(task1=t1)
+
+
+def complex_step_check(tagger, feats, y1, y2, step=1e-20):
+    """Per parameter tensor, the largest error of gradients() against
+    complex-step derivatives of loss(), over the tensor's largest
+    derivative (absolute when all are 0). Im loss(w + i*step) / step
+    subtracts nothing, so it is exact to rounding for any small step
+    (Squire and Trapp, SIAM Review 40(1), 1998). The tagger's parameters
+    are swapped for complex copies while it runs."""
+    _, grads = tagger.gradients(feats, y1, y2)
+    real = tagger.params
+    tagger.params = {name: p.astype(complex) for name, p in real.items()}
+    worst = {}
+    try:
+        for name in sorted(real):
+            flat = tagger.params[name].reshape(-1)
+            numeric = np.empty(flat.size)
+            for i in range(flat.size):
+                flat[i] += 1j * step
+                numeric[i] = tagger.loss(feats, y1, y2)[0].imag / step
+                flat[i] = flat[i].real
+            diff = np.abs(grads[name].reshape(-1) - numeric)
+            scale = np.max(np.abs(numeric), initial=0.0)
+            worst[name] = np.max(diff, initial=0.0) / scale if scale \
+                else np.max(diff, initial=0.0)
+    finally:
+        tagger.params = real
+    return worst

@@ -158,40 +158,34 @@ def test_decode_labels_total_and_disjoint(labels):
         assert s.category in set("DCNEFGLHAPURS")
 
 
+def _remote_rows(t1):
+    return t1[:, bio.REMOTE_LABEL_IDS]
+
+
 def test_decode_probs_one_hot_matches_labels():
     labels = ["B-H", "I-H", "B-L", "O", "B-REM-A"]
     dist = bio.TagDistribution(task1=bio.one_hot(labels))
-    primary, remote = bio.decode_probs(dist, 0.5)
-    assert primary == [bio.ChildSpan(0, 2, "H", False),
-                       bio.ChildSpan(2, 3, "L", False)]
-    assert remote == [bio.ChildSpan(4, 5, "A", True)]
+    assert bio.decode_probs(dist) == [bio.ChildSpan(0, 2, "H", False),
+                                      bio.ChildSpan(2, 3, "L", False)]
+    assert bio.decode_remote(_remote_rows(dist.task1), 0.5) == \
+        [bio.ChildSpan(4, 5, "A", True)]
 
 
 def test_decode_probs_threshold_one_never_remote():
     labels = ["B-REM-A", "I-REM-A"]
-    dist = bio.TagDistribution(task1=bio.one_hot(labels))
-    _, remote = bio.decode_probs(dist, 1.0)
-    assert remote == []
+    rows = _remote_rows(bio.one_hot(labels))
+    assert bio.decode_remote(rows, 1.0) == []
 
 
 def test_decode_probs_threshold_boundary():
     t1 = np.full((1, bio.N_BIO), 0.0)
     t1[0, bio.BIO_INDEX["O"]] = 0.6
     t1[0, bio.BIO_INDEX["B-REM-A"]] = 0.4
-    dist = bio.TagDistribution(task1=t1)
-    _, remote = bio.decode_probs(dist, 0.3)
-    assert remote == [bio.ChildSpan(0, 1, "A", True)]
-    _, remote = bio.decode_probs(dist, 0.5)
-    assert remote == []
+    rows = _remote_rows(t1)
+    assert bio.decode_remote(rows, 0.3) == [bio.ChildSpan(0, 1, "A", True)]
+    assert bio.decode_remote(rows, 0.5) == []
     # strict inequality at the boundary
-    _, remote = bio.decode_probs(dist, 0.4)
-    assert remote == []
-
-
-def test_decode_probs_rejects_malformed():
-    bad = bio.TagDistribution(task1=np.full((2, bio.N_BIO), 0.5))
-    with pytest.raises(ValueError):
-        bio.decode_probs(bad, 0.3)
+    assert bio.decode_remote(rows, 0.4) == []
 
 
 def test_roundtrip_on_flat_passages():

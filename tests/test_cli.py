@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -136,6 +139,33 @@ def test_train_same_seed_identical_checkpoints(tmp_path):
     assert model_a.read_bytes() == model_b.read_bytes()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def test_train_checkpoint_does_not_depend_on_blas_threads(tmp_path):
+    """`rucca` runs BLAS on one thread unless told otherwise: a run with
+    the thread variables unset writes the bytes of a run with them set to
+    1. At hidden=256 these checkpoints differ under 1 and 2 threads."""
+    gold = tmp_path / "gold.jsonl"
+    save_passages(_gold_corpus(), gold)
+    config = _write_config(
+        tmp_path / "c.cfg", train_passages=gold,
+        expanded=tmp_path / "e.jsonl", expanded_out=tmp_path / "e.jsonl",
+        train_log=tmp_path / "log", epochs=1, hidden=256, batch_size=4)
+    assert cli.main(["--config", config, "expand"]) == cli.EXIT_OK
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    for name, threads in (("unset.ckpt", {}),
+                          ("one.ckpt", dict.fromkeys(BLAS_THREAD_VARS, "1"))):
+        subprocess.run([sys.executable, "-m", "rucca.cli", "--config",
+                        config, "train"], check=True, capture_output=True,
+                       env={**env, **threads,
+                            "RUCCA_MODEL": str(tmp_path / name)})
+    assert (tmp_path / "unset.ckpt").read_bytes() == \
+        (tmp_path / "one.ckpt").read_bytes()
+
+
 def test_parse_oracle_roundtrip(tmp_path, capsys):
     passages = _gold_corpus()
     gold = tmp_path / "gold.jsonl"
@@ -210,6 +240,48 @@ def test_eval_length_mismatch_is_data_error(tmp_path, capsys):
     save_passages(_gold_corpus()[:2], b)
     rc = cli.main(["eval", str(a), str(b)])
     assert rc == cli.EXIT_DATA
+
+
+def _add_second_primary_parent(record):
+    record["edges"].append({"parent": record["root"], "child": "t0",
+                            "category": "A", "remote": False})
+
+
+def test_eval_of_an_invalid_prediction_names_its_line(tmp_path, capsys):
+    """Scoring trusts its passages: eval's reader is the check."""
+    gold = tmp_path / "gold.jsonl"
+    save_passages(_gold_corpus(), gold)
+    pred = tmp_path / "pred.jsonl"
+    pred.write_bytes(_edit_last_record(_add_second_primary_parent)(
+        gold.read_bytes()))
+    assert cli.main(["eval", str(pred), str(gold)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: %s:4: invalid passage mini: " % pred)
+    assert "multiple primary parents: node t0" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_train_names_the_batch_of_a_non_finite_gradient(
+        tmp_path, monkeypatch, capsys):
+    """The mean gradient of each batch is checked once, before clipping;
+    the fifth example is the first of batch 1 (batches of 4)."""
+    config, _, _, _ = _expand_then_train(tmp_path)
+    gradients = GruTagger.gradients
+    calls = []
+
+    def poisoned(self, feats, y1, y2, out=None):
+        value, grads = gradients(self, feats, y1, y2, out)
+        calls.append(value)
+        if len(calls) == 5:
+            grads.flat[0] = float("nan")
+        return value, grads
+
+    monkeypatch.setattr(GruTagger, "gradients", poisoned)
+    capsys.readouterr()
+    assert cli.main(["--config", config, "train"]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == ("numeric error: epoch 1 batch 1: "
+                                       "non-finite values in backward pass\n")
+    assert len(calls) > 5  # the rest of the batch ran before the check
 
 
 def test_tune_oracle_prefers_smallest_threshold(tmp_path, capsys):
@@ -398,6 +470,10 @@ def _unknown_label(record):
     record["target_bio"] = ["B-XYZ"] * len(record["tokens"])
 
 
+def _drop_aux_target(record):
+    record["target_aux"] = None
+
+
 def _mask_not_a_list(record):
     record["mask"] = 5
 
@@ -449,6 +525,10 @@ def _not_utf8(blob):
     pytest.param(["parse"], {}, {},
                  {"model": lambda b: b[:len(MAGIC) + 20]},
                  cli.EXIT_DATA, "header", id="checkpoint-header-truncated"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: MAGIC + struct.pack("<Q", 1 << 62)
+                  + b[len(MAGIC) + 8:]},
+                 cli.EXIT_DATA, "header size", id="checkpoint-header-size"),
     pytest.param(["parse"], {}, {}, {"model": lambda b: b[:-8]},
                  cli.EXIT_DATA, "truncated tensor",
                  id="checkpoint-tensors-truncated"),
@@ -471,6 +551,10 @@ def _not_utf8(blob):
     pytest.param(["train"], {}, {},
                  {"expanded": _edit_last_record(_unknown_label)},
                  cli.EXIT_DATA, "expanded.jsonl:", id="example-unknown-label"),
+    pytest.param(["train"], {}, {},
+                 {"expanded": _edit_last_record(_drop_aux_target)},
+                 cli.EXIT_DATA, "expanded.jsonl:",
+                 id="example-bio-target-without-aux"),
     pytest.param(["train"], {}, {},
                  {"expanded": _edit_last_record(_mask_not_a_list)},
                  cli.EXIT_DATA, "expanded.jsonl:",

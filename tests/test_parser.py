@@ -329,6 +329,16 @@ def test_parse_depth_cap_terminates():
     assert max(s.depth for s in trace.steps) <= 5
 
 
+def test_parse_rejects_rows_that_do_not_sum_to_one():
+    # parse checks each tagger output once; a NaN row sums to no number.
+    gold = two_scene_5tok_passage()
+    for value, message in ((0.5, "do not sum to 1"), (np.nan, "NaN")):
+        tagger = FixedTagger(bio.TagDistribution(
+            task1=np.full((len(gold.tokens), bio.N_BIO), value)))
+        with pytest.raises(ValueError, match=message):
+            parse(gold.tokens, tagger, context_for([gold]), DecoderConfig())
+
+
 def test_parse_empty_input_rejected():
     ctx = context_for([single_token_passage()])
     with pytest.raises(ParseError):

@@ -15,9 +15,10 @@ from rucca.tagger import (MAGIC, GruTagger, NumericError, OracleTagger,
                           build_aux_vocab, clip_gradients, load_checkpoint,
                           save_checkpoint, token_accuracy, train)
 
-from helpers import (context_for, fig1_passage, fixture_corpus,
-                     nonrepresentable_passage, random_corpus,
-                     single_token_passage, two_scene_5tok_passage)
+from helpers import (complex_step_check, context_for, fig1_passage,
+                     fixture_corpus, nonrepresentable_passage,
+                     random_corpus, single_token_passage,
+                     two_scene_5tok_passage)
 
 
 def _tiny_setup(hidden=4, cat_dim=2, lambda_aux=1.0, seed=7):
@@ -210,6 +211,27 @@ def test_gradient_check_tiny_model():
     worst = gradient_check(tagger, feats, y1, y2)
     for name, err in sorted(worst.items()):
         assert err < 1e-4, "%s: rel err %.3g" % (name, err)
+
+
+def test_complex_step_check_tiny_model():
+    # The model of test_gradient_check_tiny_model, to rounding error.
+    passages = [two_scene_5tok_passage()]
+    example = MaskedExample(passage_id="t", tokens=passages[0].tokens[:3],
+                            mask=("ROOT", "ROOT", "ROOT"),
+                            focus_node="n0",
+                            target_bio=("B-H", "I-H", "B-L"),
+                            target_aux=("H", "H", "L"))
+    ctx = context_for(passages)
+    tagger = GruTagger(TaggerConfig(hidden=4, cat_dim=2, lambda_aux=0.7,
+                                    seed=3),
+                       ctx.vocab, ("H", "L", "O"))
+    flat = tagger.params.flat.copy()
+    worst = complex_step_check(tagger, ctx.featurize(example),
+                               *tagger.target_ids(example))
+    assert sorted(worst) == sorted(tagger.params)
+    for name, err in sorted(worst.items()):
+        assert err <= 1e-10, "%s: rel err %.3g" % (name, err)
+    assert np.array_equal(tagger.params.flat, flat)
 
 
 def _sigmoid(v):
