@@ -247,7 +247,7 @@ def cmd_parse(config, args):
 
 def cmd_eval(config, args):
     pred = corpus.load_passages(args.pred)
-    gold = corpus.load_passages(args.gold)
+    gold = _gold_passages(args.gold)
     if len(pred) != len(gold):
         raise evaluator.EvalError("%d predicted vs %d gold passages"
                                   % (len(pred), len(gold)))

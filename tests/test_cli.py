@@ -354,7 +354,7 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
 def test_empty_gold_file_is_a_data_error(tmp_path, capsys):
     """A gold passage file with no passage, where one is needed, ends in
     one data error naming it: tune with a trained tagger or the oracle,
-    train with it as dev_passages, and parse --oracle."""
+    train with it as dev_passages, parse --oracle, and eval."""
     config, _, model, _ = _expand_then_train(tmp_path)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("# rucca passages v1\n")
@@ -368,7 +368,8 @@ def test_empty_gold_file_is_a_data_error(tmp_path, capsys):
                   str(empty)],
                  ["--config", with_dev, "train"],
                  ["--config", config, "parse", "--oracle", "--input",
-                  str(empty)]):
+                  str(empty)],
+                 ["--config", config, "eval", str(empty), str(empty)]):
         assert cli.main(argv) == cli.EXIT_DATA, argv
         captured = capsys.readouterr()
         assert captured.err == "data error: %s: no passages\n" % empty
