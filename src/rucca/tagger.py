@@ -284,9 +284,9 @@ class GruTagger:
             value += self.config.lambda_aux * self._xent(cache["logits2"], y2)
         return value, cache
 
-    def _gru_backward(self, dH, cache, base, grads):
+    def _gru_backward(self, dH, cache, base, add):
         """Backpropagates dH through one direction's cache of a _gru_layer
-        run; returns dx."""
+        run, passing each of its tensors' gradients to add; returns dx."""
         p = self.params
         U = p[base + "U"]
         T, h = dH.shape
@@ -304,18 +304,24 @@ class GruTagger:
             drec[t, :2 * h] = da[t, :2 * h]
             drec[t, 2 * h:] = a_n * r
             carry = g * z + U.T @ drec[t]
-        grads[base + "W"] += da.T @ cache["x"]
-        grads[base + "U"] += drec.T @ hprev
-        grads[base + "b"] += da.sum(axis=0)
+        add(base + "W", da.T @ cache["x"])
+        add(base + "U", drec.T @ hprev)
+        add(base + "b", da.sum(axis=0))
         return da @ p[base + "W"]
 
-    def gradients(self, feats, y1, y2, out=None):
-        """Exact analytic gradients of loss(), written into out if given."""
+    def gradients(self, feats, y1, y2, out=None, n=1):
+        """Exact analytic gradients of loss(), each divided by n and added
+        into out; without out, into a fresh zeroed Params."""
         dist, cache = self.forward(feats)
         value, _ = self.loss(feats, y1, y2, cache)
         T = feats.length
-        grads = Params(self.params) if out is None else out
-        grads.flat.fill(0.0)
+        if out is None:
+            out = Params(self.params)
+            out.flat.fill(0.0)
+
+        def add(name, product):  # called once per tensor
+            product /= n
+            out[name] += product
 
         d1 = dist.task1.copy()
         d1[np.arange(T), y1] -= 1.0
@@ -325,10 +331,10 @@ class GruTagger:
         d2 *= self.config.lambda_aux / T
 
         top = cache["top"]
-        grads["out1/W"] += d1.T @ top
-        grads["out1/b"] += d1.sum(axis=0)
-        grads["out2/W"] += d2.T @ top
-        grads["out2/b"] += d2.sum(axis=0)
+        add("out1/W", d1.T @ top)
+        add("out1/b", d1.sum(axis=0))
+        add("out2/W", d2.T @ top)
+        add("out2/b", d2.sum(axis=0))
         dx = d1 @ self.params["out1/W"] + d2 @ self.params["out2/W"]
 
         for layer in range(self.config.n_layers - 1, -1, -1):
@@ -338,31 +344,35 @@ class GruTagger:
             dgate = dx * (y - x)
             dxl = dx * (1.0 - gate)
             da = dgate * gate * (1.0 - gate)
-            grads["l%d/hw/W" % layer] += da.T @ x
-            grads["l%d/hw/b" % layer] += da.sum(axis=0)
+            add("l%d/hw/W" % layer, da.T @ x)
+            add("l%d/hw/b" % layer, da.sum(axis=0))
             dxl = dxl + da @ self.params["l%d/hw/W" % layer]
             h = self.config.hidden
             dxl = dxl + self._gru_backward(dy[:, :h], lc["cf"],
-                                           "l%d/f/" % layer, grads)
+                                           "l%d/f/" % layer, add)
             dxl = dxl + self._gru_backward(dy[::-1, h:], lc["cb"],
-                                           "l%d/b/" % layer, grads)[::-1]
+                                           "l%d/b/" % layer, add)[::-1]
             dx = dxl
 
-        grads["in/W"] += dx.T @ cache["f"]
-        grads["in/b"] += dx.sum(axis=0)
+        add("in/W", dx.T @ cache["f"])
+        add("in/b", dx.sum(axis=0))
         df = dx @ self.params["in/W"]
         offset = self.config.word_dim
         for name in self.feature_names:
-            sl = df[:, offset:offset + self.config.cat_dim]
-            np.add.at(grads["emb/" + name], feats.categorical[name], sl)
+            table = np.zeros_like(out["emb/" + name])
+            np.add.at(table, feats.categorical[name],
+                      df[:, offset:offset + self.config.cat_dim])
+            add("emb/" + name, table)
             offset += self.config.cat_dim
-        return value, grads
+        return value, out
 
 
 # ---------------------------------------------------------------------------
 # Training
 
 class _Adam:
+    CHUNK = 65536  # values per slice of a step: bounds its temporaries
+
     def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros(size)
@@ -370,17 +380,21 @@ class _Adam:
         self.t = 0
 
     def step(self, params, grads):
-        """Updates params in place; overwrites grads to save memory."""
+        """Updates params in place, one chunk at a time; overwrites grads
+        to save memory. Elementwise, so chunking changes no value."""
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        self.m *= self.b1
-        self.m += (1.0 - self.b1) * grads
-        self.v *= self.b2
-        self.v += (1.0 - self.b2) * grads * grads
-        denom = np.sqrt(np.divide(self.v, b2t, out=grads), out=grads)
-        denom += self.eps
-        params -= self.m / b1t * self.lr / denom  # mhat * lr == lr * mhat
+        for start in range(0, params.size, self.CHUNK):
+            sl = slice(start, start + self.CHUNK)
+            p, g, m, v = params[sl], grads[sl], self.m[sl], self.v[sl]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            denom = np.sqrt(np.divide(v, b2t, out=g), out=g)
+            denom += self.eps
+            p -= m / b1t * self.lr / denom  # mhat * lr == lr * mhat
 
 
 def clip_gradients(grads, max_norm):
@@ -389,20 +403,6 @@ def clip_gradients(grads, max_norm):
     if max_norm > 0 and total > max_norm:
         grads.flat *= max_norm / total
     return total
-
-
-def token_accuracy(tagger, ctx, examples):
-    """TASK1 per-token argmax accuracy over examples with targets."""
-    correct = total = 0
-    for ex in examples:
-        if ex.target_bio is None:
-            continue
-        dist, _ = tagger.forward(ctx.featurize(ex))
-        pred = np.argmax(dist.task1, axis=1)
-        y1, _ = tagger.target_ids(ex)
-        correct += int(np.sum(pred == y1))
-        total += len(y1)
-    return correct / total if total else 0.0
 
 
 def build_aux_vocab(examples):
@@ -434,7 +434,6 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
     best_f1 = -1.0
     best_flat = None
     acc = Params(tagger.params)  # each batch's mean gradient
-    grads = Params(tagger.params)  # each example's gradient
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(usable))
         losses = []
@@ -443,12 +442,11 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
             acc.flat.fill(0.0)
             try:
                 for i in batch:
-                    value, _ = tagger.gradients(feats[i], *targets[i], grads)
+                    value, _ = tagger.gradients(feats[i], *targets[i], acc,
+                                                len(batch))
                     if not np.isfinite(value):
                         raise NumericError("non-finite loss")
                     losses.append(value)
-                    acc.flat += np.divide(grads.flat, len(batch),
-                                          out=grads.flat)
                 # The mean is finite only if every example's gradient is.
                 _check_finite("backward pass", acc.flat)
             except NumericError as exc:
@@ -461,7 +459,9 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
             record["dev_f1"] = dev_score(tagger)
             if record["dev_f1"] > best_f1:
                 best_f1 = record["dev_f1"]
-                best_flat = tagger.params.flat.copy()
+                if best_flat is None:
+                    best_flat = np.empty_like(tagger.params.flat)
+                np.copyto(best_flat, tagger.params.flat)
         log.append(record)
         if log_hook:
             log_hook(record)

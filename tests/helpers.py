@@ -256,6 +256,19 @@ def context_for(passages, lexicon=EMPTY_LEXICON, embeddings=None):
         lexicon=lexicon)
 
 
+def token_accuracy(tagger, ctx, examples):
+    """TASK1 per-token argmax accuracy over examples with targets."""
+    correct = total = 0
+    for ex in examples:
+        if ex.target_bio is None:
+            continue
+        dist, _ = tagger.forward(ctx.featurize(ex))
+        y1, _ = tagger.target_ids(ex)
+        correct += int(np.sum(np.argmax(dist.task1, axis=1) == y1))
+        total += len(y1)
+    return correct / total if total else 0.0
+
+
 class FixedTagger(Tagger):
     """Emits a pre-set distribution for every call."""
 

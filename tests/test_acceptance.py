@@ -17,11 +17,10 @@ from rucca.graph import all_yields, validate
 from rucca.lexicon import ExpressionLexicon, match
 from rucca.parser import DecoderConfig, parse
 from rucca.tagger import (GruTagger, OracleTagger, TaggerConfig,
-                          TrainConfig, build_aux_vocab, token_accuracy,
-                          train)
+                          TrainConfig, build_aux_vocab, train)
 
 from helpers import (RandomTagger, context_for, fixture_corpus,
-                     random_corpus)
+                     random_corpus, token_accuracy)
 from test_evaluator import _counted_pair, _counted_pair_small
 
 

@@ -269,8 +269,8 @@ def test_train_names_the_batch_of_a_non_finite_gradient(
     gradients = GruTagger.gradients
     calls = []
 
-    def poisoned(self, feats, y1, y2, out=None):
-        value, grads = gradients(self, feats, y1, y2, out)
+    def poisoned(self, feats, y1, y2, out=None, n=1):
+        value, grads = gradients(self, feats, y1, y2, out, n)
         calls.append(value)
         if len(calls) == 5:
             grads.flat[0] = float("nan")

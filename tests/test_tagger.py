@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from rucca.graph import Edge, Node, Passage, make_token
 from rucca.tagger import (MAGIC, GruTagger, NumericError, OracleTagger,
                           Params, TaggerConfig, TrainConfig, _Adam,
                           build_aux_vocab, clip_gradients, load_checkpoint,
-                          save_checkpoint, token_accuracy, train)
+                          save_checkpoint, train)
 
 from helpers import (complex_step_check, context_for, fig1_passage,
                      fixture_corpus, nonrepresentable_passage,
@@ -305,6 +306,32 @@ def test_gradients_vanish_at_zero_loss():
     assert max(np.max(np.abs(g)) for g in grads.values()) < 1e-6
 
 
+def test_batch_gradient_matches_per_example_reference():
+    """gradients(..., acc, n) adds each example's gradient over n into
+    acc, bit for bit as a fresh gradient per example, divided by n and
+    added in turn."""
+    passages = random_corpus(seed=5, count=3)
+    ctx = context_for(passages)
+    examples = [ex for p in passages for ex in expand(p)
+                if ex.representable and ex.target_bio is not None]
+    batch = [examples[0], examples[6], examples[10]]
+    assert len({len(ex.tokens) for ex in batch}) == 3
+    tagger = GruTagger(TaggerConfig(hidden=4, cat_dim=2, seed=3),
+                       ctx.vocab, build_aux_vocab(examples))
+    n = len(batch)
+    expected = np.zeros_like(tagger.params.flat)
+    acc = Params(tagger.params)
+    acc.flat.fill(0.0)
+    for ex in batch:
+        feats, (y1, y2) = ctx.featurize(ex), tagger.target_ids(ex)
+        value, grads = tagger.gradients(feats, y1, y2)
+        expected += np.divide(grads.flat, n, out=grads.flat)
+        summed_value, summed = tagger.gradients(feats, y1, y2, acc, n)
+        assert summed is acc and summed_value == value
+    assert np.any(expected != 0.0)
+    assert acc.flat.tobytes() == expected.tobytes()
+
+
 def test_nonfinite_forward_reported():
     tagger, ctx, examples = _tiny_setup()
     tagger.params["out1/W"][0, 0] = np.nan
@@ -508,19 +535,6 @@ def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
     assert (tmp_path / "m2.ckpt").read_bytes() == path.read_bytes()
 
 
-def test_token_accuracy_perfect_on_oracleish_setup():
-    passages = [single_token_passage()]
-    ctx = context_for(passages)
-    examples = expand(passages[0])
-    tagger = GruTagger(TaggerConfig(hidden=4, cat_dim=2, seed=5),
-                       ctx.vocab, build_aux_vocab(examples))
-    y1, _ = tagger.target_ids(examples[0])
-    tagger.params["out1/W"][:] = 0.0
-    tagger.params["out1/b"][:] = -10.0
-    tagger.params["out1/b"][y1[0]] = 10.0
-    assert token_accuracy(tagger, ctx, examples) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # Parameter layout: one vector, viewed tensor by tensor
 
@@ -664,3 +678,47 @@ def test_vector_adam_and_clip_match_per_tensor_reference():
             optimizer.m, np.concatenate([m[k].ravel() for k in sorted(m)]))
         assert np.array_equal(
             optimizer.v, np.concatenate([v[k].ravel() for k in sorted(v)]))
+
+
+def test_adam_steps_in_chunks_as_one_vector_step():
+    """Across several chunks, a step gives what the same operations give
+    over the whole vector at once."""
+    size = 3 * _Adam.CHUNK + 123
+    rng = np.random.default_rng(8)
+    params = rng.normal(0.0, 1.0, size)
+    ref, m, v = params.copy(), np.zeros(size), np.zeros(size)
+    optimizer = _Adam(size, 0.01)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    for t in range(1, 4):
+        grads = rng.normal(0.0, 1.0, size)
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * grads * grads
+        denom = np.sqrt(v / (1.0 - b2 ** t)) + eps
+        ref -= m / (1.0 - b1 ** t) * lr / denom
+        optimizer.step(params, grads)
+        assert np.array_equal(params, ref), t
+        assert np.array_equal(optimizer.m, m), t
+        assert np.array_equal(optimizer.v, v), t
+
+
+@pytest.mark.parametrize("scored, bound", [(False, 5), (True, 6)])
+def test_train_holds_four_parameter_vectors(scored, bound):
+    """Training holds the weights, one batch gradient and Adam's two
+    moments, plus one best-parameters copy when a dev score is given;
+    everything else stays well under one more parameter vector."""
+    passages = random_corpus(seed=3, count=2)
+    ctx = context_for(passages)
+    examples = [ex for p in passages for ex in expand(p)]
+    scores = iter([0.1, 0.2])  # improves every epoch
+    tracemalloc.start()
+    try:
+        tagger, _ = train(examples, ctx, TrainConfig(
+            epochs=2, batch_size=4, tagger=TaggerConfig(hidden=128)),
+            dev_score=(lambda tagger: next(scores)) if scored else None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vectors = peak / tagger.params.flat.nbytes
+    assert vectors < bound, "%.2f parameter vectors" % vectors

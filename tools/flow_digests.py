@@ -8,7 +8,10 @@ writes the workload's inputs into DIR with perfbench's `bench.Inputs`,
 runs its commands once through `rucca.cli.main` (expand, train for a
 trained workload, tune, parse with `--trace`, eval), keeps each command's
 stdout as `<command>.stdout`, and prints one `sha256  file` line per file
-in DIR. `rucca` is imported from PYTHONPATH, so the same script runs
+in DIR. After each command it prints `peak_rss_mb <command> <MB>`, the
+process's peak resident set so far (`ru_maxrss`, as the benchmark reads
+it), to stderr, so one run checks byte identity on stdout and memory on
+stderr. `rucca` is imported from PYTHONPATH, so the same script runs
 against another checkout:
 
     PYTHONPATH=../other/src python3 tools/flow_digests.py ... > before.txt
@@ -24,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import os
+import resource
 import sys
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -52,6 +56,10 @@ def run_flow(workload, seed, directory):
         with open(inputs.path(step.name + ".stdout"), "w",
                   encoding="utf-8") as f:
             f.write(out.getvalue())
+        print("peak_rss_mb %s %.1f" % (
+            step.name,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0),
+            file=sys.stderr)
         if rc != 0:
             print("%s exited with %d" % (step.name, rc), file=sys.stderr)
             return rc
