@@ -73,38 +73,32 @@ def split_label(label):
 def encode(passage: Passage, node_id: str) -> list:
     """Children of node_id as one BIO sequence over the whole sentence.
 
-    Raises NotRepresentable when a child yield is discontinuous or two
-    children's labelings collide; callers treat that as a skip.
+    Raises NotRepresentable when a child yield is empty, discontinuous or
+    overlaps another child's; callers treat that as a skip. Otherwise each
+    child's labels open with its own B-, so with valid categories (as
+    graph.validate ensures) the labels decode to exactly the children's
+    spans.
     """
     node = passage.node(node_id)
     if node.is_terminal():
         raise ValueError("cannot encode children of terminal %s" % node_id)
     yields = all_yields(passage)
     labels = [OUTSIDE] * len(passage.tokens)
-
-    def place(span_positions, category, remote):
-        if not span_positions:
-            raise NotRepresentable("empty child yield")
-        if not is_contiguous(span_positions):
-            raise NotRepresentable("discontinuous child yield")
-        start = min(span_positions)
-        for pos in sorted(span_positions):
-            if labels[pos] != OUTSIDE:
-                raise NotRepresentable("overlapping children at token %d"
-                                       % pos)
-            labels[pos] = "%s-%s%s" % ("B" if pos == start else "I",
-                                       "REM-" if remote else "", category)
-
-    # The labeling must round-trip to exactly the children spans.
-    expected = set()
     children = ([(e, c, False) for e, c in passage.primary_children(node_id)]
                 + [(e, c, True) for e, c in passage.remote_children(node_id)])
     for e, child, remote in children:
-        y = yields[child]
-        place(y, e.category, remote)
-        expected.add(ChildSpan(min(y), max(y) + 1, e.category, remote))
-    if set(decode_labels(labels)) != expected:
-        raise NotRepresentable("labeling does not round-trip")
+        span = yields[child]
+        if not span:
+            raise NotRepresentable("empty child yield")
+        if not is_contiguous(span):
+            raise NotRepresentable("discontinuous child yield")
+        start = min(span)
+        tag = ("REM-" if remote else "") + e.category
+        for pos in sorted(span):
+            if labels[pos] != OUTSIDE:
+                raise NotRepresentable("overlapping children at token %d"
+                                       % pos)
+            labels[pos] = ("B-" if pos == start else "I-") + tag
     return labels
 
 

@@ -339,31 +339,44 @@ def expand(passage: Passage) -> list:
 # Masked-example files (JSON lines), written by the expand command
 
 def save_examples(examples, path):
+    """Write each example's record as json.dumps would. The tokens and aux
+    tuples that expand shares across a passage's examples are encoded
+    once, while consecutive examples hold the same object."""
+    dumps = json.JSONEncoder(ensure_ascii=False).encode
+    line = "{%s}\n" % ", ".join('"%s": %%s' % k for k in EXAMPLE_FIELDS)
+    tokens, aux, aux_json = None, None, "null"
     with open(path, "w", encoding="utf-8") as f:
         f.write("# rucca masked examples v1\n")
         for ex in examples:
-            rec = {"passage_id": ex.passage_id,
-                   "tokens": [_token_to_record(t) for t in ex.tokens],
-                   "mask": list(ex.mask),
-                   "focus_node": ex.focus_node,
-                   "target_bio": list(ex.target_bio)
-                   if ex.target_bio is not None else None,
-                   "target_aux": list(ex.target_aux)
-                   if ex.target_aux is not None else None,
-                   "representable": ex.representable}
-            f.write(json.dumps(rec, ensure_ascii=False))
-            f.write("\n")
+            if ex.tokens is not tokens:
+                tokens = ex.tokens
+                tokens_json = dumps([_token_to_record(t) for t in tokens])
+            if ex.target_aux is not aux:
+                aux = ex.target_aux
+                aux_json = dumps(aux)
+            f.write(line % (
+                dumps(ex.passage_id), tokens_json, dumps(ex.mask),
+                dumps(ex.focus_node), dumps(ex.target_bio), aux_json,
+                dumps(ex.representable)))
 
 
 def load_examples(path) -> list:
+    """Read a masked-example file. A record whose token list equals the
+    previous record's shares its tokens tuple, as a passage's do."""
     examples = []
+    token_recs = tokens = None
     for where, rec in _records(path):
         if set(rec) != set(EXAMPLE_FIELDS):
             raise CorpusError("%s: example fields %s, expected %s"
                               % (where, sorted(rec), sorted(EXAMPLE_FIELDS)))
         _check_types(rec, _EXAMPLE_TYPES, where)
-        tokens = tuple(_token_from_record(t, where)
-                       for t in _objects(rec["tokens"], where, "tokens"))
+        # == holds for 2, 2.0 and true alike, so a record shares the
+        # previous one's tokens only if its heads' types match too
+        if token_recs is None or rec["tokens"] != token_recs or any(
+                type(a["head"]) is not type(b["head"])
+                for a, b in zip(rec["tokens"], token_recs)):
+            token_recs = _objects(rec["tokens"], where, "tokens")
+            tokens = tuple(_token_from_record(t, where) for t in token_recs)
         mask = _strings(rec["mask"], where, "mask")
         target_bio, target_aux = (
             _strings(rec[key], where, key, nullable=True)

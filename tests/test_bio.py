@@ -1,13 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rucca import bio
-from rucca.graph import Edge, Node, Passage, make_token
+from rucca.graph import Edge, Node, Passage, make_token, non_terminals
 
-from helpers import fig1_passage
+from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
+                     nonrepresentable_passage, random_passage)
 
 
 def test_label_vocabulary_size():
@@ -108,6 +110,84 @@ def test_encode_interleaved_children_not_representable():
     p = Passage(passage_id="disc", language="en", tokens=tokens,
                 nodes=nodes, edges=edges, root="n0")
     with pytest.raises(bio.NotRepresentable):
+        bio.encode(p, "n0")
+
+
+def _check_encode(passage):
+    """encode accepts a node exactly when its primary and remote child
+    yields are non-empty, contiguous and disjoint, and its labels then
+    decode to exactly those yields' spans. Returns the numbers of nodes
+    accepted and refused."""
+    counts = [0, 0]
+    for node_id in non_terminals(passage):
+        children = (
+            [(e, c, False) for e, c in passage.primary_children(node_id)]
+            + [(e, c, True) for e, c in passage.remote_children(node_id)])
+        yields = [sorted(brute_force_yield(passage, c))
+                  for _, c, _ in children]
+        covered = [i for y in yields for i in y]
+        representable = (
+            all(y and y[-1] - y[0] + 1 == len(y) for y in yields)
+            and len(covered) == len(set(covered)))
+        try:
+            labels = bio.encode(passage, node_id)
+        except bio.NotRepresentable:
+            assert not representable, node_id
+            counts[1] += 1
+            continue
+        assert representable, node_id
+        assert len(labels) == len(passage.tokens)
+        assert sorted(bio.decode_labels(labels), key=lambda s: s.start) == \
+            sorted((bio.ChildSpan(y[0], y[-1] + 1, e.category, remote)
+                    for (e, _, remote), y in zip(children, yields)),
+                   key=lambda s: s.start)
+        counts[0] += 1
+    return counts
+
+
+def test_encode_decodes_to_the_children_on_fixtures():
+    counts = [0, 0]
+    for passage in fixture_corpus() + [nonrepresentable_passage()]:
+        for i, n in enumerate(_check_encode(passage)):
+            counts[i] += n
+    assert counts[0] > 100 and counts[1] >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), moves=st.lists(
+    st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+              st.booleans()), max_size=3))
+def test_encode_decodes_to_the_children_or_refuses(seed, moves):
+    """Random passages, rewired: each move either hangs a terminal under
+    another non-terminal (a discontiguous or empty yield) or adds a remote
+    edge (possibly overlapping a primary child)."""
+    passage = random_passage(np.random.default_rng(seed), "p")
+    inner = [n.id for n in passage.nodes if not n.is_terminal()]
+    for a, b, remote in moves:
+        parent = inner[a % len(inner)]
+        edges = list(passage.edges)
+        if remote:
+            child = passage.nodes[b % len(passage.nodes)].id
+            if child in (parent, passage.root):
+                continue
+            edges.append(Edge(parent, child, "A", remote=True))
+        else:
+            k = b % len(edges)
+            if edges[k].remote or not edges[k].child.startswith("t"):
+                continue
+            edges[k] = replace(edges[k], parent=parent)
+        passage = replace(passage, edges=tuple(edges))
+    _check_encode(passage)
+
+
+def test_encode_refuses_an_empty_child_yield():
+    tokens = (make_token("w0", "NOUN"),)
+    nodes = (Node("n0", "nonterminal"), Node("n1", "nonterminal"),
+             Node("t0", "terminal", 0))
+    edges = (Edge("n0", "t0", "C"), Edge("n0", "n1", "E"))
+    p = Passage(passage_id="empty", language="en", tokens=tokens,
+                nodes=nodes, edges=edges, root="n0")
+    with pytest.raises(bio.NotRepresentable, match="empty"):
         bio.encode(p, "n0")
 
 

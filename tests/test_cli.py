@@ -643,3 +643,26 @@ def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
     assert len(err.splitlines()) == 1
     prefix = "config error: " if code == cli.EXIT_USAGE else "data error: "
     assert err.startswith(prefix) and named in err, err
+
+
+@pytest.mark.parametrize("head, equal", [(2, 2.0), (1, True)])
+def test_train_checks_the_heads_of_a_repeated_token_list(tmp_path, capsys,
+                                                         head, equal):
+    # The second record's token list equals the first's under ==, which
+    # load_examples reuses, but its head is a float or a boolean.
+    expanded = tmp_path / "expanded.jsonl"
+    save_examples(expand(fig1_passage())[:2], expanded)
+    header, *lines = expanded.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    records[0]["tokens"][0]["head"] = head
+    records[1]["tokens"][0]["head"] = equal
+    assert records[0]["tokens"] == records[1]["tokens"]
+    expanded.write_text("\n".join([header] + [json.dumps(r)
+                                              for r in records]) + "\n")
+    config = _write_config(tmp_path / "c.cfg", expanded=expanded,
+                           model=tmp_path / "model.ckpt",
+                           train_log=tmp_path / "train.log",
+                           epochs=1, hidden=2, cat_dim=2)
+    assert cli.main(["--config", config, "train"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "data error: %s:3: bad head %r\n" % (expanded, equal)

@@ -1,6 +1,9 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rucca import bio
 from rucca.corpus import (CorpusError, MaskedExample, aux_labels,
@@ -9,8 +12,8 @@ from rucca.corpus import (CorpusError, MaskedExample, aux_labels,
                           save_examples, save_passages)
 from rucca.graph import non_terminals
 
-from helpers import (fig1_passage, fixture_corpus, random_corpus,
-                     single_token_passage)
+from helpers import (fig1_passage, fixture_corpus, nonrepresentable_passage,
+                     random_corpus, random_passage, single_token_passage)
 
 
 def test_save_load_roundtrip_single(tmp_path):
@@ -192,6 +195,67 @@ def test_examples_file_roundtrip(tmp_path):
                 for ex in expand(p)]
     path = tmp_path / "ex.jsonl"
     save_examples(examples, path)
+    loaded = load_examples(path)
+    assert loaded == examples
+    # the examples of one passage share one tokens tuple, as expand's do
+    for a, b in zip(loaded, loaded[1:]):
+        assert (a.tokens is b.tokens) == (a.passage_id == b.passage_id)
+
+
+def _reference_line(ex):
+    """An example's line as one json.dumps of its whole record."""
+    rec = {"passage_id": ex.passage_id,
+           "tokens": [{"form": t.form, "upos": t.upos, "xpos": t.xpos,
+                       "morph": dict(t.morph), "head": t.head,
+                       "deprel": t.deprel, "language": t.language}
+                      for t in ex.tokens],
+           "mask": list(ex.mask),
+           "focus_node": ex.focus_node,
+           "target_bio": list(ex.target_bio)
+           if ex.target_bio is not None else None,
+           "target_aux": list(ex.target_aux)
+           if ex.target_aux is not None else None,
+           "representable": ex.representable}
+    return json.dumps(rec, ensure_ascii=False)
+
+
+_TOKEN_EDITS = st.fixed_dictionaries({
+    "form": st.sampled_from(["é", "日本", "plain", 'a "b"', "c\\d"]),
+    "xpos": st.sampled_from([None, "NN", "名詞"]),
+    "deprel": st.sampled_from([None, "nsubj", "obj"]),
+    "morph": st.dictionaries(
+        st.sampled_from(["Case", "Number", "Voice"]),
+        st.sampled_from(["Sing", "Plur", "Gén"]),
+        max_size=2).map(lambda m: tuple(sorted(m.items()))),
+    "head": st.sampled_from([None, "root", 0, 3]),
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_save_examples_writes_one_json_dumps_per_record(tmp_path_factory,
+                                                        data, seed):
+    rng = np.random.default_rng(seed)
+    passages = [random_passage(rng, pid) for pid in ("a", "b")]
+    passages = [replace(p, tokens=tuple(
+        replace(t, **data.draw(_TOKEN_EDITS)) for t in p.tokens))
+        for p in passages] + [nonrepresentable_passage()]
+    examples = [ex for p in passages for ex in expand(p)]
+    # examples of several passages interleaved (A1 B1 A2)
+    examples = data.draw(st.permutations(examples))
+    # equal tuples that are distinct objects, and an example without aux
+    copies = data.draw(st.lists(st.booleans(), min_size=len(examples),
+                                max_size=len(examples)))
+    examples = [replace(ex, tokens=tuple(list(ex.tokens)),
+                        target_aux=tuple(list(ex.target_aux)))
+                if copy else ex for ex, copy in zip(examples, copies)]
+    examples.append(replace(examples[0], target_bio=None, target_aux=None,
+                            representable=False))
+    path = tmp_path_factory.mktemp("ex") / "ex.jsonl"
+    save_examples(examples, path)
+    assert path.read_text(encoding="utf-8").splitlines() == \
+        ["# rucca masked examples v1"] + [_reference_line(ex)
+                                          for ex in examples]
     assert load_examples(path) == examples
 
 

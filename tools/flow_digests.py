@@ -8,11 +8,13 @@ writes the workload's inputs into DIR with perfbench's `bench.Inputs`,
 runs its commands once through `rucca.cli.main` (expand, train for a
 trained workload, tune, parse with `--trace`, eval), keeps each command's
 stdout as `<command>.stdout`, and prints one `sha256  file` line per file
-in DIR. After each command it prints `peak_rss_mb <command> <MB>`, the
-process's peak resident set so far (`ru_maxrss`, as the benchmark reads
-it), to stderr, so one run checks byte identity on stdout and memory on
-stderr. `rucca` is imported from PYTHONPATH, so the same script runs
-against another checkout:
+in DIR. After each command it prints `seconds <command> <s>`, the
+command's wall time, and `peak_rss_mb <command> <MB>`, the process's
+peak resident set so far (`ru_maxrss`, as the benchmark reads it), to
+stderr, so one run checks byte identity on stdout and time and memory on
+stderr. Each time is one unrepeated run, so compare several runs before
+reading a difference into it. `rucca` is imported from PYTHONPATH, so
+the same script runs against another checkout:
 
     PYTHONPATH=../other/src python3 tools/flow_digests.py ... > before.txt
     diff before.txt after.txt
@@ -29,6 +31,7 @@ import io
 import os
 import resource
 import sys
+import time
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
@@ -51,11 +54,14 @@ def run_flow(workload, seed, directory):
         if step.name == "parse":
             argv += ["--trace", inputs.path("parse.trace")]
         out = io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(out):
             rc = cli.main(argv)
+        seconds = time.perf_counter() - start
         with open(inputs.path(step.name + ".stdout"), "w",
                   encoding="utf-8") as f:
             f.write(out.getvalue())
+        print("seconds %s %.4f" % (step.name, seconds), file=sys.stderr)
         print("peak_rss_mb %s %.1f" % (
             step.name,
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0),
