@@ -25,6 +25,7 @@ REMOTE_LABEL_IDS = tuple(i for i, lb in enumerate(BIO_LABELS)
 _PRIMARY_IDS = np.asarray(PRIMARY_LABEL_IDS)
 _REMOTE_IDS = np.asarray(REMOTE_LABEL_IDS)
 _LABELS = np.asarray(BIO_LABELS, dtype=object)
+_ATOL = 1e-6  # TagDistribution.check's tolerance
 
 
 class NotRepresentable(Exception):
@@ -50,13 +51,13 @@ class TagDistribution:
     task1: np.ndarray  # (T, 53)
     task2: object = None  # (T, n_aux) or None
 
-    def check(self, atol=1e-6):
+    def check(self):
         t1 = self.task1
         if t1.ndim != 2 or t1.shape[1] != N_BIO:
             raise ValueError("task1 distribution has shape %s" % (t1.shape,))
-        if not np.all(t1 >= -atol):  # NaN too
+        if not np.all(t1 >= -_ATOL):  # NaN too
             raise ValueError("negative or NaN probability in task1 rows")
-        if np.any(np.abs(t1.sum(axis=1) - 1.0) > atol):
+        if np.any(np.abs(t1.sum(axis=1) - 1.0) > _ATOL):
             raise ValueError("task1 rows do not sum to 1")
 
 

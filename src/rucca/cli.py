@@ -108,7 +108,7 @@ def _train_config(config, seed) -> TrainConfig:
 
 def _decoder_config(config) -> DecoderConfig:
     action_path = config.path("action_nouns")
-    action = load_lexicon(action_path, "any") if action_path else None
+    action = load_lexicon(action_path) if action_path else None
     try:
         return DecoderConfig(
             remote_threshold=config.get_float("remote_threshold", 0.3),
@@ -120,7 +120,7 @@ def _decoder_config(config) -> DecoderConfig:
 
 def _lexicon(config, language):
     path = config.path("lexicon_%s" % language) or config.path("lexicon")
-    return load_lexicon(path, language) if path else EMPTY_LEXICON
+    return load_lexicon(path) if path else EMPTY_LEXICON
 
 
 def _embeddings(config):

@@ -376,6 +376,8 @@ def load_examples(path) -> list:
                 type(a["head"]) is not type(b["head"])
                 for a, b in zip(rec["tokens"], token_recs)):
             token_recs = _objects(rec["tokens"], where, "tokens")
+            if not token_recs:
+                raise CorpusError("%s: no tokens" % where)
             tokens = tuple(_token_from_record(t, where) for t in token_recs)
         mask = _strings(rec["mask"], where, "mask")
         target_bio, target_aux = (

@@ -135,35 +135,31 @@ def fit_vocabularies(corpus) -> FeatureVocabularies:
 
 @dataclass(frozen=True)
 class WordEmbeddingTable:
-    vectors: dict  # word -> np.ndarray
-    dim: int = WORD_DIM
-    skipped: int = 0
+    vectors: dict  # word -> np.ndarray of WORD_DIM values
 
     def lookup(self, form: str) -> np.ndarray:
         vec = self.vectors.get(form)
         if vec is None:
             vec = self.vectors.get(form.lower())
         if vec is None:
-            return np.zeros(self.dim)
+            return np.zeros(WORD_DIM)
         return vec
 
 
-EMPTY_EMBEDDINGS = WordEmbeddingTable(vectors={}, dim=WORD_DIM)
+EMPTY_EMBEDDINGS = WordEmbeddingTable(vectors={})
 
 
-def load_embeddings(path, dim=WORD_DIM) -> WordEmbeddingTable:
-    """Text format: one "word v1 ... v<dim>" row per line. Rows with the
-    wrong dimension are skipped and counted; a value that is not a finite
+def load_embeddings(path) -> WordEmbeddingTable:
+    """Text format: one "word v1 ... v<WORD_DIM>" row per line. Rows with
+    another number of values are skipped; a value that is not a finite
     number is an EmbeddingError."""
     vectors = {}
-    skipped = 0
     for lineno, line in text_lines(path):
         parts = line.rstrip("\n").split(" ")
         if len(parts) < 2:
             continue
         word, values = parts[0], parts[1:]
-        if len(values) != dim:
-            skipped += 1
+        if len(values) != WORD_DIM:
             continue
         try:
             vectors[word] = np.array([float(v) for v in values])
@@ -175,13 +171,13 @@ def load_embeddings(path, dim=WORD_DIM) -> WordEmbeddingTable:
                                  % (path, lineno, word))
     if not vectors:
         raise EmbeddingError("no valid embedding rows in %s" % path)
-    return WordEmbeddingTable(vectors=vectors, dim=dim, skipped=skipped)
+    return WordEmbeddingTable(vectors=vectors)
 
 
 @dataclass(frozen=True)
 class FeaturizedExample:
     length: int
-    word_vectors: np.ndarray  # (T, dim), frozen
+    word_vectors: np.ndarray  # (T, WORD_DIM), frozen
     categorical: dict  # feature name -> int array (T,)
     mwe: np.ndarray  # (T,) float 0/1, the flags of mwe_mask
     mwe_mask: MweMask
@@ -218,7 +214,7 @@ def featurize(example: MaskedExample, vocab: FeatureVocabularies,
     tokens = example.tokens
     n = len(tokens)
     word_vectors = np.stack([embeddings.lookup(t.form) for t in tokens]) \
-        if n else np.zeros((0, embeddings.dim))
+        if n else np.zeros((0, WORD_DIM))
     symbols = [_token_symbols(t) for t in tokens]
     morphs = [dict(t.morph) for t in tokens]
     categorical = {}

@@ -104,24 +104,27 @@ class _Index:
 
     @cached_property
     def yields(self):
-        """Read-only map node id -> primary yield, computed bottom-up; the
-        primary edges must hold no cycle, as in a valid passage."""
-        yields = {}
-
-        def visit(nid):
-            if nid in yields:
-                return yields[nid]
-            n = self.by_id[nid]
-            if n.is_terminal():
-                y = frozenset([n.position])
-            else:
-                y = frozenset().union(
-                    *[visit(c) for _, c in self.primary.get(nid, ())])
-            yields[nid] = y
-            return y
-
-        for nid in self.by_id:
-            visit(nid)
+        """Read-only map node id -> primary yield, computed bottom-up with
+        a stack of its own, so a deep chain needs no deep recursion; the
+        primary edges must form a forest, as in a valid passage."""
+        yields = {nid: frozenset([n.position])
+                  for nid, n in self.by_id.items() if n.is_terminal()}
+        reached = set(yields)
+        for start in self.by_id:
+            if start in reached:
+                continue
+            reached.add(start)
+            order, stack = [], [start]
+            while stack:  # each node after its parent
+                nid = stack.pop()
+                order.append(nid)
+                for _, c in self.primary.get(nid, ()):
+                    if c not in reached:
+                        reached.add(c)
+                        stack.append(c)
+            for nid in reversed(order):
+                yields[nid] = frozenset().union(
+                    *[yields[c] for _, c in self.primary.get(nid, ())])
         return MappingProxyType(yields)
 
 
@@ -144,17 +147,15 @@ def non_terminals(passage: Passage) -> list:
     """
     yields = all_yields(passage)
     order = []
-
-    def visit(nid):
-        if passage.node(nid).is_terminal():
-            return
-        order.append(nid)
-        kids = sorted((c for _, c in passage.primary_children(nid)),
-                      key=lambda c: (min(yields[c], default=-1), c))
-        for c in kids:
-            visit(c)
-
-    visit(passage.root)
+    stack = [passage.root]
+    while stack:
+        nid = stack.pop()
+        if not passage.node(nid).is_terminal():
+            order.append(nid)
+            # pushed right to left, so visited left to right
+            stack.extend(sorted((c for _, c in passage.primary_children(nid)),
+                                key=lambda c: (min(yields[c], default=-1), c),
+                                reverse=True))
     return order
 
 
@@ -233,6 +234,8 @@ def validate(passage: Passage, require_contiguous=False) -> list:
             violations.append("remote edge into root: %s->%s"
                               % (e.parent, e.child))
 
+    if not passage.tokens:
+        violations.append("no tokens")
     # Token coverage: each position covered by exactly one terminal.
     positions = [n.position for n in passage.nodes if n.is_terminal()]
     expected = list(range(len(passage.tokens)))

@@ -8,9 +8,7 @@ from .corpus import text_lines
 
 @dataclass(frozen=True)
 class ExpressionLexicon:
-    language: str
     expressions: frozenset  # of token tuples, lowercased
-    duplicates_dropped: int = 0
 
     @cached_property
     def max_length(self) -> int:
@@ -23,26 +21,18 @@ class MweMask:
     spans: tuple  # of (start, end) intervals, end exclusive
 
 
-EMPTY_LEXICON = ExpressionLexicon(language="", expressions=frozenset())
+EMPTY_LEXICON = ExpressionLexicon(expressions=frozenset())
 
 
-def load_lexicon(path, language) -> ExpressionLexicon:
+def load_lexicon(path) -> ExpressionLexicon:
     """One expression per line, tokens space-separated; '#' lines are
-    comments. Duplicates are dropped and counted."""
+    comments. Duplicates are dropped."""
     expressions = set()
-    duplicates = 0
     for _, line in text_lines(path):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        pattern = tuple(line.lower().split())
-        if pattern in expressions:
-            duplicates += 1
-        else:
-            expressions.add(pattern)
-    return ExpressionLexicon(language=language,
-                             expressions=frozenset(expressions),
-                             duplicates_dropped=duplicates)
+        if line and not line.startswith("#"):
+            expressions.add(tuple(line.lower().split()))
+    return ExpressionLexicon(expressions=frozenset(expressions))
 
 
 def match(lexicon: ExpressionLexicon, tokens) -> MweMask:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bio
 from .corpus import AUX_OUTSIDE, CorpusError, MaskedExample, expand
-from .features import FeaturizedExample, FeatureVocabularies
+from .features import OOV, PAD, FeaturizedExample, FeatureVocabularies
 from .graph import OUTSIDE
 
 
@@ -48,6 +48,8 @@ class TaggerConfig:
             raise ValueError("cat_dim must be >= 0")
         if not (np.isfinite(self.lambda_aux) and self.lambda_aux >= 0):
             raise ValueError("lambda_aux must be finite and >= 0")
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -77,15 +79,6 @@ def _softmax(logits):
     m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _first_row(cache):
-    """A forward_batch cache with every array cut to its first example."""
-    if isinstance(cache, dict):
-        return {k: _first_row(v) for k, v in cache.items()}
-    if isinstance(cache, list):
-        return [_first_row(v) for v in cache]
-    return cache[0]
 
 
 def _check_finite(name, *arrays):
@@ -249,10 +242,8 @@ class GruTagger:
 
     def forward(self, feats: FeaturizedExample):
         """-> (TagDistribution, cache): forward_batch of one example, its
-        cache without the batch axis. The cache is reused by gradients()."""
+        cache a batch of one. The cache is reused by gradients()."""
         dists, cache = self.forward_batch([feats])
-        cache = _first_row(cache)
-        cache["feats"] = feats
         return dists[0], cache
 
     def predict_batch(self, examples, feats_list):
@@ -279,18 +270,20 @@ class GruTagger:
     def loss(self, feats, y1, y2, cache=None):
         if cache is None:
             _, cache = self.forward(feats)
-        value = self._xent(cache["logits1"], y1)
+        value = self._xent(cache["logits1"][0], y1)
         if self.config.lambda_aux != 0.0:
-            value += self.config.lambda_aux * self._xent(cache["logits2"], y2)
+            value += self.config.lambda_aux * self._xent(cache["logits2"][0],
+                                                         y2)
         return value, cache
 
     def _gru_backward(self, dH, cache, base, add):
-        """Backpropagates dH through one direction's cache of a _gru_layer
-        run, passing each of its tensors' gradients to add; returns dx."""
+        """Backpropagates dH through the first example of one direction's
+        cache of a _gru_layer run, passing each of its tensors' gradients
+        to add; returns dx."""
         p = self.params
         U = p[base + "U"]
         T, h = dH.shape
-        gates, un, hprev = cache["gates"], cache["un"], cache["hprev"]
+        gates, un, hprev = (cache[k][0] for k in ("gates", "un", "hprev"))
         da = np.zeros((T, 3 * h))  # into the input projections a
         drec = np.zeros((T, 3 * h))  # into rec = U @ hprev
         carry = np.zeros(h)
@@ -304,7 +297,7 @@ class GruTagger:
             drec[t, :2 * h] = da[t, :2 * h]
             drec[t, 2 * h:] = a_n * r
             carry = g * z + U.T @ drec[t]
-        add(base + "W", da.T @ cache["x"])
+        add(base + "W", da.T @ cache["x"][0])
         add(base + "U", drec.T @ hprev)
         add(base + "b", da.sum(axis=0))
         return da @ p[base + "W"]
@@ -330,7 +323,7 @@ class GruTagger:
         d2[np.arange(T), y2] -= 1.0
         d2 *= self.config.lambda_aux / T
 
-        top = cache["top"]
+        top = cache["top"][0]
         add("out1/W", d1.T @ top)
         add("out1/b", d1.sum(axis=0))
         add("out2/W", d2.T @ top)
@@ -339,7 +332,7 @@ class GruTagger:
 
         for layer in range(self.config.n_layers - 1, -1, -1):
             lc = cache["layers"][layer]
-            x, y, gate = lc["x"], lc["y"], lc["gate"]
+            x, y, gate = lc["x"][0], lc["y"][0], lc["gate"][0]
             dy = dx * gate
             dgate = dx * (y - x)
             dxl = dx * (1.0 - gate)
@@ -354,7 +347,7 @@ class GruTagger:
                                            "l%d/b/" % layer, add)[::-1]
             dx = dxl
 
-        add("in/W", dx.T @ cache["f"])
+        add("in/W", dx.T @ cache["f"][0])
         add("in/b", dx.sum(axis=0))
         df = dx @ self.params["in/W"]
         offset = self.config.word_dim
@@ -372,9 +365,10 @@ class GruTagger:
 
 class _Adam:
     CHUNK = 65536  # values per slice of a step: bounds its temporaries
+    B1, B2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, size, lr):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -383,17 +377,17 @@ class _Adam:
         """Updates params in place, one chunk at a time; overwrites grads
         to save memory. Elementwise, so chunking changes no value."""
         self.t += 1
-        b1t = 1.0 - self.b1 ** self.t
-        b2t = 1.0 - self.b2 ** self.t
+        b1t = 1.0 - self.B1 ** self.t
+        b2t = 1.0 - self.B2 ** self.t
         for start in range(0, params.size, self.CHUNK):
             sl = slice(start, start + self.CHUNK)
             p, g, m, v = params[sl], grads[sl], self.m[sl], self.v[sl]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
+            m *= self.B1
+            m += (1.0 - self.B1) * g
+            v *= self.B2
+            v += (1.0 - self.B2) * g * g
             denom = np.sqrt(np.divide(v, b2t, out=g), out=g)
-            denom += self.eps
+            denom += self.EPS
             p -= m / b1t * self.lr / denom  # mhat * lr == lr * mhat
 
 
@@ -564,6 +558,14 @@ def load_checkpoint(path) -> GruTagger:
                 tables={k: dict(v)
                         for k, v in header["vocab"]["tables"].items()},
                 morph_keys=tuple(header["vocab"]["morph_keys"]))
+            # featurize sends unseen symbols to 1; ids index table rows
+            for name, table in vocab.tables.items():
+                ids = list(table.values())
+                if not (all(type(i) is int for i in ids)
+                        and sorted(ids) == list(range(len(ids)))
+                        and table.get(PAD) == 0 and table.get(OOV) == 1):
+                    raise ValueError("vocabulary %s does not map <pad>, "
+                                     "<oov>, ... onto 0..n-1" % name)
             # The tensors are read below: allocate them, draw nothing.
             tagger = GruTagger(TaggerConfig(**header["config"]), vocab,
                                header["aux_vocab"],

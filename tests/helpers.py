@@ -110,6 +110,21 @@ _DETS = ("the", "a")
 _DEPRELS = ("nsubj", "obj", "det", "amod", "advmod", "root")
 
 
+def unary_chain_passage(depth, pid="chain"):
+    """A valid passage whose non-terminals n0 .. n<depth-1> form one unary
+    chain, its arcs alternately H and A, over the two tokens of the last."""
+    last = "n%d" % (depth - 1)
+    return Passage(
+        passage_id=pid, language="en",
+        tokens=(make_token("She", "PRON"), make_token("sings", "VERB")),
+        nodes=tuple(Node("n%d" % i, "nonterminal") for i in range(depth))
+        + (Node("t0", "terminal", 0), Node("t1", "terminal", 1)),
+        edges=tuple(Edge("n%d" % i, "n%d" % (i + 1), "HA"[i % 2])
+                    for i in range(depth - 1))
+        + (Edge(last, "t0", "A"), Edge(last, "t1", "P")),
+        root="n0")
+
+
 class _RandomBuilder:
     def __init__(self, rng, language):
         self.rng = rng

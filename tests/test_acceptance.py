@@ -194,7 +194,6 @@ def test_decoding_constraint_invariants_randomized():
     from rucca.graph import make_token
 
     lexicon = ExpressionLexicon(
-        language="en",
         expressions=frozenset({("in", "front", "of"), ("at", "least")}))
     pool = [("she", "PRON"), ("sings", "VERB"), ("dogs", "NOUN"),
             ("bark", "VERB"), ("in", "ADP"), ("front", "NOUN"),

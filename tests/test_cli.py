@@ -15,7 +15,8 @@ from rucca.graph import non_terminals
 from rucca.tagger import MAGIC, GruTagger, TaggerConfig, save_checkpoint
 
 from helpers import (fig1_passage, nonrepresentable_passage, random_corpus,
-                     single_token_passage, two_scene_5tok_passage)
+                     single_token_passage, two_scene_5tok_passage,
+                     unary_chain_passage)
 
 
 def _write_config(path, **values):
@@ -65,6 +66,19 @@ def test_expand_reports_nonrepresentable(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "into 2 examples" in text
     assert "(1 skipped" in text
+
+
+def test_deep_unary_chain_expands_and_scores(tmp_path, capsys):
+    # Deeper than Python's recursion limit: yields and the traversal of
+    # the tree keep stacks of their own.
+    gold = tmp_path / "gold.jsonl"
+    save_passages([unary_chain_passage(5000)], gold)
+    config = _write_config(tmp_path / "c.cfg", train_passages=gold,
+                           expanded_out=tmp_path / "e.jsonl")
+    assert cli.main(["--config", config, "expand"]) == cli.EXIT_OK
+    assert "into 5000 examples (4997 skipped" in capsys.readouterr().out
+    assert cli.main(["eval", str(gold), str(gold)]) == cli.EXIT_OK
+    assert "Labeled     1.0000  1.0000  1.0000" in capsys.readouterr().out
 
 
 def _expand_then_train(tmp_path, seed=13, epochs=2):
@@ -434,15 +448,17 @@ def test_config_file_save_load_roundtrip(tmp_path):
     assert loaded.values == cfg.values
 
 
-def _reheader(blob, version=None, **config):
-    """The checkpoint with its header's version or config changed, tensors
-    kept."""
+def _reheader(blob, version=None, vocab=None, **config):
+    """The checkpoint with its header's version, config or vocabulary
+    tables (name -> {symbol: index} to set) changed, tensors kept."""
     start = len(MAGIC) + 8
     (size,) = struct.unpack("<Q", blob[len(MAGIC):start])
     header = json.loads(blob[start:start + size])
     if version is not None:
         header["version"] = version
     header["config"].update(config)
+    for name, entries in (vocab or {}).items():
+        header["vocab"]["tables"][name].update(entries)
     text = json.dumps(header).encode("utf-8")
     return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + size:]
 
@@ -498,6 +514,16 @@ def _edge_remote_string(record):
 
 def _representable_string(record):
     record["representable"] = "no"
+
+
+def _no_tokens_passage(record):
+    record.update(tokens=[], edges=[], nodes=[
+        {"id": record["root"], "kind": "nonterminal", "position": None}])
+
+
+def _no_tokens_example(record):
+    record.update(tokens=[], mask=[], target_bio=[], target_aux=[],
+                  representable=True)
 
 
 def _not_utf8(blob):
@@ -608,6 +634,27 @@ def _not_utf8(blob):
                  {"expanded": _edit_last_record(_representable_string)},
                  cli.EXIT_DATA, "representable is a string",
                  id="example-representable-string"),
+    pytest.param(["--seed", "-1", "train"], {}, {}, {},
+                 cli.EXIT_USAGE, "seed", id="seed-flag-negative"),
+    pytest.param(["train"], {"seed": -1}, {}, {},
+                 cli.EXIT_USAGE, "seed", id="seed-negative"),
+    pytest.param(["train"], {}, {"RUCCA_SEED": "-1"}, {},
+                 cli.EXIT_USAGE, "seed", id="seed-env-negative"),
+    pytest.param(["expand"], {}, {},
+                 {"train_passages": _edit_last_record(_no_tokens_passage)},
+                 cli.EXIT_DATA, "gold.jsonl:", id="passage-no-tokens"),
+    pytest.param(["train"], {}, {},
+                 {"expanded": _edit_last_record(_no_tokens_example)},
+                 cli.EXIT_DATA, "expanded.jsonl:", id="example-no-tokens"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _reheader(
+                     b, vocab={"upos": {"VERB": 14}})},
+                 cli.EXIT_DATA, "model.ckpt",
+                 id="checkpoint-index-past-table"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _reheader(
+                     b, vocab={"upos": {"VERB": "x"}})},
+                 cli.EXIT_DATA, "model.ckpt", id="checkpoint-index-string"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
                                              command, values, env, rewrite,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
-from rucca.features import (EMPTY_EMBEDDINGS, NONE, EmbeddingError,
+from rucca.features import (EMPTY_EMBEDDINGS, NONE, WORD_DIM, EmbeddingError,
                             FeaturizedExample, FeaturizerContext,
                             WordEmbeddingTable, _token_symbols, affix,
                             caps_class, featurize, fit_vocabularies,
@@ -114,8 +114,7 @@ def test_featurize_is_total_on_unseen_symbols():
 def test_featurize_mwe_flag():
     tokens = [make_token("in", "ADP"), make_token("front", "NOUN"),
               make_token("of", "ADP")]
-    lex = ExpressionLexicon(language="en",
-                            expressions=frozenset({("in", "front", "of")}))
+    lex = ExpressionLexicon(expressions=frozenset({("in", "front", "of")}))
     vocab = fit_vocabularies([_example(tokens)])
     feats = featurize(_example(tokens), vocab, EMPTY_EMBEDDINGS, lex)
     assert feats.mwe.tolist() == [1.0, 1.0, 1.0]
@@ -128,8 +127,7 @@ def test_load_embeddings(tmp_path):
     short = " ".join(["0.1"] * (dim - 1))
     path.write_text("dog %s\ncat %s\nbad %s\n" % (row, row, short))
     table = load_embeddings(path)
-    assert len(table.vectors) == 2
-    assert table.skipped == 1
+    assert len(table.vectors) == 2  # the short row is skipped
     assert table.lookup("dog").shape == (300,)
     assert np.all(table.lookup("missing") == 0.0)
 
@@ -172,7 +170,7 @@ def _featurize_per_table(example, vocab, embeddings, lex):
     tokens = example.tokens
     n = len(tokens)
     word_vectors = np.stack([embeddings.lookup(t.form) for t in tokens]) \
-        if n else np.zeros((0, embeddings.dim))
+        if n else np.zeros((0, WORD_DIM))
     categorical = {}
     for name in vocab.feature_names():
         if name == "mask":
@@ -216,10 +214,11 @@ def _featurizer_case(draw):
                      max_size=len(tokens)).map(tuple)
     example = MaskedExample(passage_id="x", tokens=tokens, mask=draw(masks),
                             focus_node="n0")
-    lexicon = ExpressionLexicon(language="en", expressions=frozenset(
+    lexicon = ExpressionLexicon(expressions=frozenset(
         {("in", "front", "of"), ("paris",), ("dog", "x")}))
     embeddings = WordEmbeddingTable(
-        vectors={"in": np.arange(3.0), "paris": -np.ones(3)}, dim=3)
+        vectors={"in": np.arange(WORD_DIM, dtype=float),
+                 "paris": -np.ones(WORD_DIM)})
     ctx = FeaturizerContext(vocab=fit_vocabularies([_example(seen)]),
                             embeddings=embeddings, lexicon=lexicon)
     return ctx, example, draw(masks)

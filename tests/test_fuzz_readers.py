@@ -1,19 +1,25 @@
-"""Every reader holds against flipped and cut bytes: the checks of the
-program run where data enters, so a damaged input file ends `rucca` with
-exit 0 or with its documented code (1 usage/config, 2 data, 3 numeric)
-and one line on stderr, never with a traceback."""
+"""Every reader holds against flipped and cut bytes, and against
+well-formed values out of the program's range: the checks of the program
+run where data enters, so a damaged input file ends `rucca` with exit 0
+or with its documented code (1 usage/config, 2 data, 3 numeric) and one
+line on stderr, never with a traceback."""
 
 import contextlib
 import io
+import json
+import os
+import struct
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rucca import cli
 from rucca.corpus import expand, save_examples, save_passages
 from rucca.features import fit_vocabularies
-from rucca.tagger import GruTagger, TaggerConfig, save_checkpoint
+from rucca.tagger import MAGIC, GruTagger, TaggerConfig, save_checkpoint
 
-from helpers import fig1_passage, single_token_passage, two_scene_5tok_passage
+from helpers import (fig1_passage, single_token_passage,
+                     two_scene_5tok_passage, unary_chain_passage)
 
 PREFIXES = {cli.EXIT_USAGE: "config error: ", cli.EXIT_DATA: "data error: ",
             cli.EXIT_NUMERIC: "numeric error: "}
@@ -21,7 +27,8 @@ PREFIXES = {cli.EXIT_USAGE: "config error: ", cli.EXIT_DATA: "data error: ",
 # Each command reads only relative paths, so that a damaged config cannot
 # name a file outside the working directory the test makes.
 CONFIGS = {
-    "expand.cfg": "train_passages=gold.jsonl\nexpanded_out=out.jsonl\n",
+    "expand.cfg": "train_passages=gold.jsonl\n"
+                  "expanded_out=expanded.jsonl\n",
     "train.cfg": "expanded=expanded.jsonl\nepochs=1\nhidden=2\ncat_dim=2\n"
                  "model=trained.ckpt\ntrain_log=train.log\n",
     "parse.cfg": "model=model.ckpt\ntest_tokens=tokens.conll\n"
@@ -30,18 +37,21 @@ CONFIGS = {
     "tune.cfg": "remote_threshold=0.3\nmax_depth=20\nlexicon=lexicon.txt\n"
                 "action_nouns=lexicon.txt\n",
 }
+EXPAND = ["--config", "expand.cfg", "expand"]
+TRAIN = ["--config", "train.cfg", "train"]
 TUNE = ["--config", "tune.cfg", "tune", "--oracle", "--dev", "gold.jsonl",
         "--out", "tuned.cfg"]
 PARSE = ["--config", "parse.cfg", "parse"]
-# (file to damage, the command line that reads it)
+# (file to damage, the command lines downstream of it, run in turn: expand
+# writes the expanded.jsonl that train reads)
 READERS = (
-    ("gold.jsonl", ["--config", "expand.cfg", "expand"]),
-    ("expanded.jsonl", ["--config", "train.cfg", "train"]),
-    ("tokens.conll", PARSE),
-    ("tune.cfg", TUNE),
-    ("lexicon.txt", TUNE),
-    ("embeddings.txt", PARSE),
-    ("model.ckpt", PARSE),
+    ("gold.jsonl", (EXPAND, TRAIN, TUNE)),
+    ("expanded.jsonl", (TRAIN,)),
+    ("tokens.conll", (PARSE,)),
+    ("tune.cfg", (TUNE,)),
+    ("lexicon.txt", (TUNE,)),
+    ("embeddings.txt", (PARSE,)),
+    ("model.ckpt", (PARSE,)),
 )
 
 
@@ -67,8 +77,31 @@ def _write_inputs():
     for name, text in files.items():
         with open(name, "w", encoding="utf-8") as f:
             f.write(text)
-    names = [name for name, _ in READERS]
+    names = [name for name, _ in READERS] + ["train.cfg"]
     return {name: open(name, "rb").read() for name in names}
+
+
+def _run(originals, name, blob, argvs):
+    """Writes the inputs with name's content replaced by blob and runs the
+    command lines in turn up to the first that fails -> (code, stderr)."""
+    for other, content in originals.items():
+        with open(other, "wb") as f:
+            f.write(blob if other == name else content)
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            break
+    return code, err.getvalue()
+
+
+def _assert_documented(code, err):
+    if code != cli.EXIT_OK:
+        assert code in PREFIXES, (code, err)
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(PREFIXES[code]), err
 
 
 def test_damaged_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
@@ -79,7 +112,7 @@ def test_damaged_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(reader=st.sampled_from(READERS), data=st.data())
     def damaged_input_exits_cleanly(reader, data):
-        name, argv = reader
+        name, argvs = reader
         blob = bytearray(originals[name])
         if data.draw(st.booleans(), label="cut"):
             del blob[data.draw(st.integers(0, len(blob) - 1),
@@ -89,16 +122,105 @@ def test_damaged_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
                     st.integers(0, len(blob) - 1), st.integers(1, 255)),
                     max_size=3), label="flips"):
                 blob[pos] ^= mask
-        for other, content in originals.items():
-            with open(other, "wb") as f:
-                f.write(blob if other == name else content)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        if code != cli.EXIT_OK:
-            assert code in PREFIXES, (code, err.getvalue())
-            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-            assert err.getvalue().startswith(PREFIXES[code]), err.getvalue()
+        _assert_documented(*_run(originals, name, blob, argvs))
 
     damaged_input_exits_cleanly()
+
+
+def _edit_record(blob, index, change):
+    """blob, a JSON-lines file, with change applied to its record at index
+    (modulo the number of records)."""
+    lines = blob.decode("utf-8").splitlines()
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    row = rows[index % len(rows)]
+    record = json.loads(lines[row])
+    change(record)
+    lines[row] = json.dumps(record)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@st.composite
+def _no_tokens(draw, originals):
+    """A passage or an expanded example whose token list is empty."""
+    index = draw(st.integers(0, 10), label="record")
+    if draw(st.booleans(), label="passage"):
+        def change(rec):
+            rec.update(tokens=[], edges=[], nodes=[
+                {"id": rec["root"], "kind": "nonterminal", "position": None}])
+        name = "gold.jsonl"
+    else:
+        def change(rec):
+            rec.update(tokens=[], mask=[], target_bio=[], target_aux=[],
+                       representable=True)
+        name = "expanded.jsonl"
+    return (name, _edit_record(originals[name], index, change),
+            dict(READERS)[name], {}, cli.EXIT_DATA)
+
+
+@st.composite
+def _negative_seed(draw, originals):
+    """A seed below 0 from the config file, the environment or the flag."""
+    seed = str(draw(st.integers(max_value=-1), label="seed"))
+    where = draw(st.sampled_from(("config", "env", "flag")), label="where")
+    blob, argv, env = originals["train.cfg"], TRAIN, {}
+    if where == "config":
+        blob += b"seed=" + seed.encode() + b"\n"
+    elif where == "env":
+        env = {"RUCCA_SEED": seed}
+    else:
+        argv = ["--config", "train.cfg", "--seed", seed, "train"]
+    return "train.cfg", blob, (argv,), env, cli.EXIT_USAGE
+
+
+@st.composite
+def _bad_vocabulary_index(draw, originals):
+    """A checkpoint whose vocabulary maps a symbol past its table, to a
+    negative index, to another symbol's index or to a non-integer."""
+    blob = originals["model.ckpt"]
+    start = len(MAGIC) + 8
+    (size,) = struct.unpack("<Q", blob[len(MAGIC):start])
+    header = json.loads(blob[start:start + size])
+    tables = header["vocab"]["tables"]
+    table = tables[draw(st.sampled_from(sorted(tables)), label="table")]
+    symbol = draw(st.sampled_from(sorted(table)), label="symbol")
+    n = len(table)
+    table[symbol] = draw(st.one_of(
+        st.integers(min_value=n), st.integers(max_value=-1),
+        st.integers(0, n - 1).filter(lambda i: i != table[symbol]),
+        st.integers(0, n - 1).map(float), st.booleans(), st.none(),
+        st.text(max_size=3)), label="index")
+    text = json.dumps(header).encode("utf-8")
+    return ("model.ckpt", MAGIC + struct.pack("<Q", len(text)) + text
+            + blob[start + size:], (PARSE,), {}, cli.EXIT_DATA)
+
+
+def test_out_of_range_values_end_in_their_documented_exit(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    originals = _write_inputs()
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def out_of_range_value_is_refused(data):
+        kind = data.draw(st.sampled_from(
+            (_no_tokens, _negative_seed, _bad_vocabulary_index)))
+        name, blob, argvs, env, expected = data.draw(kind(originals))
+        with mock.patch.dict(os.environ, env):
+            code, err = _run(originals, name, blob, argvs)
+        _assert_documented(code, err)
+        assert code == expected, err
+
+    out_of_range_value_is_refused()
+
+
+def test_deep_chain_runs_through_every_command(tmp_path, monkeypatch):
+    # Deeper than Python's recursion limit.
+    monkeypatch.chdir(tmp_path)
+    originals = _write_inputs()
+    gold = originals["gold.jsonl"]
+    save_passages([unary_chain_passage(2000)], "chain.jsonl")
+    with open("chain.jsonl", "rb") as f:
+        gold += f.read().split(b"\n", 1)[1]  # without its comment line
+    assert _run(originals, "gold.jsonl", gold, dict(READERS)["gold.jsonl"]) \
+        == (cli.EXIT_OK, "")

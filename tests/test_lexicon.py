@@ -10,34 +10,31 @@ def _tokens(*forms):
 
 def _lex(*patterns):
     return ExpressionLexicon(
-        language="en",
         expressions=frozenset(tuple(p.split()) for p in patterns))
 
 
 def test_load_lexicon(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("at least\nin front of\n# a comment\n\n")
-    lex = load_lexicon(path, "en")
+    lex = load_lexicon(path)
     assert lex.expressions == {("at", "least"), ("in", "front", "of")}
-    assert lex.duplicates_dropped == 0
 
 
 def test_load_lexicon_empty_file(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("")
-    lex = load_lexicon(path, "en")
+    lex = load_lexicon(path)
     assert lex.expressions == frozenset()
     mask = match(lex, _tokens("a", "b"))
     assert mask.flags == (False, False)
     assert mask.spans == ()
 
 
-def test_load_lexicon_counts_duplicates(tmp_path):
+def test_load_lexicon_drops_duplicates(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("at least\nAt Least\n")
-    lex = load_lexicon(path, "en")
+    lex = load_lexicon(path)
     assert len(lex.expressions) == 1
-    assert lex.duplicates_dropped == 1
 
 
 def test_match_simple():
@@ -105,7 +102,7 @@ def _match_reference(expressions, forms):
                               max_size=5).map(tuple), max_size=8),
        st.lists(st.sampled_from("abcABd"), max_size=14))
 def test_match_equals_brute_force_reference(expressions, forms):
-    lex = ExpressionLexicon(language="en", expressions=expressions)
+    lex = ExpressionLexicon(expressions=expressions)
     assert lex.max_length == max(map(len, expressions), default=0)
     mask = match(lex, _tokens(*forms))
     assert mask.spans == _match_reference(expressions, forms)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rucca import bio, cli, features, parser
 from rucca.evaluator import score
-from rucca.features import WordEmbeddingTable
+from rucca.features import WORD_DIM, WordEmbeddingTable
 from rucca.graph import Edge, all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, action_noun_flags,
@@ -59,8 +59,7 @@ def test_constraint_scene_merge_forward_fallback():
 
 
 def test_constraint_scene_merge_action_noun_qualifies():
-    lex = ExpressionLexicon(language="en",
-                            expressions=frozenset({("meeting",)}))
+    lex = ExpressionLexicon(expressions=frozenset({("meeting",)}))
     tokens = _tokens(("the", "DET"), ("meeting", "NOUN"),
                      ("she", "PRON"), ("sings", "VERB"))
     spans = _spans((0, 2, "H"), (2, 4, "H"))
@@ -114,7 +113,7 @@ def test_constraint_mwe_merges_adjacent_spans():
     tokens = _tokens(("she", "PRON"), ("stood", "VERB"), ("in", "ADP"),
                      ("front", "NOUN"), ("of", "ADP"), ("him", "PRON"))
     mwe = match(ExpressionLexicon(
-        language="en", expressions=frozenset({("in", "front", "of")})),
+        expressions=frozenset({("in", "front", "of")})),
         tokens)
     # boundary at 3 falls inside the MWE span (2, 5)
     spans = _spans((0, 3, "A"), (3, 6, "A"))
@@ -128,7 +127,7 @@ def test_constraint_mwe_ignores_non_ha_spans():
     tokens = _tokens(("in", "ADP"), ("front", "NOUN"), ("of", "ADP"),
                      ("him", "PRON"))
     mwe = match(ExpressionLexicon(
-        language="en", expressions=frozenset({("in", "front", "of")})),
+        expressions=frozenset({("in", "front", "of")})),
         tokens)
     spans = _spans((0, 2, "C"), (2, 4, "E"))
     out = apply_constraints(spans, tokens, _uniformish(4), mwe,
@@ -479,12 +478,11 @@ def test_parse_featurizes_each_sentence_once(monkeypatch):
     corpus = fixture_corpus()
     bigrams = sorted({(a.form.lower(), b.form.lower()) for p in corpus
                       for a, b in zip(p.tokens, p.tokens[1:])})
-    lexicon = ExpressionLexicon(language="en",
-                                expressions=frozenset(bigrams[::7]))
+    lexicon = ExpressionLexicon(expressions=frozenset(bigrams[::7]))
     forms = sorted({t.form for p in corpus for t in p.tokens})
     rng = np.random.default_rng(5)
     embeddings = WordEmbeddingTable(
-        vectors={f: rng.normal(size=4) for f in forms[::2]}, dim=4)
+        vectors={f: rng.normal(size=WORD_DIM) for f in forms[::2]})
     ctx = context_for(corpus, lexicon=lexicon, embeddings=embeddings)
     featurize = features.featurize
     featurized = []
@@ -517,10 +515,8 @@ def test_parse_matches_each_lexicon_once(monkeypatch):
     """A parse matches the MWE lexicon once, in the root's featurize, and
     the action-noun lexicon once."""
     gold = fig1_passage()
-    mwe = ExpressionLexicon(language="en",
-                            expressions=frozenset({("she", "sings")}))
-    action = ExpressionLexicon(language="en",
-                               expressions=frozenset({("guitar",)}))
+    mwe = ExpressionLexicon(expressions=frozenset({("she", "sings")}))
+    action = ExpressionLexicon(expressions=frozenset({("guitar",)}))
     matched = []
 
     def counted(lexicon, tokens):
