@@ -18,13 +18,14 @@ BIO_LABELS = ([OUTSIDE]
 BIO_INDEX = {label: i for i, label in enumerate(BIO_LABELS)}
 N_BIO = len(BIO_LABELS)
 
-PRIMARY_LABEL_IDS = tuple(i for i, lb in enumerate(BIO_LABELS)
-                          if "REM" not in lb)
-REMOTE_LABEL_IDS = tuple(i for i, lb in enumerate(BIO_LABELS)
-                         if "REM" in lb)
-_PRIMARY_IDS = np.asarray(PRIMARY_LABEL_IDS)
-_REMOTE_IDS = np.asarray(REMOTE_LABEL_IDS)
-_LABELS = np.asarray(BIO_LABELS, dtype=object)
+PRIMARY_LABEL_IDS = np.array([i for i, lb in enumerate(BIO_LABELS)
+                              if "REM" not in lb])
+REMOTE_LABEL_IDS = np.array([i for i, lb in enumerate(BIO_LABELS)
+                             if "REM" in lb])
+# label id -> (opens a span, (category, remote) or None for O)
+_DECODE = tuple((lb.startswith("B-"), None if lb == OUTSIDE
+                 else (lb.rsplit("-", 1)[1], "-REM-" in lb))
+                for lb in BIO_LABELS)
 _ATOL = 1e-6  # TagDistribution.check's tolerance
 
 
@@ -55,20 +56,10 @@ class TagDistribution:
         t1 = self.task1
         if t1.ndim != 2 or t1.shape[1] != N_BIO:
             raise ValueError("task1 distribution has shape %s" % (t1.shape,))
-        if not np.all(t1 >= -_ATOL):  # NaN too
+        if not t1.min(initial=np.inf) >= -_ATOL:  # NaN too
             raise ValueError("negative or NaN probability in task1 rows")
-        if np.any(np.abs(t1.sum(axis=1) - 1.0) > _ATOL):
+        if np.abs(t1.sum(axis=1) - 1.0).max(initial=0.0) > _ATOL:
             raise ValueError("task1 rows do not sum to 1")
-
-
-def split_label(label):
-    """-> (tag, category, remote) with tag in {B, I, O}."""
-    if label == OUTSIDE:
-        return "O", None, False
-    parts = label.split("-")
-    if len(parts) == 2:
-        return parts[0], parts[1], False
-    return parts[0], parts[2], True
 
 
 def encode(passage: Passage, node_id: str) -> list:
@@ -109,30 +100,22 @@ def decode_labels(labels) -> list:
     Repair rules: a dangling I- opens a new span; an I- of a different
     category closes the open span and opens a new one; O closes.
     """
+    return _decode_ids([BIO_INDEX[label] for label in labels])
+
+
+def _decode_ids(ids) -> list:
+    """decode_labels over label ids."""
     spans = []
-    open_span = None  # [start, category, remote]
-
-    def close(end):
-        nonlocal open_span
-        if open_span is not None:
-            spans.append(ChildSpan(open_span[0], end, open_span[1],
-                                   open_span[2]))
-            open_span = None
-
-    for i, label in enumerate(labels):
-        tag, category, remote = split_label(label)
-        if tag == "O":
-            close(i)
-        elif tag == "B":
-            close(i)
-            open_span = [i, category, remote]
-        else:  # I
-            if open_span is not None and open_span[1] == category \
-                    and open_span[2] == remote:
-                continue
-            close(i)
-            open_span = [i, category, remote]
-    close(len(labels))
+    start, open_key = 0, None
+    for i, label_id in enumerate(ids):
+        begins, key = _DECODE[label_id]
+        if key == open_key and not begins:  # an I- that continues, or O
+            continue
+        if open_key is not None:
+            spans.append(ChildSpan(start, i, *open_key))
+        start, open_key = i, key
+    if open_key is not None:
+        spans.append(ChildSpan(start, len(ids), *open_key))
     return spans
 
 
@@ -140,8 +123,8 @@ def decode_probs(dist: TagDistribution) -> list:
     """Primary spans: per-token argmax over O + primary labels. The
     caller checks dist; decode_remote decodes the REM columns."""
     t1 = dist.task1
-    primary = _PRIMARY_IDS[np.argmax(t1[:, _PRIMARY_IDS], axis=1)]
-    return decode_labels(_LABELS[primary].tolist())
+    primary = PRIMARY_LABEL_IDS[np.argmax(t1[:, PRIMARY_LABEL_IDS], axis=1)]
+    return _decode_ids(primary.tolist())
 
 
 def decode_remote(rows: np.ndarray, remote_threshold: float) -> list:
@@ -152,14 +135,14 @@ def decode_remote(rows: np.ndarray, remote_threshold: float) -> list:
     above = rows.max(axis=1) > remote_threshold
     if not above.any():
         return []
-    ids = np.where(above, _REMOTE_IDS[np.argmax(rows, axis=1)],
+    ids = np.where(above, REMOTE_LABEL_IDS[np.argmax(rows, axis=1)],
                    BIO_INDEX[OUTSIDE])
-    return decode_labels(_LABELS[ids].tolist())
+    return _decode_ids(ids.tolist())
 
 
 def one_hot(labels) -> np.ndarray:
     """(T, 53) one-hot rows for a gold label sequence."""
     out = np.zeros((len(labels), N_BIO))
-    for i, label in enumerate(labels):
-        out[i, BIO_INDEX[label]] = 1.0
+    out[np.arange(len(labels)),
+        np.array([BIO_INDEX[label] for label in labels], dtype=np.intp)] = 1.0
     return out

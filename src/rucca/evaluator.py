@@ -6,10 +6,10 @@ Labeled/Unlabeled x Avg/Prim/Rem cell layout plus a per-category
 breakdown and mono-/multi-scene corpus splits.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .graph import CATEGORIES, Passage, all_yields
+from .graph import CATEGORIES, Passage
 
 
 class EvalError(ValueError):
@@ -77,14 +77,11 @@ class CorpusReport:
     multi_scene: EvalReport
 
 
-def signatures(passage: Passage) -> Counter:
-    """Multiset of (yield, category, remote) edge signatures."""
-    yields = all_yields(passage)
-    sigs = Counter()
-    for e in passage.edges:
-        y = tuple(sorted(yields[e.child]))
-        sigs[(y, e.category, e.remote)] += 1
-    return sigs
+def signatures(passage: Passage):
+    """Read-only multiset of (yield, category, remote) edge signatures,
+    built once per passage and shared by all callers; a key not in it
+    counts 0."""
+    return passage._index.signatures
 
 
 def _add(pred, gold, *cells):  # one key's matched, predicted, gold counts

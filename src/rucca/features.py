@@ -6,7 +6,7 @@ values, affixes, capitalization, length bucket, language, mask symbol),
 and a boolean MWE flag.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,20 +59,24 @@ def affix(form: str, size: int, suffix: bool) -> str:
     return low[-size:] if suffix else low[:size]
 
 
-def _token_symbols(token):
-    """Categorical feature symbols for one token (morph handled apart)."""
-    return {
-        "deprel": token.deprel if token.deprel is not None else NONE,
-        "upos": token.upos,
-        "xpos": token.xpos if token.xpos is not None else NONE,
-        "caps": caps_class(token.form),
-        "length": length_bucket(token.form),
-        "prefix2": affix(token.form, 2, suffix=False),
-        "prefix3": affix(token.form, 3, suffix=False),
-        "suffix2": affix(token.form, 2, suffix=True),
-        "suffix3": affix(token.form, 3, suffix=True),
-        "language": token.language,
-    }
+def _form_symbols(form):
+    """The six categorical symbols that depend on the form alone."""
+    return {"caps": caps_class(form), "length": length_bucket(form),
+            "prefix2": affix(form, 2, suffix=False),
+            "prefix3": affix(form, 3, suffix=False),
+            "suffix2": affix(form, 2, suffix=True),
+            "suffix3": affix(form, 3, suffix=True)}
+
+
+def _token_symbols(token, form_symbols=None):
+    """Categorical feature symbols for one token (morph handled apart);
+    form_symbols, when given, is _form_symbols(token.form)."""
+    if form_symbols is None:
+        form_symbols = _form_symbols(token.form)
+    return {"deprel": token.deprel if token.deprel is not None else NONE,
+            "upos": token.upos,
+            "xpos": token.xpos if token.xpos is not None else NONE,
+            "language": token.language, **form_symbols}
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,13 @@ class FeaturizerContext:
     vocab: FeatureVocabularies
     embeddings: WordEmbeddingTable
     lexicon: ExpressionLexicon
+    # form -> _form_symbols(form), filled by featurize
+    forms: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def featurize(self, example: MaskedExample) -> "FeaturizedExample":
-        return featurize(example, self.vocab, self.embeddings, self.lexicon)
+        return featurize(example, self.vocab, self.embeddings, self.lexicon,
+                         self.forms)
 
     def remask(self, feats: FeaturizedExample, mask) -> FeaturizedExample:
         """The features of feats' sentence under another mask: only the
@@ -204,18 +212,24 @@ class FeaturizerContext:
 
 
 def _mask_ids(vocab: FeatureVocabularies, mask) -> np.ndarray:
-    return np.array([vocab.index("mask", sym) for sym in mask],
-                    dtype=np.int64)
+    table = vocab.tables["mask"]
+    return np.array([table.get(sym, 1) for sym in mask], dtype=np.int64)
 
 
 def featurize(example: MaskedExample, vocab: FeatureVocabularies,
-              embeddings: WordEmbeddingTable,
-              lex: ExpressionLexicon) -> FeaturizedExample:
+              embeddings: WordEmbeddingTable, lex: ExpressionLexicon,
+              forms=None) -> FeaturizedExample:
+    """forms, form -> _form_symbols(form), is read and filled when given."""
     tokens = example.tokens
     n = len(tokens)
-    word_vectors = np.stack([embeddings.lookup(t.form) for t in tokens]) \
-        if n else np.zeros((0, WORD_DIM))
-    symbols = [_token_symbols(t) for t in tokens]
+    forms = {} if forms is None else forms
+    word_vectors = np.zeros((n, WORD_DIM))
+    symbols = []
+    for i, t in enumerate(tokens):
+        word_vectors[i] = embeddings.lookup(t.form)
+        if t.form not in forms:
+            forms[t.form] = _form_symbols(t.form)
+        symbols.append(_token_symbols(t, forms[t.form]))
     morphs = [dict(t.morph) for t in tokens]
     categorical = {}
     for name in vocab.feature_names():
@@ -227,8 +241,9 @@ def featurize(example: MaskedExample, vocab: FeatureVocabularies,
             column = [m.get(key, NONE) for m in morphs]
         else:
             column = [s[name] for s in symbols]
-        categorical[name] = np.array([vocab.index(name, sym)
-                                      for sym in column], dtype=np.int64)
+        table = vocab.tables[name]
+        categorical[name] = np.array([table.get(sym, 1) for sym in column],
+                                     dtype=np.int64)
     mwe_mask = match(lex, tokens)
     return FeaturizedExample(length=n, word_vectors=word_vectors,
                              categorical=categorical,

@@ -5,6 +5,7 @@ non-terminals = semantic units) plus optional remote edges that turn the
 tree into a DAG.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -92,6 +93,7 @@ class _Index:
     so it builds its index once, on first use."""
 
     def __init__(self, nodes, edges):
+        self.edges = edges
         self.by_id = {}
         for n in nodes:
             self.by_id.setdefault(n.id, n)  # the first of duplicate ids
@@ -126,6 +128,14 @@ class _Index:
                 yields[nid] = frozenset().union(
                     *[yields[c] for _, c in self.primary.get(nid, ())])
         return MappingProxyType(yields)
+
+    @cached_property
+    def signatures(self):
+        """Read-only multiset (sorted yield, category, remote) -> count
+        over the edges, the keys evaluator.score matches on."""
+        sigs = Counter((tuple(sorted(self.yields[e.child])), e.category,
+                        e.remote) for e in self.edges)
+        return MappingProxyType(sigs)
 
 
 def all_yields(passage: Passage):

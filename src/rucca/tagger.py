@@ -212,6 +212,7 @@ class GruTagger:
             {"x": xs[d], "hprev": hs[d, :, :-1], "gates": gates[d],
              "un": rec[d, :, :, 2 * h:]} for d in (0, 1))
 
+    @np.errstate(over="ignore")  # _sigmoid's exp saturates to 0 or 1
     def forward_batch(self, feats_list):
         """-> ([TagDistribution], cache) for examples of one length T, run
         together: every array of the cache has a leading batch axis."""

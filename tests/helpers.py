@@ -284,6 +284,56 @@ def token_accuracy(tagger, ctx, examples):
     return correct / total if total else 0.0
 
 
+def reference_split_label(label):
+    """-> (tag, category, remote) with tag in {B, I, O}."""
+    if label == "O":
+        return "O", None, False
+    parts = label.split("-")
+    if len(parts) == 2:
+        return parts[0], parts[1], False
+    return parts[0], parts[2], True
+
+
+def reference_decode_labels(labels):
+    """bio.decode_labels as a loop that splits each label string, the
+    reference for the decoder's per-id table."""
+    spans = []
+    open_span = None  # [start, category, remote]
+
+    def close(end):
+        nonlocal open_span
+        if open_span is not None:
+            spans.append(bio.ChildSpan(open_span[0], end, open_span[1],
+                                       open_span[2]))
+            open_span = None
+
+    for i, label in enumerate(labels):
+        tag, category, remote = reference_split_label(label)
+        if tag == "O":
+            close(i)
+        elif tag == "B":
+            close(i)
+            open_span = [i, category, remote]
+        else:  # I
+            if open_span is not None and open_span[1] == category \
+                    and open_span[2] == remote:
+                continue
+            close(i)
+            open_span = [i, category, remote]
+    close(len(labels))
+    return spans
+
+
+def reference_check(t1):
+    """TagDistribution.check's two conditions as first written: -> the
+    ValueError message it raises, or None."""
+    if not np.all(t1 >= -1e-6):
+        return "negative or NaN probability in task1 rows"
+    if np.any(np.abs(t1.sum(axis=1) - 1.0) > 1e-6):
+        return "task1 rows do not sum to 1"
+    return None
+
+
 class FixedTagger(Tagger):
     """Emits a pre-set distribution for every call."""
 

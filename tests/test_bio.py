@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rucca import bio
 from rucca.graph import Edge, Node, Passage, make_token, non_terminals
 
 from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
-                     nonrepresentable_passage, random_passage)
+                     nonrepresentable_passage, random_passage,
+                     reference_check, reference_decode_labels)
 
 
 def test_label_vocabulary_size():
@@ -240,6 +241,73 @@ def test_decode_labels_total_and_disjoint(labels):
 
 def _remote_rows(t1):
     return t1[:, bio.REMOTE_LABEL_IDS]
+
+
+# dangling I-, REM labels and category switches, each drawn often
+_LABEL_RUNS = st.lists(st.sampled_from(
+    ["O", "B-A", "I-A", "I-H", "B-REM-A", "I-REM-A", "I-REM-H"]
+    + bio.BIO_LABELS), max_size=16)
+
+
+@settings(max_examples=300)
+@given(_LABEL_RUNS)
+def test_decode_labels_matches_the_string_splitting_loop(labels):
+    assert bio.decode_labels(labels) == reference_decode_labels(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(0, 12),
+       concentration=st.sampled_from([0.05, 0.3, 3.0]))
+def test_decode_probs_and_remote_match_the_string_splitting_loop(
+        seed, length, concentration):
+    """Random rows: primary spans from each token's argmax over the
+    primary columns, remote spans from its argmax over the REM columns
+    where that probability exceeds the threshold."""
+    rng = np.random.default_rng(seed)
+    t1 = rng.gamma(concentration, 1.0, (length, bio.N_BIO))
+    t1 /= np.maximum(t1.sum(axis=1, keepdims=True), 1e-300)
+    primary = [bio.BIO_LABELS[max(bio.PRIMARY_LABEL_IDS,
+                                  key=lambda i: (row[i], -i))]
+               for row in t1]
+    assert bio.decode_probs(bio.TagDistribution(task1=t1)) == \
+        reference_decode_labels(primary)
+    rows = _remote_rows(t1)
+    for threshold in (0.0, 0.3, 1.0):
+        remote = [bio.BIO_LABELS[bio.REMOTE_LABEL_IDS[int(np.argmax(r))]]
+                  if r.max() > threshold else "O" for r in rows]
+        assert bio.decode_remote(rows, threshold) == \
+            reference_decode_labels(remote)
+
+
+def _check_message(t1):
+    try:
+        bio.TagDistribution(task1=t1).check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(0, 6),
+       poison=st.lists(st.tuples(
+           st.integers(0, 10 ** 6), st.integers(0, bio.N_BIO - 1),
+           st.sampled_from([np.nan, np.inf, -np.inf, -0.999e-6, -1.001e-6,
+                            0.999e-6, 1.001e-6, -0.5]),
+           st.booleans()), max_size=3))
+@example(seed=0, length=0, poison=[])  # T = 0 passes
+def test_check_raises_exactly_as_the_two_condition_formula(seed, length,
+                                                           poison):
+    """Valid rows with a few cells set to NaN, +-inf or values just
+    inside and outside the tolerance, or shifted by the small ones."""
+    rng = np.random.default_rng(seed)
+    t1 = rng.dirichlet(np.ones(bio.N_BIO), size=length)
+    for row, col, value, shift in poison:
+        if length and shift and np.isfinite(value):
+            t1[row % length, col] += value
+        elif length:
+            t1[row % length, col] = value
+    assert _check_message(t1) == reference_check(t1)
+
 
 
 def test_decode_probs_one_hot_matches_labels():

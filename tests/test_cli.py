@@ -12,7 +12,8 @@ from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
 from rucca.graph import non_terminals
-from rucca.tagger import MAGIC, GruTagger, TaggerConfig, save_checkpoint
+from rucca.tagger import (MAGIC, GruTagger, TaggerConfig, load_checkpoint,
+                          save_checkpoint)
 
 from helpers import (fig1_passage, nonrepresentable_passage, random_corpus,
                      single_token_passage, two_scene_5tok_passage,
@@ -214,6 +215,26 @@ def test_parse_from_checkpoint_with_conll_input(tmp_path, capsys):
     predicted = load_passages(tmp_path / "predictions.jsonl")
     assert len(predicted) == 2
     assert [len(p.tokens) for p in predicted] == [2, 3]
+
+
+def test_parse_with_saturated_highway_gates_writes_nothing_to_stderr(
+        tmp_path):
+    """A highway bias of -1e5 overflows exp in the gate's sigmoid, which
+    saturates to 0: the parse succeeds and numpy prints no warning."""
+    config, _, model, _ = _expand_then_train(tmp_path)
+    tagger = load_checkpoint(model)
+    tagger.params["l0/hw/b"][:] = -1e5
+    save_checkpoint(tagger, model)
+    conll = tmp_path / "in.conll"
+    conll.write_text("1\tDogs\tNOUN\t_\t_\t2\tnsubj\n"
+                     "2\tbark\tVERB\t_\t_\t0\troot\n\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-m", "rucca.cli", "--config",
+                          config, "parse", "--input", str(conll)],
+                         capture_output=True, env=env)
+    assert (run.returncode, run.stderr) == (cli.EXIT_OK, b"")
+    assert len(load_passages(tmp_path / "predictions.jsonl")) == 1
 
 
 def test_parse_trace_output(tmp_path):

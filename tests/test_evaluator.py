@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from rucca.evaluator import (Counts, EvalError, count_scene_edges,
@@ -5,8 +7,10 @@ from rucca.evaluator import (Counts, EvalError, count_scene_edges,
                              report_record, score, score_corpus,
                              signatures)
 from rucca.graph import CATEGORIES, Edge, Node, Passage, make_token
+from rucca.parser import DecoderConfig, parse
 
-from helpers import fig1_passage, fixture_corpus, single_token_passage
+from helpers import (RandomTagger, context_for, fig1_passage,
+                     fixture_corpus, single_token_passage)
 
 
 def test_counts_f1_zero_over_zero():
@@ -39,6 +43,34 @@ def test_signatures_fig1_hand_enumeration():
 def test_signatures_counts_remote_flag():
     sigs = signatures(fig1_passage())
     assert sum(c for (_, _, remote), c in sigs.items() if remote) == 1
+
+
+def test_signatures_are_built_once_and_read_only():
+    p = fig1_passage()
+    sigs = signatures(p)
+    assert signatures(p) is sigs
+    key = ((0,), "A", True)
+    with pytest.raises(TypeError):
+        sigs[key] = 5
+    with pytest.raises(AttributeError):
+        sigs.update({key: 5})
+    assert sigs[key] == 1 and sigs[((0,), "Z", True)] == 0
+    assert dict(signatures(fig1_passage())) == dict(sigs)
+
+
+def test_scoring_a_gold_passage_again_matches_fresh_copies():
+    """A gold passage scored twice, and against other predictions, gives
+    the reports of fresh copies of both passages, whose signatures are
+    built anew."""
+    corpus = fixture_corpus(n_random=12)
+    ctx = context_for(corpus)
+    for i, gold in enumerate(corpus):
+        preds = [gold] + [parse(gold.tokens, RandomTagger(seed), ctx,
+                                DecoderConfig(), passage_id="p%d" % seed)[0]
+                          for seed in (i, i + 100)]
+        for pred in preds + preds:
+            assert score(pred, gold) == score(replace(pred), replace(gold))
+            assert score(gold, pred) == score(replace(gold), replace(pred))
 
 
 def test_score_identity():
