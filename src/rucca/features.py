@@ -79,30 +79,6 @@ def _token_symbols(token, form_symbols=None):
             "language": token.language, **form_symbols}
 
 
-@dataclass(frozen=True)
-class FeatureVocabularies:
-    """Frozen symbol tables, one per categorical feature.
-
-    Index 0 is PAD and index 1 is OOV in every table. Feature names are
-    sorted so the tagger's input layout is deterministic.
-    """
-
-    tables: dict  # feature name -> {symbol: index}
-    morph_keys: tuple
-
-    def feature_names(self) -> list:
-        return sorted(self.tables)
-
-    def size(self, name: str) -> int:
-        return len(self.tables[name])
-
-    def index(self, name: str, symbol: str) -> int:
-        return self.tables[name].get(symbol, 1)
-
-    def inverse(self, name: str) -> dict:
-        return {i: s for s, i in self.tables[name].items()}
-
-
 def _make_table(symbols) -> dict:
     table = {PAD: 0, OOV: 1}
     for sym in sorted(set(symbols)):
@@ -111,9 +87,11 @@ def _make_table(symbols) -> dict:
     return table
 
 
-def fit_vocabularies(corpus) -> FeatureVocabularies:
+def fit_vocabularies(corpus) -> dict:
     """Deterministic tables over every symbol seen in the corpus: examples
-    or passages, whose tokens are all that is read."""
+    or passages, whose tokens are all that is read -> the vocabulary,
+    {feature name: {symbol: index}}. Index 0 is PAD and index 1 is OOV in
+    every table; the tagger lays its input out in sorted-name order."""
     if not corpus:
         raise CorpusError("cannot fit vocabularies on an empty corpus")
     seen = {name: set() for name in
@@ -131,10 +109,9 @@ def fit_vocabularies(corpus) -> FeatureVocabularies:
     tables["caps"] = _make_table(CAPS_CLASSES)
     tables["length"] = _make_table(LENGTH_BUCKETS)
     tables["mask"] = _make_table(MASK_SYMBOLS)
-    morph_keys = tuple(sorted(morph_values))
-    for key in morph_keys:
+    for key in sorted(morph_values):
         tables["morph:" + key] = _make_table(morph_values[key] | {NONE})
-    return FeatureVocabularies(tables=tables, morph_keys=morph_keys)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -191,7 +168,7 @@ class FeaturizedExample:
 class FeaturizerContext:
     """Everything needed to turn a MaskedExample into tagger input."""
 
-    vocab: FeatureVocabularies
+    vocab: dict  # fit_vocabularies' {feature name: {symbol: index}}
     embeddings: WordEmbeddingTable
     lexicon: ExpressionLexicon
     # form -> _form_symbols(form), filled by featurize
@@ -211,12 +188,12 @@ class FeaturizerContext:
         return replace(feats, categorical=categorical)
 
 
-def _mask_ids(vocab: FeatureVocabularies, mask) -> np.ndarray:
-    table = vocab.tables["mask"]
+def _mask_ids(vocab, mask) -> np.ndarray:
+    table = vocab["mask"]
     return np.array([table.get(sym, 1) for sym in mask], dtype=np.int64)
 
 
-def featurize(example: MaskedExample, vocab: FeatureVocabularies,
+def featurize(example: MaskedExample, vocab: dict,
               embeddings: WordEmbeddingTable, lex: ExpressionLexicon,
               forms=None) -> FeaturizedExample:
     """forms, form -> _form_symbols(form), is read and filled when given."""
@@ -232,7 +209,7 @@ def featurize(example: MaskedExample, vocab: FeatureVocabularies,
         symbols.append(_token_symbols(t, forms[t.form]))
     morphs = [dict(t.morph) for t in tokens]
     categorical = {}
-    for name in vocab.feature_names():
+    for name in sorted(vocab):
         if name == "mask":
             categorical[name] = _mask_ids(vocab, example.mask)
             continue
@@ -241,7 +218,7 @@ def featurize(example: MaskedExample, vocab: FeatureVocabularies,
             column = [m.get(key, NONE) for m in morphs]
         else:
             column = [s[name] for s in symbols]
-        table = vocab.tables[name]
+        table = vocab[name]
         categorical[name] = np.array([table.get(sym, 1) for sym in column],
                                      dtype=np.int64)
     mwe_mask = match(lex, tokens)

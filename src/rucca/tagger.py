@@ -8,6 +8,7 @@ Everything is plain numpy with hand-written backpropagation so gradients
 are exact and runs are bit-deterministic under a fixed seed.
 """
 
+import hashlib
 import json
 import os
 import struct
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import bio
 from .corpus import AUX_OUTSIDE, CorpusError, MaskedExample, expand
-from .features import OOV, PAD, FeaturizedExample, FeatureVocabularies
+from .features import OOV, PAD, WORD_DIM, FeaturizedExample
 from .graph import OUTSIDE
 
 
@@ -30,20 +31,19 @@ class CheckpointError(ValueError):
     """A checkpoint file that is malformed or disagrees with its config."""
 
 
+N_LAYERS = 4  # BiGRU layers, each with a highway connection
+
+
 @dataclass
 class TaggerConfig:
     hidden: int = 128  # per direction; layer width is 2*hidden
     cat_dim: int = 16
-    n_layers: int = 4
-    word_dim: int = 300
     lambda_aux: float = 1.0
     seed: int = 13  # parameter initialisation and training shuffles
 
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
         if self.cat_dim < 0:
             raise ValueError("cat_dim must be >= 0")
         if not (np.isfinite(self.lambda_aux) and self.lambda_aux >= 0):
@@ -118,17 +118,16 @@ class Tagger:
 class GruTagger:
     """Trainable tagger; tags a batch with one forward_batch."""
 
-    def __init__(self, config: TaggerConfig, vocab: FeatureVocabularies,
-                 aux_vocab, draw=None):
-        """draw(std, shape) gives each weight tensor's initial values; by
+    def __init__(self, config: TaggerConfig, vocab, aux_vocab, draw=None):
+        """vocab is fit_vocabularies' {feature name: {symbol: index}}.
+        draw(std, shape) gives each weight tensor's initial values; by
         default normal draws seeded by config.seed."""
         self.config = config
         self.vocab = vocab
         self.aux_vocab = tuple(aux_vocab)
         self.aux_index = {a: i for i, a in enumerate(self.aux_vocab)}
-        self.feature_names = vocab.feature_names()
-        self.input_dim = (config.word_dim
-                          + config.cat_dim * len(self.feature_names) + 1)
+        self.feature_names = sorted(vocab)
+        self.input_dim = WORD_DIM + config.cat_dim * len(vocab) + 1
         if draw is None:
             draw = partial(np.random.default_rng(config.seed).normal, 0.0)
         self.params = self._init_params(draw)
@@ -146,9 +145,9 @@ class GruTagger:
 
         for name in self.feature_names:
             params["emb/" + name] = draw(
-                0.1, (self.vocab.size(name), cfg.cat_dim))
+                0.1, (len(self.vocab[name]), cfg.cat_dim))
         linear("in", m, self.input_dim)
-        for layer in range(cfg.n_layers):
+        for layer in range(N_LAYERS):
             for d in ("f", "b"):
                 # Drawn gate by gate (z, r, n), W before U, then stacked.
                 blocks = [(draw(np.sqrt(1.0 / m), (h, m)),
@@ -219,11 +218,10 @@ class GruTagger:
         if len({feats.length for feats in feats_list}) != 1:
             raise ValueError("forward_batch needs one or more examples of "
                              "one length")
-        cfg = self.config
         f = np.stack([self._input_matrix(feats) for feats in feats_list])
         x = self._affine(f, "in/")
         layers = []
-        for layer in range(cfg.n_layers):
+        for layer in range(N_LAYERS):
             (hf, hb), (cf, cb) = self._gru_layer(x, layer)
             y = np.concatenate([hf, hb[:, ::-1]], axis=2)
             gate = _sigmoid(self._affine(x, "l%d/hw/" % layer))
@@ -331,7 +329,7 @@ class GruTagger:
         add("out2/b", d2.sum(axis=0))
         dx = d1 @ self.params["out1/W"] + d2 @ self.params["out2/W"]
 
-        for layer in range(self.config.n_layers - 1, -1, -1):
+        for layer in range(N_LAYERS - 1, -1, -1):
             lc = cache["layers"][layer]
             x, y, gate = lc["x"][0], lc["y"][0], lc["gate"][0]
             dy = dx * gate
@@ -351,7 +349,7 @@ class GruTagger:
         add("in/W", dx.T @ cache["f"][0])
         add("in/b", dx.sum(axis=0))
         df = dx @ self.params["in/W"]
-        offset = self.config.word_dim
+        offset = WORD_DIM
         for name in self.feature_names:
             table = np.zeros_like(out["emb/" + name])
             np.add.at(table, feats.categorical[name],
@@ -519,18 +517,24 @@ class OracleTagger(Tagger):
 # Checkpoints (deterministic binary container)
 
 MAGIC = b"RUCCA1\n"
-VERSION = 2  # 2: one W, U and b per GRU direction (1: one per gate)
+# 3: the vocabulary as one dict, the body's sha256 and the numpy and BLAS
+# builds in the header (2: one W, U and b per GRU direction; 1: per gate)
+VERSION = 3
 
 
 def save_checkpoint(tagger: GruTagger, path):
+    """Identical models give identical files on one numpy and BLAS build,
+    which the header names."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     header = {
         "version": VERSION,
         "config": asdict(tagger.config),
         "aux_vocab": list(tagger.aux_vocab),
-        "vocab": {"tables": {k: dict(v)
-                             for k, v in tagger.vocab.tables.items()},
-                  "morph_keys": list(tagger.vocab.morph_keys)},
+        "vocab": tagger.vocab,
         "tensors": tagger.params.manifest(),
+        "sha256": hashlib.sha256(tagger.params.flat).hexdigest(),
+        "numpy": np.__version__,
+        "blas": "%s %s" % (blas.get("name"), blas.get("version")),
     }
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
@@ -543,7 +547,8 @@ def save_checkpoint(tagger: GruTagger, path):
 
 def load_checkpoint(path) -> GruTagger:
     """Raises CheckpointError unless the file holds exactly one checkpoint
-    whose tensors have the shapes its config gives."""
+    whose tensors have the shapes its config gives and the sha256 its
+    header gives."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise CheckpointError("not a rucca checkpoint: %s" % path)
@@ -555,12 +560,9 @@ def load_checkpoint(path) -> GruTagger:
             if header["version"] != VERSION:
                 raise CheckpointError("checkpoint version %s, expected %d"
                                       % (header["version"], VERSION))
-            vocab = FeatureVocabularies(
-                tables={k: dict(v)
-                        for k, v in header["vocab"]["tables"].items()},
-                morph_keys=tuple(header["vocab"]["morph_keys"]))
+            vocab = header["vocab"]
             # featurize sends unseen symbols to 1; ids index table rows
-            for name, table in vocab.tables.items():
+            for name, table in vocab.items():
                 ids = list(table.values())
                 if not (all(type(i) is int for i in ids)
                         and sorted(ids) == list(range(len(ids)))
@@ -571,7 +573,7 @@ def load_checkpoint(path) -> GruTagger:
             tagger = GruTagger(TaggerConfig(**header["config"]), vocab,
                                header["aux_vocab"],
                                draw=lambda std, shape: np.empty(shape))
-            tensors = header["tensors"]
+            tensors, digest = header["tensors"], header["sha256"]
         except (struct.error, ValueError, KeyError, TypeError,
                 AttributeError) as exc:
             raise CheckpointError("%s: bad checkpoint header: %s"
@@ -581,6 +583,9 @@ def load_checkpoint(path) -> GruTagger:
                                   % path)
         if f.readinto(tagger.params.flat) != tagger.params.flat.nbytes:
             raise CheckpointError("%s: truncated tensor data" % path)
+        if hashlib.sha256(tagger.params.flat).hexdigest() != digest:
+            raise CheckpointError("%s: tensor data does not match its sha256"
+                                  % path)
         if f.read(1):
             raise CheckpointError("%s: trailing bytes after the last tensor"
                                   % path)

@@ -479,7 +479,7 @@ def _reheader(blob, version=None, vocab=None, **config):
         header["version"] = version
     header["config"].update(config)
     for name, entries in (vocab or {}).items():
-        header["vocab"]["tables"][name].update(entries)
+        header["vocab"][name].update(entries)
     text = json.dumps(header).encode("utf-8")
     return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + size:]
 
@@ -549,6 +549,11 @@ def _no_tokens_example(record):
 
 def _not_utf8(blob):
     return b"\xff\xfe" + blob
+
+
+def _flip_last_byte(blob):
+    """The last byte lies in the checkpoint body, the tensor data."""
+    return blob[:-1] + bytes([blob[-1] ^ 1])
 
 
 # Every malformed input exits with its documented code and one line that
@@ -633,6 +638,13 @@ def _not_utf8(blob):
     pytest.param(["parse"], {}, {},
                  {"model": lambda b: _reheader(b, version=1)},
                  cli.EXIT_DATA, "version 1", id="checkpoint-version-1"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _reheader(b, version=2)},
+                 cli.EXIT_DATA, "version 2", id="checkpoint-version-2"),
+    pytest.param(["parse"], {}, {}, {"model": _flip_last_byte},
+                 cli.EXIT_DATA,
+                 "model.ckpt: tensor data does not match its sha256",
+                 id="checkpoint-body-flipped"),
     pytest.param(["train"], {}, {"RUCCA_LEARNING_RATE": "nan"}, {},
                  cli.EXIT_USAGE, "learning_rate", id="learning-rate-nan"),
     pytest.param(["train"], {}, {"RUCCA_GRAD_CLIP": "nan"}, {},
@@ -686,7 +698,7 @@ def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
     expanded = tmp_path / "expanded.jsonl"
     save_examples([ex for p in passages for ex in expand(p)], expanded)
     model = tmp_path / "model.ckpt"
-    save_checkpoint(GruTagger(TaggerConfig(hidden=2, cat_dim=2, n_layers=1),
+    save_checkpoint(GruTagger(TaggerConfig(hidden=2, cat_dim=2),
                               fit_vocabularies(passages), ["O"]), model)
     tokens = tmp_path / "tokens.conll"
     tokens.write_text("1\tShe\tPRON\t_\t_\t2\tnsubj\n"

@@ -22,6 +22,10 @@ def _example(tokens, mask=None):
                          focus_node="n0")
 
 
+def _inverse(table):
+    return {i: s for s, i in table.items()}
+
+
 def test_caps_classes():
     assert caps_class("paris") == "all-lower"
     assert caps_class("Paris") == "initial-cap"
@@ -51,19 +55,19 @@ def test_fit_vocabularies_sizes_and_determinism():
                         make_token("runs", "VERB")])]
     vocab1 = fit_vocabularies(corpus)
     vocab2 = fit_vocabularies(corpus)
-    assert vocab1.tables == vocab2.tables
+    assert vocab1 == vocab2
     # PAD + OOV + NOUN + VERB
-    assert vocab1.size("upos") == 4
-    assert vocab1.index("upos", "NOUN") >= 2
-    assert vocab1.index("upos", "UNSEEN") == 1  # OOV
+    assert len(vocab1["upos"]) == 4
+    assert vocab1["upos"]["NOUN"] >= 2
+    assert vocab1["upos"]["<oov>"] == 1 and "UNSEEN" not in vocab1["upos"]
 
 
 def test_fit_vocabularies_multilingual():
     corpus = [_example([make_token("chien", "NOUN", language="fr"),
                         make_token("dog", "NOUN", language="en")])]
     vocab = fit_vocabularies(corpus)
-    assert vocab.index("language", "fr") >= 2
-    assert vocab.index("language", "en") >= 2
+    assert vocab["language"]["fr"] >= 2
+    assert vocab["language"]["en"] >= 2
 
 
 def test_fit_vocabularies_empty_corpus():
@@ -77,16 +81,16 @@ def test_featurize_basic_symbols():
     vocab = fit_vocabularies(corpus)
     feats = featurize(_example(tokens), vocab, EMPTY_EMBEDDINGS,
                       EMPTY_LEXICON)
-    inv_caps = vocab.inverse("caps")
+    inv_caps = _inverse(vocab["caps"])
     assert inv_caps[feats.categorical["caps"][0]] == "initial-cap"
-    inv_len = vocab.inverse("length")
+    inv_len = _inverse(vocab["length"])
     assert inv_len[feats.categorical["length"][0]] == "4-6"
-    inv_p2 = vocab.inverse("prefix2")
+    inv_p2 = _inverse(vocab["prefix2"])
     assert inv_p2[feats.categorical["prefix2"][0]] == "pa"
-    inv_s3 = vocab.inverse("suffix3")
+    inv_s3 = _inverse(vocab["suffix3"])
     assert inv_s3[feats.categorical["suffix3"][0]] == "ris"
     # mask O maps through the fixed mask table
-    inv_mask = vocab.inverse("mask")
+    inv_mask = _inverse(vocab["mask"])
     assert inv_mask[feats.categorical["mask"][1]] == "O"
 
 
@@ -94,7 +98,7 @@ def test_featurize_mask_roundtrip_on_fig1():
     p = fig1_passage()
     examples = expand(p)
     vocab = fit_vocabularies(examples)
-    inv = vocab.inverse("mask")
+    inv = _inverse(vocab["mask"])
     for ex in examples:
         feats = featurize(ex, vocab, EMPTY_EMBEDDINGS, EMPTY_LEXICON)
         decoded = tuple(inv[i] for i in feats.categorical["mask"])
@@ -172,15 +176,15 @@ def _featurize_per_table(example, vocab, embeddings, lex):
     word_vectors = np.stack([embeddings.lookup(t.form) for t in tokens]) \
         if n else np.zeros((0, WORD_DIM))
     categorical = {}
-    for name in vocab.feature_names():
+    for name in sorted(vocab):
         if name == "mask":
-            idx = [vocab.index("mask", sym) for sym in example.mask]
+            idx = [vocab["mask"].get(sym, 1) for sym in example.mask]
         elif name.startswith("morph:"):
             key = name[len("morph:"):]
-            idx = [vocab.index(name, dict(t.morph).get(key, NONE))
+            idx = [vocab[name].get(dict(t.morph).get(key, NONE), 1)
                    for t in tokens]
         else:
-            idx = [vocab.index(name, _token_symbols(t)[name])
+            idx = [vocab[name].get(_token_symbols(t)[name], 1)
                    for t in tokens]
         categorical[name] = np.array(idx, dtype=np.int64)
     mwe = np.array(match(lex, tokens).flags, dtype=float) if n \

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -11,10 +13,10 @@ from rucca import bio
 from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
 from rucca.features import FeaturizerContext, fit_vocabularies
 from rucca.graph import Edge, Node, Passage, make_token
-from rucca.tagger import (MAGIC, GruTagger, NumericError, OracleTagger,
-                          Params, TaggerConfig, TrainConfig, _Adam,
-                          build_aux_vocab, clip_gradients, load_checkpoint,
-                          save_checkpoint, train)
+from rucca.tagger import (MAGIC, N_LAYERS, GruTagger, NumericError,
+                          OracleTagger, Params, TaggerConfig, TrainConfig,
+                          _Adam, build_aux_vocab, clip_gradients,
+                          load_checkpoint, save_checkpoint, train)
 
 from helpers import (complex_step_check, context_for, fig1_passage,
                      fixture_corpus, nonrepresentable_passage,
@@ -26,8 +28,8 @@ def _tiny_setup(hidden=4, cat_dim=2, lambda_aux=1.0, seed=7):
     passages = [fig1_passage()]
     ctx = context_for(passages)
     examples = [ex for p in passages for ex in expand(p)]
-    cfg = TaggerConfig(hidden=hidden, cat_dim=cat_dim, n_layers=4,
-                      lambda_aux=lambda_aux, seed=seed)
+    cfg = TaggerConfig(hidden=hidden, cat_dim=cat_dim, lambda_aux=lambda_aux,
+                       seed=seed)
     tagger = GruTagger(cfg, ctx.vocab, build_aux_vocab(examples))
     return tagger, ctx, examples
 
@@ -363,7 +365,7 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
     TrainConfig(grad_clip=0.0)
-    for bad in ({"hidden": 0}, {"n_layers": 0}, {"cat_dim": -1},
+    for bad in ({"hidden": 0}, {"cat_dim": -1},
                 {"lambda_aux": np.nan}, {"lambda_aux": np.inf},
                 {"lambda_aux": -1.0}, {"seed": -1}):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -496,13 +498,38 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.config == tagger.config
     assert loaded.aux_vocab == tagger.aux_vocab
-    assert loaded.vocab.tables == tagger.vocab.tables
+    assert loaded.vocab == tagger.vocab
     for k in tagger.params:
         assert np.array_equal(loaded.params[k], tagger.params[k]), k
     # byte-identical re-serialization
     path2 = tmp_path / "m2.ckpt"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_header_holds_each_fact_once(tmp_path):
+    tagger, _, _ = _tiny_setup()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tagger, path)
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<Q", blob[len(MAGIC):len(MAGIC) + 8])
+    body = len(MAGIC) + 8 + size
+    header = json.loads(blob[len(MAGIC) + 8:body])
+    assert sorted(header) == ["aux_vocab", "blas", "config", "numpy",
+                              "sha256", "tensors", "version", "vocab"]
+    assert header["version"] == 3
+    assert header["config"] == {"hidden": 4, "cat_dim": 2,
+                                "lambda_aux": 1.0, "seed": 7}
+    assert header["vocab"] == tagger.vocab
+    assert header["numpy"] == np.__version__
+    assert header["sha256"] == hashlib.sha256(blob[body:]).hexdigest()
+    # The builds that wrote the file are recorded, not compared.
+    header.update(numpy="0.0", blas="other 0.0")
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text
+                     + blob[body:])
+    loaded = load_checkpoint(path)
+    assert loaded.params.flat.tobytes() == tagger.params.flat.tobytes()
 
 
 def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
@@ -538,9 +565,9 @@ def _reference_params(tagger):
 
     for name in tagger.feature_names:
         ref["emb/" + name] = rng.normal(
-            0.0, 0.1, (tagger.vocab.size(name), cfg.cat_dim))
+            0.0, 0.1, (len(tagger.vocab[name]), cfg.cat_dim))
     linear("in", m, tagger.input_dim)
-    for layer in range(cfg.n_layers):
+    for layer in range(N_LAYERS):
         for d in "fb":
             gates = [(rng.normal(0.0, np.sqrt(1.0 / m), (h, m)),
                       rng.normal(0.0, np.sqrt(1.0 / h), (h, h)))
@@ -573,12 +600,11 @@ _LAYOUT_VOCAB = context_for([fig1_passage()]).vocab
 
 
 @settings(max_examples=30, deadline=None)
-@given(hidden=st.integers(1, 4), n_layers=st.integers(1, 3),
-       cat_dim=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+@given(hidden=st.integers(1, 4), cat_dim=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 16))
 def test_params_are_views_of_one_vector_in_checkpoint_order(
-        hidden, n_layers, cat_dim, seed):
-    cfg = TaggerConfig(hidden=hidden, n_layers=n_layers, cat_dim=cat_dim,
-                       word_dim=3, seed=seed)
+        hidden, cat_dim, seed):
+    cfg = TaggerConfig(hidden=hidden, cat_dim=cat_dim, seed=seed)
     tagger = GruTagger(cfg, _LAYOUT_VOCAB, ("H", "O"))
     reference = _reference_params(tagger)
     assert list(tagger.params) == list(reference)  # draw order

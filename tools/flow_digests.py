@@ -8,11 +8,13 @@ writes the workload's inputs into DIR with perfbench's `bench.Inputs`,
 runs its commands once through `rucca.cli.main` (expand, train for a
 trained workload, tune, parse with `--trace`, eval), keeps each command's
 stdout as `<command>.stdout`, and prints one `sha256  file` line per file
-in DIR. After each command it prints `seconds <command> <s>`, the
-command's wall time, and `peak_rss_mb <command> <MB>`, the process's
-peak resident set so far (`ru_maxrss`, as the benchmark reads it), to
-stderr, so one run checks byte identity on stdout and time and memory on
-stderr. Each time is one unrepeated run, so compare several runs before
+in DIR. A checkpoint (`.ckpt`) gets one more line, `sha256  <file>:body`,
+over its bytes after the header, so that a change to the header alone
+shows as one changed line next to an unchanged body line. After each
+command it prints `seconds <command> <s>`, the command's wall time, and
+`peak_rss_mb <command> <MB>`, the process's peak resident set so far
+(`ru_maxrss`, as the benchmark reads it), to stderr, so one run checks
+byte identity on stdout and time and memory on stderr. Each time is one unrepeated run, so compare several runs before
 reading a difference into it. `rucca` is imported from PYTHONPATH, so
 the same script runs against another checkout:
 
@@ -30,6 +32,7 @@ import hashlib
 import io
 import os
 import resource
+import struct
 import sys
 import time
 
@@ -42,6 +45,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import bench  # noqa: E402
 import rucca  # noqa: E402
 from rucca import cli  # noqa: E402
+from rucca.tagger import MAGIC  # noqa: E402
 
 
 def run_flow(workload, seed, directory):
@@ -72,6 +76,15 @@ def run_flow(workload, seed, directory):
     return 0
 
 
+def body_digest(path):
+    """The sha256 of a checkpoint's bytes after its header."""
+    with open(path, "rb") as f:
+        f.seek(len(MAGIC))
+        (size,) = struct.unpack("<Q", f.read(8))
+        f.seek(size, os.SEEK_CUR)
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True,
@@ -85,8 +98,11 @@ def main(argv=None):
     print("rucca from %s" % os.path.dirname(rucca.__file__), file=sys.stderr)
     rc = run_flow(args.workload, args.seed, os.path.abspath(args.dir))
     for name in sorted(os.listdir(args.dir)):
-        with open(os.path.join(args.dir, name), "rb") as f:
+        path = os.path.join(args.dir, name)
+        with open(path, "rb") as f:
             print("%s  %s" % (hashlib.sha256(f.read()).hexdigest(), name))
+        if name.endswith(".ckpt"):
+            print("%s  %s:body" % (body_digest(path), name))
     return rc
 
 
