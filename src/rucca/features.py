@@ -23,6 +23,10 @@ LENGTH_BUCKETS = ("1", "2", "3", "4-6", "7-10", "11+")
 
 WORD_DIM = 300
 
+# one vocabulary table each; the vocabulary adds mask and morph:<key> ones
+TOKEN_FEATURES = ("deprel", "upos", "xpos", "caps", "length", "prefix2",
+                  "prefix3", "suffix2", "suffix3", "language")
+
 
 class EmbeddingError(CorpusError):
     pass
@@ -94,9 +98,7 @@ def fit_vocabularies(corpus) -> dict:
     every table; the tagger lays its input out in sorted-name order."""
     if not corpus:
         raise CorpusError("cannot fit vocabularies on an empty corpus")
-    seen = {name: set() for name in
-            ("deprel", "upos", "xpos", "caps", "length", "prefix2",
-             "prefix3", "suffix2", "suffix3", "language")}
+    seen = {name: set() for name in TOKEN_FEATURES}
     morph_values = {}
     for ex in corpus:
         for tok in ex.tokens:
@@ -182,10 +184,8 @@ class FeaturizerContext:
     def remask(self, feats: FeaturizedExample, mask) -> FeaturizedExample:
         """The features of feats' sentence under another mask: only the
         mask ids are new, every other field is feats' own."""
-        categorical = dict(feats.categorical)
-        if "mask" in categorical:
-            categorical["mask"] = _mask_ids(self.vocab, mask)
-        return replace(feats, categorical=categorical)
+        return replace(feats, categorical={
+            **feats.categorical, "mask": _mask_ids(self.vocab, mask)})
 
 
 def _mask_ids(vocab, mask) -> np.ndarray:

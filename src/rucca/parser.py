@@ -5,7 +5,8 @@ decodes BIO probabilities into child spans, applies the structural
 constraints, then recurses into every multi-token child with an updated
 mask until terminal nodes are reached. A node's tags depend only on its
 mask, so the focus nodes of one depth are tagged in one batch; the tree,
-its node ids and its trace are then assembled depth first. The primary
+its node ids and its trace are then assembled in one depth-first pass off
+an explicit stack, so max_depth alone bounds a parse's depth. The primary
 tree does not depend on the remote threshold: the trace keeps each
 tagged node's remote probability rows, and resolve_remotes turns them
 into remote edges of the finished tree at any threshold.
@@ -257,73 +258,48 @@ class _Focus:
     children: list = None
 
 
-class _Builder:
-    def __init__(self, tokens, passage_id, language):
-        self.tokens = tokens
-        self.passage_id = passage_id
-        self.language = language
-        self.nodes = []
-        self.edges = []
-        # span -> id of its deepest non-terminal. Ids are given depth first,
-        # so a later id with a span lies deeper on the same unary chain.
-        self.deepest = {}
-        self._next = 0
-        for i in range(len(tokens)):
-            self.nodes.append(Node(id="t%d" % i, kind="terminal",
-                                   position=i))
-
-    def new_nonterminal(self, span):
-        nid = "n%d" % self._next
-        self._next += 1
-        self.nodes.append(Node(id=nid, kind="nonterminal"))
-        self.deepest[span] = nid
-        return nid
-
-    def add_edge(self, parent, child, category):
-        self.edges.append(Edge(parent=parent, child=child,
-                               category=category))
-
-    def attach_flat(self, node_id, span, force_sp):
-        """Every token of span as a child of node_id; with force_sp the
-        first verb (else the first token) is its P."""
-        start, end = span
-        sp_pos = None
-        if force_sp:
-            verbs = [i for i in range(start, end)
-                     if self.tokens[i].upos == VERB_UPOS]
-            sp_pos = verbs[0] if verbs else start
-        for i in range(start, end):
-            if i == sp_pos:
-                self.add_edge(node_id, "t%d" % i, "P")
-            else:
-                self.add_edge(node_id, "t%d" % i,
-                              _fallback_category(self.tokens[i]))
-
-    def add_subtree(self, node_id, focus, trace):
-        """Numbers focus's descendants and adds their edges, steps and
-        depth-cap notes depth first, children in span order."""
+def _assemble(root, tokens, passage_id, language):
+    """-> (Passage, ParseTrace) of a tagged _Focus tree, primary edges
+    only. Numbers its non-terminals depth first, children in span order,
+    off an explicit stack, so no depth meets Python's recursion limit. A
+    node at the depth cap takes every token of its span as a child: an H
+    node's P is its first verb, or else its first token."""
+    nonterminals, edges = [], []
+    trace = ParseTrace()
+    # (parent id, the child's ChildSpan, its _Focus or None for a terminal)
+    stack = [(None, None, root)]
+    while stack:
+        parent, span, focus = stack.pop()
+        if focus is None:
+            edges.append(Edge(parent, "t%d" % span.start, span.category))
+            continue
+        node_id = "n%d" % len(nonterminals)
+        nonterminals.append(Node(id=node_id, kind="nonterminal"))
+        # Ids are given depth first, so a later id with a span lies deeper
+        # on the same unary chain.
+        trace.deepest[focus.span] = node_id
+        if parent is not None:
+            edges.append(Edge(parent, node_id, span.category))
         if focus.step is None:
             trace.notes.append("depth cap at node %s span %s"
                                % (node_id, focus.span))
-            self.attach_flat(node_id, focus.span, focus.arc == "H")
-            return
+            positions = range(*focus.span)
+            p_pos = next((i for i in positions if tokens[i].upos == VERB_UPOS),
+                         positions[0]) if focus.arc == "H" else None
+            edges.extend(Edge(node_id, "t%d" % i, "P" if i == p_pos
+                              else _fallback_category(tokens[i]))
+                         for i in positions)
+            continue
         focus.step.node = node_id
         trace.steps.append(focus.step)
-        for s, child in zip(focus.step.constrained, focus.children):
-            if child is None:
-                self.add_edge(node_id, "t%d" % s.start, s.category)
-            else:
-                child_id = self.new_nonterminal(child.span)
-                self.add_edge(node_id, child_id, s.category)
-                self.add_subtree(child_id, child, trace)
-
-    def passage(self):
-        nonterms = [n for n in self.nodes if not n.is_terminal()]
-        terms = [n for n in self.nodes if n.is_terminal()]
-        return Passage(passage_id=self.passage_id, language=self.language,
-                       tokens=tuple(self.tokens),
-                       nodes=tuple(nonterms + terms),
-                       edges=tuple(self.edges), root="n0")
+        stack.extend((node_id, s, child) for s, child in zip(
+            reversed(focus.step.constrained), reversed(focus.children)))
+    trace.tree_notes = len(trace.notes)
+    terminals = tuple(Node(id="t%d" % i, kind="terminal", position=i)
+                      for i in range(len(tokens)))
+    return Passage(passage_id=passage_id, language=language, tokens=tokens,
+                   nodes=tuple(nonterminals) + terminals, edges=tuple(edges),
+                   root="n0"), trace
 
 
 def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
@@ -413,12 +389,8 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
         level = [child for focus in level for child in focus.children
                  if child is not None]
 
-    builder = _Builder(tokens, passage_id, language)
-    trace = ParseTrace()
-    builder.add_subtree(builder.new_nonterminal(root.span), root, trace)
-    trace.deepest = builder.deepest
-    trace.tree_notes = len(trace.notes)
-    return resolve_remotes(builder.passage(), trace, cfg.remote_threshold)
+    return resolve_remotes(*_assemble(root, tokens, passage_id, language),
+                           cfg.remote_threshold)
 
 
 def resolve_remotes(passage, trace, remote_threshold):

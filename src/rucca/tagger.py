@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bio
 from .corpus import AUX_OUTSIDE, CorpusError, MaskedExample, expand
-from .features import OOV, PAD, WORD_DIM, FeaturizedExample
+from .features import OOV, PAD, TOKEN_FEATURES, WORD_DIM, FeaturizedExample
 from .graph import OUTSIDE
 
 
@@ -547,8 +547,9 @@ def save_checkpoint(tagger: GruTagger, path):
 
 def load_checkpoint(path) -> GruTagger:
     """Raises CheckpointError unless the file holds exactly one checkpoint
-    whose tensors have the shapes its config gives and the sha256 its
-    header gives."""
+    whose vocabulary has the tables fit_vocabularies makes and whose
+    tensors have the shapes its config gives and the sha256 its header
+    gives."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise CheckpointError("not a rucca checkpoint: %s" % path)
@@ -561,6 +562,12 @@ def load_checkpoint(path) -> GruTagger:
                 raise CheckpointError("checkpoint version %s, expected %d"
                                       % (header["version"], VERSION))
             vocab = header["vocab"]
+            names = {name for name in vocab if not name.startswith("morph:")}
+            expected = {*TOKEN_FEATURES, "mask"}
+            if names != expected:
+                raise ValueError("vocabulary tables %s missing, %s unknown"
+                                 % (sorted(expected - names),
+                                    sorted(names - expected)))
             # featurize sends unseen symbols to 1; ids index table rows
             for name, table in vocab.items():
                 ids = list(table.values())

@@ -2,13 +2,16 @@
 only produces valid, BIO-representable, constraint-compatible graphs, and
 simple tagger doubles."""
 
+import zlib
+
 import numpy as np
 
-from rucca import bio
+from rucca import bio, parser
 from rucca.corpus import MaskedExample, expand
 from rucca.features import (EMPTY_EMBEDDINGS, FeaturizerContext,
                             fit_vocabularies)
-from rucca.graph import Edge, Node, Passage, make_token
+from rucca.graph import (CATEGORIES, OUTSIDE, ROOT_MASK, Edge, Node,
+                         Passage, make_token)
 from rucca.lexicon import EMPTY_LEXICON
 from rucca.tagger import Tagger
 
@@ -359,6 +362,89 @@ class RandomTagger(Tagger):
         t1 = self.rng.gamma(self.concentration, 1.0, (n, bio.N_BIO))
         t1 = t1 / t1.sum(axis=1, keepdims=True)
         return bio.TagDistribution(task1=t1)
+
+
+class KeyedRandomTagger(RandomTagger):
+    """RandomTagger whose distribution for an example depends only on the
+    seed, the example's focus node and its mask, never on the order of the
+    calls: taggers that visit a parse's nodes in different orders give
+    each node the same rows. A share `unary` of the examples instead get
+    one-hot rows that make their whole focus one child of a random
+    category, so that unary chains form."""
+
+    def __init__(self, seed, unary=0.0, **kwargs):
+        super().__init__(seed, **kwargs)
+        self.seed = seed
+        self.unary = unary
+
+    def predict(self, example, feats):
+        key = "%s|%s" % (example.focus_node, " ".join(example.mask))
+        self.rng = np.random.default_rng(
+            [self.seed, zlib.crc32(key.encode("utf-8"))])
+        dist = super().predict(example, feats)
+        if self.rng.random() >= self.unary:
+            return dist
+        category = str(self.rng.choice(CATEGORIES))
+        labels = [OUTSIDE if sym == OUTSIDE else "I-" + category
+                  for sym in example.mask]
+        labels[labels.index("I-" + category)] = "B-" + category
+        return bio.TagDistribution(task1=bio.one_hot(labels))
+
+
+def reference_parse(tokens, tagger, ctx, cfg, passage_id="s0",
+                    language=None):
+    """parser.parse as a plain recursion, the reference for its tagging by
+    depth and its assembly by stack: one predict call per node, on a fresh
+    featurize of the node's own example, and node ids given as the
+    recursion reaches each node, depth first, children in span order."""
+    tokens = tuple(tokens)
+    action_flags = parser.action_noun_flags(tokens, cfg)
+    nonterminals, edges = [], []
+    trace = parser.ParseTrace()
+
+    def visit(focus, parent, category):
+        nid = "n%d" % len(nonterminals)
+        nonterminals.append(Node(nid, "nonterminal"))
+        trace.deepest[focus.span] = nid
+        if parent is not None:
+            edges.append(Edge(parent, nid, category))
+        start, end = focus.span
+        if focus.depth >= cfg.max_depth:
+            trace.notes.append("depth cap at node %s span %s"
+                               % (nid, focus.span))
+            verbs = [i for i in range(start, end)
+                     if tokens[i].upos == "VERB"]
+            p = (verbs + [start])[0] if focus.arc == "H" else None
+            for i in range(start, end):
+                edges.append(Edge(nid, "t%d" % i, "P" if i == p else
+                                  parser._fallback_category(tokens[i])))
+            return
+        example = MaskedExample(
+            passage_id=passage_id, tokens=tokens,
+            mask=tuple(focus.arc if start <= i < end else OUTSIDE
+                       for i in range(len(tokens))),
+            focus_node="depth %d" % focus.depth)
+        feats = ctx.featurize(example)
+        dist = tagger.predict(example, feats)
+        dist.check()
+        parser._expand(focus, example.mask, dist, tokens, feats.mwe_mask,
+                       action_flags)
+        focus.step.node = nid
+        trace.steps.append(focus.step)
+        for s, child in zip(focus.step.constrained, focus.children):
+            if child is None:
+                edges.append(Edge(nid, "t%d" % s.start, s.category))
+            else:
+                visit(child, nid, s.category)
+
+    visit(parser._Focus((0, len(tokens)), ROOT_MASK, 1), None, None)
+    trace.tree_notes = len(trace.notes)
+    passage = Passage(
+        passage_id=passage_id, language=language or tokens[0].language,
+        tokens=tokens, nodes=tuple(nonterminals) + tuple(
+            Node("t%d" % i, "terminal", i) for i in range(len(tokens))),
+        edges=tuple(edges), root="n0")
+    return parser.resolve_remotes(passage, trace, cfg.remote_threshold)
 
 
 def complex_step_check(tagger, feats, y1, y2, step=1e-20):

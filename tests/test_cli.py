@@ -11,7 +11,7 @@ from rucca import cli
 from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
-from rucca.graph import non_terminals
+from rucca.graph import Edge, Node, Passage, make_token, non_terminals
 from rucca.tagger import (MAGIC, GruTagger, TaggerConfig, load_checkpoint,
                           save_checkpoint)
 
@@ -80,6 +80,33 @@ def test_deep_unary_chain_expands_and_scores(tmp_path, capsys):
     assert "into 5000 examples (4997 skipped" in capsys.readouterr().out
     assert cli.main(["eval", str(gold), str(gold)]) == cli.EXIT_OK
     assert "Labeled     1.0000  1.0000  1.0000" in capsys.readouterr().out
+
+
+def test_parse_oracle_deeper_than_the_recursion_limit(tmp_path):
+    """The chain H > P > C > C over "She sings" repeats its C mask, so
+    the oracle answers each later C node with one C child over both
+    tokens: the parse runs to a depth cap past Python's recursion limit."""
+    gold = tmp_path / "gold.jsonl"
+    save_passages([Passage(
+        passage_id="chain", language="en",
+        tokens=(make_token("She", "PRON"), make_token("sings", "VERB")),
+        nodes=tuple(Node("n%d" % i, "nonterminal") for i in range(5))
+        + (Node("t0", "terminal", 0), Node("t1", "terminal", 1)),
+        edges=tuple(Edge("n%d" % i, "n%d" % (i + 1), c)
+                    for i, c in enumerate("HPCC"))
+        + (Edge("n4", "t0", "C"), Edge("n4", "t1", "C")),
+        root="n0")], gold)
+    max_depth = sys.getrecursionlimit() + 100
+    pred, trace = tmp_path / "pred.jsonl", tmp_path / "trace.log"
+    config = _write_config(tmp_path / "c.cfg", predictions_out=pred,
+                           max_depth=max_depth)
+    assert cli.main(["--config", config, "parse", "--oracle", "--input",
+                     str(gold), "--trace", str(trace)]) == cli.EXIT_OK
+    (predicted,) = load_passages(pred)  # which validates it
+    assert len(non_terminals(predicted)) == max_depth
+    assert [line for line in trace.read_text().splitlines()
+            if line.startswith("note:")] == [
+        "note: depth cap at node n%d span (0, 2)" % (max_depth - 1)]
 
 
 def _expand_then_train(tmp_path, seed=13, epochs=2):
@@ -469,19 +496,38 @@ def test_config_file_save_load_roundtrip(tmp_path):
     assert loaded.values == cfg.values
 
 
-def _reheader(blob, version=None, vocab=None, **config):
-    """The checkpoint with its header's version, config or vocabulary
-    tables (name -> {symbol: index} to set) changed, tensors kept."""
+def _edit_header(blob, change):
+    """The checkpoint with change applied to its header's dict, tensors
+    kept."""
     start = len(MAGIC) + 8
     (size,) = struct.unpack("<Q", blob[len(MAGIC):start])
     header = json.loads(blob[start:start + size])
-    if version is not None:
-        header["version"] = version
-    header["config"].update(config)
-    for name, entries in (vocab or {}).items():
-        header["vocab"][name].update(entries)
+    change(header)
     text = json.dumps(header).encode("utf-8")
     return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + size:]
+
+
+def _reheader(blob, version=None, vocab=None, **config):
+    """The checkpoint with its header's version, config or vocabulary
+    tables (name -> {symbol: index} to set) changed, tensors kept."""
+    def change(header):
+        if version is not None:
+            header["version"] = version
+        header["config"].update(config)
+        for name, entries in (vocab or {}).items():
+            header["vocab"][name].update(entries)
+    return _edit_header(blob, change)
+
+
+def _rename_table(blob, old, new):
+    """The checkpoint with its vocabulary table old, and that table's
+    embedding tensor, renamed to new, tensors kept."""
+    def change(header):
+        header["vocab"][new] = header["vocab"].pop(old)
+        header["tensors"] = sorted(
+            ["emb/" + new if name == "emb/" + old else name, shape]
+            for name, shape in header["tensors"])
+    return _edit_header(blob, change)
 
 
 def _edit_last_record(change):
@@ -688,6 +734,18 @@ def _flip_last_byte(blob):
                  {"model": lambda b: _reheader(
                      b, vocab={"upos": {"VERB": "x"}})},
                  cli.EXIT_DATA, "model.ckpt", id="checkpoint-index-string"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _rename_table(b, "upos", "zzz")},
+                 cli.EXIT_DATA, "vocabulary tables",
+                 id="checkpoint-vocab-unknown-table"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _rename_table(b, "mask", "morph:Zz")},
+                 cli.EXIT_DATA, "vocabulary tables",
+                 id="checkpoint-vocab-without-mask"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _rename_table(b, "upos", "morph:Aaa")},
+                 cli.EXIT_DATA, "vocabulary tables",
+                 id="checkpoint-vocab-without-upos"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys,
                                              command, values, env, rewrite,

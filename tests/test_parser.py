@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rucca import bio, cli, features, parser
+from rucca.corpus import passage_to_record
 from rucca.evaluator import score
 from rucca.features import WORD_DIM, WordEmbeddingTable
 from rucca.graph import Edge, all_yields, make_token, validate
@@ -16,10 +17,10 @@ from rucca.parser import (DecoderConfig, ParseError, action_noun_flags,
 from rucca.lexicon import MweMask, match
 from rucca.tagger import OracleTagger, ReplayTagger, Tagger
 
-from helpers import (FixedTagger, RandomTagger, assert_same_features,
-                     context_for, fig1_passage, fixture_corpus,
-                     random_corpus, single_token_passage,
-                     two_scene_5tok_passage)
+from helpers import (FixedTagger, KeyedRandomTagger, RandomTagger,
+                     assert_same_features, context_for, fig1_passage,
+                     fixture_corpus, random_corpus, reference_parse,
+                     single_token_passage, two_scene_5tok_passage)
 
 NO_MWE = MweMask(flags=(), spans=())
 NO_ACTION_NOUNS = (False,)
@@ -46,6 +47,17 @@ def test_constraint_scene_merge_backward():
                             NO_ACTION_NOUNS * len(tokens),
                             at_scene_level=False)
     assert out == _spans((0, 4, "H"))
+
+
+def test_constraint_scene_merge_takes_the_nearest_preceding_scene():
+    # [she sings] [he plays] [well]: the weak third scene joins the second.
+    tokens = _tokens(("she", "PRON"), ("sings", "VERB"), ("he", "PRON"),
+                     ("plays", "VERB"), ("well", "ADV"))
+    spans = _spans((0, 2, "H"), (2, 4, "H"), (4, 5, "H"))
+    out = apply_constraints(spans, tokens, _uniformish(5), NO_MWE,
+                            NO_ACTION_NOUNS * len(tokens),
+                            at_scene_level=False)
+    assert out == _spans((0, 2, "H"), (2, 5, "H"))
 
 
 def test_constraint_scene_merge_forward_fallback():
@@ -326,6 +338,52 @@ def test_parse_depth_cap_terminates():
     predicted, trace = parse(gold.tokens, tagger, ctx, cfg)
     assert validate(predicted, require_contiguous=True) == []
     assert max(s.depth for s in trace.steps) <= 5
+
+
+@pytest.mark.parametrize("pairs, categories", [
+    pytest.param((("dogs", "NOUN"), ("bark", "VERB"), ("and", "CCONJ"),
+                  ("howl", "VERB")), ["C", "P", "F", "C"], id="two-verbs"),
+    pytest.param((("the", "DET"), ("dogs", "NOUN")), ["P", "C"],
+                 id="no-verb"),
+])
+def test_depth_capped_scene_gets_its_p_on_the_first_verb(pairs, categories):
+    """A scene at the depth cap takes its tokens as children: its first
+    verb, or its first token when it has none, is its P; the others fall
+    back to C, or F for a function word."""
+    tokens = _tokens(*pairs)
+    tagger = FixedTagger(bio.TagDistribution(task1=bio.one_hot(
+        ["B-H"] + ["I-H"] * (len(tokens) - 1))))
+    predicted, trace = parse(tokens, tagger,
+                             context_for([two_scene_5tok_passage()]),
+                             DecoderConfig(max_depth=2))
+    (scene,) = [e.child for e in predicted.edges if e.category == "H"]
+    assert [(e.child, e.category) for e in predicted.edges
+            if e.parent == scene] == [
+        ("t%d" % i, c) for i, c in enumerate(categories)]
+    assert trace.notes == ["depth cap at node %s span (0, %d)"
+                           % (scene, len(tokens))]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), unary=st.sampled_from([0.0, 0.3]),
+       max_depth=st.sampled_from([2, 3, 20]))
+@settings(max_examples=60, deadline=None)
+def test_parse_matches_the_recursive_reference(seed, unary, max_depth):
+    """parse, which tags one depth per batch and assembles the tree with a
+    stack, gives the passage and trace of a plain recursion that tags one
+    node per call, unary chains and depth caps included."""
+    corpus = random_corpus(seed, 2)
+    ctx = context_for(corpus)
+    cfg = DecoderConfig(max_depth=max_depth)
+    for gold in corpus:
+        got, got_trace = parse(gold.tokens, KeyedRandomTagger(seed, unary),
+                               ctx, cfg, passage_id=gold.passage_id)
+        expected, expected_trace = reference_parse(
+            gold.tokens, KeyedRandomTagger(seed, unary), ctx, cfg,
+            passage_id=gold.passage_id)
+        assert passage_to_record(got) == passage_to_record(expected)
+        assert got_trace.render() == expected_trace.render()
+        assert got_trace.notes == expected_trace.notes
+        assert got_trace.deepest == expected_trace.deepest
 
 
 def test_parse_rejects_rows_that_do_not_sum_to_one():

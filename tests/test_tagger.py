@@ -666,6 +666,14 @@ def _clip_reference(grads, max_norm):
     return total
 
 
+def test_clip_gradients_scales_a_larger_norm_down_to_max_norm():
+    grads = Params({"a": np.array([0.9, 0.0]), "b": np.array([[1.2]])})
+    assert clip_gradients(grads, 2.0) == pytest.approx(1.5)
+    assert np.array_equal(grads.flat, [0.9, 0.0, 1.2])  # below max_norm
+    assert clip_gradients(grads, 1.0) == pytest.approx(1.5)
+    assert np.allclose(grads.flat, [0.6, 0.0, 0.8])
+
+
 def test_vector_adam_and_clip_match_per_tensor_reference():
     tagger, _, _ = _tiny_setup(cat_dim=0)  # zero-size embedding tables
     params = tagger.params

@@ -2,21 +2,26 @@
 """Digests of every file one benchmark workload's flow writes.
 
     PYTHONPATH=src python3 tools/flow_digests.py --workload gru-pipeline \\
-        --seed 1 --dir /tmp/flow > after.txt
+        --seed 1,2,3 --dir /tmp/flow > after.txt
 
-writes the workload's inputs into DIR with perfbench's `bench.Inputs`,
-runs its commands once through `rucca.cli.main` (expand, train for a
-trained workload, tune, parse with `--trace`, eval), keeps each command's
-stdout as `<command>.stdout`, and prints one `sha256  file` line per file
-in DIR. A checkpoint (`.ckpt`) gets one more line, `sha256  <file>:body`,
-over its bytes after the header, so that a change to the header alone
-shows as one changed line next to an unchanged body line. After each
-command it prints `seconds <command> <s>`, the command's wall time, and
-`peak_rss_mb <command> <MB>`, the process's peak resident set so far
+runs the flow once per seed, each in its own process under DIR/seed<N>,
+and prints a `## seed N` line, on stdout and on stderr, before that
+seed's output. A flow writes the workload's inputs with perfbench's
+`bench.Inputs`, runs its commands once through `rucca.cli.main`
+(expand, train for a trained workload, tune, parse with `--trace`,
+eval), and keeps each command's stdout as `<command>.stdout`; its
+listing is one `sha256  file` line per file it wrote. A checkpoint
+(`.ckpt`) gets one more line, `sha256  <file>:body`, over its bytes
+after the header, so that a change to the header alone shows as one
+changed line next to an unchanged body line. After each command the
+flow prints `seconds <command> <s>`, the command's wall time, and
+`peak_rss_mb <command> <MB>`, its process's peak resident set so far
 (`ru_maxrss`, as the benchmark reads it), to stderr, so one run checks
-byte identity on stdout and time and memory on stderr. Each time is one unrepeated run, so compare several runs before
-reading a difference into it. `rucca` is imported from PYTHONPATH, so
-the same script runs against another checkout:
+byte identity on stdout and time and memory on stderr. Each seed's
+process starts fresh, so its peak belongs to that seed alone. Each time
+is one unrepeated run, so compare several runs before reading a
+difference into it. `rucca` is imported from PYTHONPATH, so the same
+script runs against another checkout:
 
     PYTHONPATH=../other/src python3 tools/flow_digests.py ... > before.txt
     diff before.txt after.txt
@@ -33,6 +38,7 @@ import io
 import os
 import resource
 import struct
+import subprocess
 import sys
 import time
 
@@ -85,25 +91,49 @@ def body_digest(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", required=True,
-                    choices=sorted(bench.WORKLOADS))
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--dir", required=True)
-    args = ap.parse_args(argv)
-    os.makedirs(args.dir, exist_ok=True)
-    if os.listdir(args.dir):
-        ap.error("%s is not empty" % args.dir)
-    print("rucca from %s" % os.path.dirname(rucca.__file__), file=sys.stderr)
-    rc = run_flow(args.workload, args.seed, os.path.abspath(args.dir))
-    for name in sorted(os.listdir(args.dir)):
-        path = os.path.join(args.dir, name)
+def listing(directory):
+    """Prints the `sha256  file` lines of every file in directory."""
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
         with open(path, "rb") as f:
             print("%s  %s" % (hashlib.sha256(f.read()).hexdigest(), name))
         if name.endswith(".ckpt"):
             print("%s  %s:body" % (body_digest(path), name))
-    return rc
+
+
+def seed_list(text):
+    return [int(seed) for seed in text.split(",")]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", required=True,
+                    choices=sorted(bench.WORKLOADS))
+    ap.add_argument("--seed", required=True, type=seed_list,
+                    help="a seed, or seeds separated by commas")
+    ap.add_argument("--dir", required=True)
+    # one seed's flow and listing in this process, straight into DIR
+    ap.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    directory = os.path.abspath(args.dir)
+    os.makedirs(directory, exist_ok=True)
+    if os.listdir(directory):
+        ap.error("%s is not empty" % args.dir)
+    if args.one:
+        rc = run_flow(args.workload, args.seed[0], directory)
+        listing(directory)
+        return rc
+    print("rucca from %s" % os.path.dirname(rucca.__file__), file=sys.stderr)
+    for seed in args.seed:
+        for stream in (sys.stdout, sys.stderr):
+            print("## seed %d" % seed, file=stream, flush=True)
+        rc = subprocess.call([
+            sys.executable, os.path.abspath(__file__), "--one",
+            "--workload", args.workload, "--seed", str(seed),
+            "--dir", os.path.join(directory, "seed%d" % seed)])
+        if rc != 0:
+            return rc
+    return 0
 
 
 if __name__ == "__main__":
