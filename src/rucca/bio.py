@@ -6,6 +6,7 @@ possibly outside the focus node's span).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +48,18 @@ class ChildSpan:
 @dataclass(frozen=True)
 class TagDistribution:
     """Per-token probability rows over the BIO vocabulary (TASK1) and,
-    optionally, the auxiliary vocabulary (TASK2)."""
+    optionally, the auxiliary vocabulary (TASK2). A passed check, the
+    primary spans and the REM columns are kept on first use, so a tagger
+    output parsed again costs lookups; a failed check raises every time."""
 
     task1: np.ndarray  # (T, 53)
     task2: object = None  # (T, n_aux) or None
 
     def check(self):
+        self._checked  # raises ValueError on rows that are no distribution
+
+    @cached_property
+    def _checked(self):
         t1 = self.task1
         if t1.ndim != 2 or t1.shape[1] != N_BIO:
             raise ValueError("task1 distribution has shape %s" % (t1.shape,))
@@ -60,6 +67,14 @@ class TagDistribution:
             raise ValueError("negative or NaN probability in task1 rows")
         if np.abs(t1.sum(axis=1) - 1.0).max(initial=0.0) > _ATOL:
             raise ValueError("task1 rows do not sum to 1")
+
+    @cached_property
+    def primary_spans(self):  # decode_probs of the rows, as a tuple
+        return tuple(decode_probs(self))
+
+    @cached_property
+    def remote_rows(self):  # (T, 26) REM columns, REMOTE_LABEL_IDS order
+        return self.task1[:, REMOTE_LABEL_IDS]
 
 
 def encode(passage: Passage, node_id: str) -> list:
@@ -121,7 +136,8 @@ def _decode_ids(ids) -> list:
 
 def decode_probs(dist: TagDistribution) -> list:
     """Primary spans: per-token argmax over O + primary labels. The
-    caller checks dist; decode_remote decodes the REM columns."""
+    caller checks dist; dist.primary_spans keeps the result, and
+    decode_remote decodes dist.remote_rows."""
     t1 = dist.task1
     primary = PRIMARY_LABEL_IDS[np.argmax(t1[:, PRIMARY_LABEL_IDS], axis=1)]
     return _decode_ids(primary.tolist())

@@ -1,7 +1,8 @@
 """Inference: tag, decode, constrain, recurse.
 
 Each step tags the whole sentence with a mask describing the focus node,
-decodes BIO probabilities into child spans, applies the structural
+decodes BIO probabilities into child spans (a TagDistribution checks and
+decodes itself once, however often it is parsed), applies the structural
 constraints, then recurses into every multi-token child with an updated
 mask until terminal nodes are reached. A node's tags depend only on its
 mask, so the focus nodes of one depth are tagged in one batch; the tree,
@@ -55,7 +56,7 @@ class TraceStep:
     constrained: tuple
     firings: tuple
     node: str  # the focus node's id
-    # (T, 26) task1 columns of the REM labels, in bio.REMOTE_LABEL_IDS order
+    # (T, 26): the tagger output's TagDistribution.remote_rows (shared)
     remote_rows: np.ndarray = field(repr=False, compare=False)
 
     def render(self):
@@ -306,7 +307,7 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
     """Sets focus.step and focus.children from its tagger output: decodes,
     clips and constrains the child spans and covers every focus token."""
     start, end = focus.span
-    primary = bio.decode_probs(dist)
+    primary = dist.primary_spans
     firings = []
 
     kept = []
@@ -342,9 +343,9 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
 
     focus.step = TraceStep(
         depth=focus.depth, focus=focus.span, arc=focus.arc, mask=mask,
-        decoded_primary=tuple(primary), decoded_remote=(),
+        decoded_primary=primary, decoded_remote=(),
         constrained=tuple(children), firings=tuple(firings), node=None,
-        remote_rows=dist.task1[:, bio.REMOTE_LABEL_IDS])
+        remote_rows=dist.remote_rows)
     focus.children = [
         None if s.end - s.start == 1 else
         _Focus((s.start, s.end), s.category, focus.depth + 1)

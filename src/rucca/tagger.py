@@ -467,23 +467,28 @@ class ReplayTagger:
     """Answers each distinct example with the wrapped tagger's first
     prediction for it. A prediction depends only on the example while the
     featurizer context stays the same, so parsing the same sentences again
-    under another decoder setting tags each focus node once. The parser's
-    examples name their node's depth, so the nodes of a unary chain, which
-    share a mask, are told apart."""
+    under another decoder setting tags each focus node once. The memo holds
+    a table per sentence, found by the identity of its token tuple (held,
+    so the id stays unique): no lookup hashes a token, and no two sentences
+    share an entry. A table is keyed by passage id, focus node and mask;
+    the focus node names its depth, so a unary chain's nodes differ."""
 
     def __init__(self, tagger):
         self.tagger = tagger
-        self._predicted = {}
+        self._tables = {}  # id(tokens) -> (tokens, {key: TagDistribution})
 
     def predict_batch(self, examples, feats_list):
         """The wrapped tagger tags the examples not seen before, in one
         batch."""
-        dists = [self._predicted.get(example) for example in examples]
+        slots = [(self._tables.setdefault(id(ex.tokens), (ex.tokens, {}))[1],
+                  (ex.passage_id, ex.focus_node, ex.mask)) for ex in examples]
+        dists = [table.get(key) for table, key in slots]
         misses = [i for i, dist in enumerate(dists) if dist is None]
         fresh = self.tagger.predict_batch([examples[i] for i in misses],
                                           [feats_list[i] for i in misses])
         for i, dist in zip(misses, fresh):
-            dists[i] = self._predicted[examples[i]] = dist
+            table, key = slots[i]
+            dists[i] = table[key] = dist
         return dists
 
 
@@ -493,7 +498,9 @@ class ReplayTagger:
 class OracleTagger(Tagger):
     """Implements the tagger interface from the gold passages: an
     example's passage id and mask give the BIO target that corpus.expand
-    gives the first gold node with that mask."""
+    gives the first gold node with that mask. So a gold unary chain that
+    repeats a mask (H > P > C > C) does not round-trip: the parse repeats
+    that node until max_depth."""
 
     def __init__(self, passages):
         # A later passage with the same id replaces an earlier one.

@@ -319,6 +319,29 @@ def test_decode_probs_one_hot_matches_labels():
         [bio.ChildSpan(4, 5, "A", True)]
 
 
+def test_a_distribution_checks_and_decodes_its_rows_once(monkeypatch):
+    """What depends on the rows alone is worked out on first use and kept:
+    a check that passed, the primary spans and the REM columns."""
+    dist = bio.TagDistribution(task1=bio.one_hot(
+        ["B-H", "I-H", "B-L", "O", "B-REM-A"]))
+    decoded = []
+    decode_probs = bio.decode_probs
+
+    def counted(d):
+        decoded.append(d)
+        return decode_probs(d)
+
+    monkeypatch.setattr(bio, "decode_probs", counted)
+    dist.check()
+    spans = dist.primary_spans
+    assert spans == tuple(decode_probs(dist))
+    assert dist.primary_spans is spans and decoded == [dist]
+    assert dist.remote_rows is dist.remote_rows
+    assert np.array_equal(dist.remote_rows, _remote_rows(dist.task1))
+    dist.task1[0, 0] = np.nan  # the passed check is not run again
+    dist.check()
+
+
 def test_decode_probs_threshold_one_never_remote():
     labels = ["B-REM-A", "I-REM-A"]
     rows = _remote_rows(bio.one_hot(labels))

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from rucca import cli
+from rucca import bio, cli
 from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
@@ -405,12 +405,22 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
         rows_tagged.extend(examples)
         return predict_batch(self, examples, feats_list)
 
+    # Each tagger output is decoded once, however many thresholds parse it.
+    decoded = []
+    decode_probs = bio.decode_probs
+
+    def counted_decode(dist):
+        decoded.append(dist)
+        return decode_probs(dist)
+
     monkeypatch.setattr(GruTagger, "predict_batch", counted)
+    monkeypatch.setattr(bio, "decode_probs", counted_decode)
     assert cli.main(["--config", config, "tune",
                      "--out", str(tmp_path / "tuned.cfg")]) == cli.EXIT_OK
     table = capsys.readouterr().out.splitlines()[1:-1]
     assert table == rows
     assert len(rows_tagged) == one_pass
+    assert len(decoded) == one_pass
 
 
 def test_empty_gold_file_is_a_data_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from rucca import bio, cli, features, parser
 from rucca.corpus import passage_to_record
 from rucca.evaluator import score
 from rucca.features import WORD_DIM, WordEmbeddingTable
-from rucca.graph import Edge, all_yields, make_token, validate
+from rucca.graph import Edge, TokenRow, all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, action_noun_flags,
                           apply_constraints, parse, resolve_remotes)
@@ -387,13 +388,17 @@ def test_parse_matches_the_recursive_reference(seed, unary, max_depth):
 
 
 def test_parse_rejects_rows_that_do_not_sum_to_one():
-    # parse checks each tagger output once; a NaN row sums to no number.
+    # parse checks each tagger output; a NaN row sums to no number. The
+    # same distribution, parsed again, raises again: a failed check is
+    # never remembered.
     gold = two_scene_5tok_passage()
     for value, message in ((0.5, "do not sum to 1"), (np.nan, "NaN")):
         tagger = FixedTagger(bio.TagDistribution(
             task1=np.full((len(gold.tokens), bio.N_BIO), value)))
-        with pytest.raises(ValueError, match=message):
-            parse(gold.tokens, tagger, context_for([gold]), DecoderConfig())
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                parse(gold.tokens, tagger, context_for([gold]),
+                      DecoderConfig())
 
 
 def test_parse_empty_input_rejected():
@@ -498,6 +503,63 @@ def test_replayed_predictions_give_a_fresh_parse_at_every_threshold():
             assert got == expected, (gold.passage_id, theta)
             assert got_trace.render() == expected_trace.render()
         assert inner.calls == len(got_trace.steps)
+
+
+def test_replayed_parse_hashes_no_token(monkeypatch):
+    """ReplayTagger finds a sentence's predictions by the identity of its
+    token tuple, so replaying a parse hashes no TokenRow."""
+    corpus = fixture_corpus()
+    ctx = context_for(corpus)
+    replay = ReplayTagger(RandomTagger(5))
+    cfg = DecoderConfig()
+    first = [parse(p.tokens, replay, ctx, cfg, passage_id=p.passage_id)
+             for p in corpus]
+    hashes = []
+    token_hash = TokenRow.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return token_hash(self)
+
+    monkeypatch.setattr(TokenRow, "__hash__", counted)
+    again = [parse(p.tokens, replay, ctx, cfg, passage_id=p.passage_id)
+             for p in corpus]
+    assert hashes == []
+    assert [p for p, _ in again] == [p for p, _ in first]
+
+
+def test_replay_never_mixes_up_two_sentences_of_one_passage_id():
+    """Two sentences with one passage id and length but other tokens,
+    parsed in turn at two thresholds through one ReplayTagger, each get a
+    fresh parse's result: their masks and focus nodes agree, and only the
+    tokens tell their predictions apart."""
+    one = two_scene_5tok_passage()
+    forms = ("They", "ran", "and", "we", "laughed")
+    other = replace(one, tokens=tuple(replace(t, form=f)
+                                      for t, f in zip(one.tokens, forms)))
+    ctx = context_for([one, other])
+
+    class FormKeyedTagger(KeyedRandomTagger):
+        """KeyedRandomTagger whose rows also depend on the token forms."""
+
+        def predict(self, example, feats):
+            self.seed = zlib.crc32(" ".join(
+                t.form for t in example.tokens).encode("utf-8"))
+            return super().predict(example, feats)
+
+    replay = ReplayTagger(FormKeyedTagger(0))
+    for theta in (0.1, 0.6):
+        cfg = DecoderConfig(remote_threshold=theta)
+        for gold in (one, other, one, other):
+            got, got_trace = parse(gold.tokens, replay, ctx, cfg,
+                                   passage_id="same")
+            expected, expected_trace = parse(
+                gold.tokens, FormKeyedTagger(0), ctx, cfg,
+                passage_id="same")
+            assert got == expected
+            assert got_trace.render() == expected_trace.render()
+    assert parse(one.tokens, FormKeyedTagger(0), ctx, cfg)[1].render() != \
+        parse(other.tokens, FormKeyedTagger(0), ctx, cfg)[1].render()
 
 
 def test_replay_tags_every_node_of_a_unary_chain():
