@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rucca import bio
+from rucca import tagger as tagger_module
 from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
 from rucca.features import FeaturizerContext, fit_vocabularies
 from rucca.graph import Edge, Node, Passage, make_token
@@ -77,14 +78,26 @@ def test_forward_is_a_batch_of_one():
             assert cache[k].tobytes() == batch_cache[k].tobytes()
 
 
+def _foci(min_size, max_size):
+    return st.lists(st.tuples(st.integers(0, 6), st.integers(1, 7),
+                              st.sampled_from(MASK_SYMBOLS[1:])),
+                    min_size=min_size, max_size=max_size)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 7),
-                          st.sampled_from(MASK_SYMBOLS[1:])),
-                min_size=1, max_size=6))
-def test_predict_batch_rows_match_single_forwards(foci):
+@given(st.one_of(st.tuples(st.just(6), _foci(1, 6)),
+                 st.tuples(st.just(32), _foci(4, 8))))
+def test_predict_batch_rows_match_single_forwards(case):
     """Each row of a batch is its example's own forward, up to the
-    rounding of one (B, h) @ (h, 3h) product per step."""
-    tagger, ctx, examples = _tiny_setup(hidden=6)
+    rounding of one (B, h) @ (h, 3h) product per step. A batch of
+    U_COPY_MIN_ROWS rows or more multiplies by a row-major copy of U.T,
+    a batch of one by the view. At hidden 6 the two give the same
+    bytes; at hidden 32 they round differently at every width up to
+    12, so its batches of 4-8 rows hold the copy to the view within
+    1e-12."""
+    assert tagger_module.U_COPY_MIN_ROWS <= 4
+    hidden, foci = case
+    tagger, ctx, examples = _tiny_setup(hidden=hidden)
     root = examples[0]
     batch = []
     for start, length, symbol in foci:
@@ -101,6 +114,42 @@ def test_predict_batch_rows_match_single_forwards(foci):
                                    atol=1e-12)
         np.testing.assert_allclose(dist.task2, alone.task2, rtol=0,
                                    atol=1e-12)
+
+
+def test_recurrent_layout_keeps_forward_bytes_at_the_default_width(
+        monkeypatch):
+    """At the default hidden size, a batch of any width up to 12 gives the
+    same task1 and task2 bytes whether its recurrent products read the
+    row-major copy of U.T or, with the copy switched off, the view."""
+    assert tagger_module.U_COPY_MIN_ROWS <= 12  # the copy is exercised
+    passages = [fig1_passage()]
+    ctx = context_for(passages)
+    root = expand(passages[0])[0]
+    tagger = GruTagger(TaggerConfig(), ctx.vocab, build_aux_vocab([root]))
+    rng = np.random.default_rng(5)
+    batches = []
+    for T in (3, 11, 19):
+        tokens = tuple(root.tokens[i % len(root.tokens)] for i in range(T))
+        for width in range(1, 13):
+            feats = []
+            for _ in range(width):
+                start, end = sorted(rng.integers(0, T + 1, size=2))
+                symbol = MASK_SYMBOLS[rng.integers(1, len(MASK_SYMBOLS))]
+                mask = tuple(symbol if start <= i <= end else "O"
+                             for i in range(T))
+                feats.append(ctx.featurize(MaskedExample(
+                    passage_id="s", tokens=tokens, mask=mask,
+                    focus_node=None)))
+            batches.append(feats)
+
+    def tagged_bytes():
+        return [b"".join(d.task1.tobytes() + d.task2.tobytes()
+                         for d in tagger.forward_batch(feats)[0])
+                for feats in batches]
+
+    copied = tagged_bytes()
+    monkeypatch.setattr(tagger_module, "U_COPY_MIN_ROWS", 13)
+    assert tagged_bytes() == copied
 
 
 def test_forward_batch_rejects_mixed_lengths():
