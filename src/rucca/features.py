@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import MASK_SYMBOLS, CorpusError, MaskedExample, text_lines
-from .lexicon import ExpressionLexicon, MweMask, match
+from .lexicon import ExpressionLexicon, match
 
 PAD = "<pad>"
 OOV = "<oov>"
@@ -162,8 +162,7 @@ class FeaturizedExample:
     length: int
     word_vectors: np.ndarray  # (T, WORD_DIM), frozen
     categorical: dict  # feature name -> int array (T,)
-    mwe: np.ndarray  # (T,) float 0/1, the flags of mwe_mask
-    mwe_mask: MweMask
+    mwe: np.ndarray  # (T,) float 0/1: is the token in a lexicon MWE?
 
 
 @dataclass(frozen=True)
@@ -186,6 +185,19 @@ class FeaturizerContext:
         mask ids are new, every other field is feats' own."""
         return replace(feats, categorical={
             **feats.categorical, "mask": _mask_ids(self.vocab, mask)})
+
+    def sentence(self):
+        """-> features(example), the FeaturizedExample of an example of one
+        sentence, built when read: the first call featurizes, and every
+        call remasks the first call's features."""
+        first = None
+
+        def features(example):
+            nonlocal first
+            if first is None:
+                first = self.featurize(example)
+            return self.remask(first, example.mask)
+        return features
 
 
 def _mask_ids(vocab, mask) -> np.ndarray:
@@ -221,8 +233,7 @@ def featurize(example: MaskedExample, vocab: dict,
         table = vocab[name]
         categorical[name] = np.array([table.get(sym, 1) for sym in column],
                                      dtype=np.int64)
-    mwe_mask = match(lex, tokens)
     return FeaturizedExample(length=n, word_vectors=word_vectors,
                              categorical=categorical,
-                             mwe=np.array(mwe_mask.flags, dtype=float),
-                             mwe_mask=mwe_mask)
+                             mwe=np.array(match(lex, tokens).flags,
+                                          dtype=float))

@@ -5,12 +5,14 @@ decodes BIO probabilities into child spans (a TagDistribution checks and
 decodes itself once, however often it is parsed), applies the structural
 constraints, then recurses into every multi-token child with an updated
 mask until terminal nodes are reached. A node's tags depend only on its
-mask, so the focus nodes of one depth are tagged in one batch; the tree,
-its node ids and its trace are then assembled in one depth-first pass off
-an explicit stack, so max_depth alone bounds a parse's depth. The primary
-tree does not depend on the remote threshold: the trace keeps each
-tagged node's remote probability rows, and resolve_remotes turns them
-into remote edges of the finished tree at any threshold.
+mask, so the focus nodes of one depth are tagged in one batch, with the
+sentence's feature source, which featurizes only if the tagger reads it.
+The tree, its node ids and its trace are then assembled in one
+depth-first pass off an explicit stack, so max_depth alone bounds a
+parse's depth. The primary tree does not depend on the remote threshold:
+the trace keeps each tagged node's remote probability rows, and
+resolve_remotes turns them into remote edges of the finished tree at any
+threshold.
 """
 
 from dataclasses import dataclass, field, replace
@@ -363,9 +365,10 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
     tokens = tuple(tokens)
     language = language or tokens[0].language
     action_flags = action_noun_flags(tokens, cfg)
+    mwe_mask = match(ctx.lexicon, tokens)
+    features = ctx.sentence()
     root = _Focus((0, len(tokens)), ROOT_MASK, 1)
     level = [root]
-    root_feats = None
     # One batch per depth; the nodes at the depth cap stay untagged. Ids
     # are given after tagging, so an example names its node by depth: the
     # nodes of one depth have disjoint spans, so depth and mask tell every
@@ -376,17 +379,10 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
             mask=tuple(focus.arc if focus.span[0] <= i < focus.span[1]
                        else OUTSIDE for i in range(len(tokens))),
             focus_node="depth %d" % focus.depth) for focus in level]
-        # The root featurizes the sentence; every later node only remasks.
-        if root_feats is None:
-            root_feats = ctx.featurize(examples[0])
-            feats = [root_feats]
-        else:
-            feats = [ctx.remask(root_feats, ex.mask) for ex in examples]
-        dists = tagger.predict_batch(examples, feats)
+        dists = tagger.predict_batch(examples, features)
         for focus, example, dist in zip(level, examples, dists):
             dist.check()
-            _expand(focus, example.mask, dist, tokens, root_feats.mwe_mask,
-                    action_flags)
+            _expand(focus, example.mask, dist, tokens, mwe_mask, action_flags)
         level = [child for focus in level for child in focus.children
                  if child is not None]
 

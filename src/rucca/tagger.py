@@ -112,12 +112,13 @@ class Params(dict):
 
 class Tagger:
     """Base of the taggers that tag one example at a time with
-    predict(example, feats). The parser calls predict_batch(examples,
-    feats_list) with the focus nodes of one depth of one sentence."""
+    predict(example, features). The parser calls predict_batch(examples,
+    features) with the focus nodes of one depth of one sentence and its
+    feature source (FeaturizerContext.sentence), which featurizes only
+    when read; this base hands it to predict unread."""
 
-    def predict_batch(self, examples, feats_list):
-        return [self.predict(example, feats)
-                for example, feats in zip(examples, feats_list)]
+    def predict_batch(self, examples, features):
+        return [self.predict(example, features) for example in examples]
 
 
 class GruTagger:
@@ -255,9 +256,10 @@ class GruTagger:
         dists, cache = self.forward_batch([feats])
         return dists[0], cache
 
-    def predict_batch(self, examples, feats_list):
+    def predict_batch(self, examples, features):
         """-> one TagDistribution per example, all from one forward."""
-        return self.forward_batch(feats_list)[0] if examples else []
+        return self.forward_batch([features(ex) for ex in examples])[0] \
+            if examples else []
 
     # -- loss and gradients -------------------------------------------------
 
@@ -487,15 +489,15 @@ class ReplayTagger:
         self.tagger = tagger
         self._tables = {}  # id(tokens) -> (tokens, {key: TagDistribution})
 
-    def predict_batch(self, examples, feats_list):
+    def predict_batch(self, examples, features):
         """The wrapped tagger tags the examples not seen before, in one
-        batch."""
+        batch; only they may read features."""
         slots = [(self._tables.setdefault(id(ex.tokens), (ex.tokens, {}))[1],
                   (ex.passage_id, ex.focus_node, ex.mask)) for ex in examples]
         dists = [table.get(key) for table, key in slots]
         misses = [i for i, dist in enumerate(dists) if dist is None]
         fresh = self.tagger.predict_batch([examples[i] for i in misses],
-                                          [feats_list[i] for i in misses])
+                                          features)
         for i, dist in zip(misses, fresh):
             table, key = slots[i]
             dists[i] = table[key] = dist
@@ -520,10 +522,10 @@ class OracleTagger(Tagger):
             for ex in expand(passage):
                 self.targets.setdefault((pid, ex.mask), ex.target_bio)
 
-    def predict(self, example: MaskedExample,
-                feats: FeaturizedExample) -> bio.TagDistribution:
+    def predict(self, example: MaskedExample, feats) -> bio.TagDistribution:
         """One-hot target of the example's mask; all O when the mask names
-        no gold node or that node's children are not representable."""
+        no gold node or that node's children are not representable. feats,
+        the sentence's feature source, is never read."""
         target = self.targets.get((example.passage_id, example.mask))
         if target is None:
             target = [OUTSIDE] * len(example.tokens)

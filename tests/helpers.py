@@ -6,13 +6,13 @@ import zlib
 
 import numpy as np
 
-from rucca import bio, parser
+from rucca import bio, features, parser
 from rucca.corpus import MaskedExample, expand
 from rucca.features import (EMPTY_EMBEDDINGS, FeaturizerContext,
                             fit_vocabularies)
 from rucca.graph import (CATEGORIES, OUTSIDE, ROOT_MASK, Edge, Node,
                          Passage, make_token)
-from rucca.lexicon import EMPTY_LEXICON
+from rucca.lexicon import EMPTY_LEXICON, match
 from rucca.tagger import Tagger
 
 
@@ -257,13 +257,20 @@ def brute_force_yield(passage, node_id):
 def assert_same_features(a, b):
     """Two FeaturizedExamples hold equal arrays of equal dtype and shape."""
     assert a.length == b.length
-    assert a.mwe_mask == b.mwe_mask
     assert list(a.categorical) == list(b.categorical)
     pairs = [(a.word_vectors, b.word_vectors), (a.mwe, b.mwe)] + \
         [(a.categorical[k], b.categorical[k]) for k in a.categorical]
     for x, y in pairs:
         assert x.dtype == y.dtype and x.shape == y.shape
         assert np.array_equal(x, y)
+
+
+def refuse_featurize(monkeypatch):
+    """Makes every featurize call fail the test: for taggers that read no
+    features, such as the oracle."""
+    def refused(*args):
+        raise AssertionError("featurize called")
+    monkeypatch.setattr(features, "featurize", refused)
 
 
 def context_for(passages, lexicon=EMPTY_LEXICON, embeddings=None):
@@ -394,11 +401,13 @@ class KeyedRandomTagger(RandomTagger):
 def reference_parse(tokens, tagger, ctx, cfg, passage_id="s0",
                     language=None):
     """parser.parse as a plain recursion, the reference for its tagging by
-    depth and its assembly by stack: one predict call per node, on a fresh
-    featurize of the node's own example, and node ids given as the
-    recursion reaches each node, depth first, children in span order."""
+    depth and its assembly by stack: one predict call per node, with a
+    fresh feature source, which featurizes the node's own example if read,
+    and node ids given as the recursion reaches each node, depth first,
+    children in span order."""
     tokens = tuple(tokens)
     action_flags = parser.action_noun_flags(tokens, cfg)
+    mwe_mask = match(ctx.lexicon, tokens)
     nonterminals, edges = [], []
     trace = parser.ParseTrace()
 
@@ -424,10 +433,9 @@ def reference_parse(tokens, tagger, ctx, cfg, passage_id="s0",
             mask=tuple(focus.arc if start <= i < end else OUTSIDE
                        for i in range(len(tokens))),
             focus_node="depth %d" % focus.depth)
-        feats = ctx.featurize(example)
-        dist = tagger.predict(example, feats)
+        dist = tagger.predict(example, ctx.sentence())
         dist.check()
-        parser._expand(focus, example.mask, dist, tokens, feats.mwe_mask,
+        parser._expand(focus, example.mask, dist, tokens, mwe_mask,
                        action_flags)
         focus.step.node = nid
         trace.steps.append(focus.step)

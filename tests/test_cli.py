@@ -5,9 +5,10 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from rucca import bio, cli
+from rucca import bio, cli, features
 from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
@@ -16,8 +17,8 @@ from rucca.tagger import (MAGIC, GruTagger, TaggerConfig, load_checkpoint,
                           save_checkpoint)
 
 from helpers import (fig1_passage, nonrepresentable_passage, random_corpus,
-                     single_token_passage, two_scene_5tok_passage,
-                     unary_chain_passage)
+                     refuse_featurize, single_token_passage,
+                     two_scene_5tok_passage, unary_chain_passage)
 
 
 def _write_config(path, **values):
@@ -208,7 +209,20 @@ def test_train_checkpoint_does_not_depend_on_blas_threads(tmp_path):
         (tmp_path / "one.ckpt").read_bytes()
 
 
-def test_parse_oracle_roundtrip(tmp_path, capsys):
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the process's threads in Linux's /proc")
+def test_tests_run_blas_on_one_thread():
+    """The root conftest.py pins BLAS to one thread before any test module
+    imports numpy, so this process has one thread after a product."""
+    if any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARS):
+        pytest.skip("the caller chose its own BLAS threads")
+    square = np.ones((256, 256))
+    assert (square @ square)[0, 0] == 256.0
+    assert len(os.listdir("/proc/self/task")) == 1
+
+
+def test_parse_oracle_roundtrip(tmp_path, monkeypatch, capsys):
+    refuse_featurize(monkeypatch)
     passages = _gold_corpus()
     gold = tmp_path / "gold.jsonl"
     save_passages(passages, gold)
@@ -346,7 +360,9 @@ def test_train_names_the_batch_of_a_non_finite_gradient(
     assert len(calls) > 5  # the rest of the batch ran before the check
 
 
-def test_tune_oracle_prefers_smallest_threshold(tmp_path, capsys):
+def test_tune_oracle_prefers_smallest_threshold(tmp_path, monkeypatch,
+                                               capsys):
+    refuse_featurize(monkeypatch)
     passages = [fig1_passage()] + random_corpus(seed=23, count=5)
     gold = tmp_path / "gold.jsonl"
     save_passages(passages, gold)
@@ -401,9 +417,17 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
     rows_tagged = []
     predict_batch = GruTagger.predict_batch
 
-    def counted(self, examples, feats_list):
+    def counted(self, examples, source):
         rows_tagged.extend(examples)
-        return predict_batch(self, examples, feats_list)
+        return predict_batch(self, examples, source)
+
+    # Each dev sentence is featurized once, by the first parse that tags it.
+    featurized = []
+    featurize = features.featurize
+
+    def counted_featurize(example, *args):
+        featurized.append(example.tokens)
+        return featurize(example, *args)
 
     # Each tagger output is decoded once, however many thresholds parse it.
     decoded = []
@@ -415,12 +439,14 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
 
     monkeypatch.setattr(GruTagger, "predict_batch", counted)
     monkeypatch.setattr(bio, "decode_probs", counted_decode)
+    monkeypatch.setattr(features, "featurize", counted_featurize)
     assert cli.main(["--config", config, "tune",
                      "--out", str(tmp_path / "tuned.cfg")]) == cli.EXIT_OK
     table = capsys.readouterr().out.splitlines()[1:-1]
     assert table == rows
     assert len(rows_tagged) == one_pass
     assert len(decoded) == one_pass
+    assert featurized == [p.tokens for p in dev_passages]
 
 
 def test_empty_gold_file_is_a_data_error(tmp_path, capsys):

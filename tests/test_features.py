@@ -190,8 +190,7 @@ def _featurize_per_table(example, vocab, embeddings, lex):
     mwe = np.array(match(lex, tokens).flags, dtype=float) if n \
         else np.zeros(0)
     return FeaturizedExample(length=n, word_vectors=word_vectors,
-                             categorical=categorical, mwe=mwe,
-                             mwe_mask=match(lex, tokens))
+                             categorical=categorical, mwe=mwe)
 
 
 _FORMS = ("in", "front", "of", "Paris", "DOG", "x", "iPhone", "42", "de")
@@ -239,14 +238,17 @@ def test_featurize_matches_per_table_reference(case):
 
 @given(_featurizer_case())
 def test_remask_equals_featurize_under_the_new_mask(case):
+    """A sentence's feature source featurizes its first example and
+    remasks that result for the next."""
     ctx, example, mask = case
-    feats = ctx.featurize(example)
-    remasked = ctx.remask(feats, mask)
+    source = ctx.sentence()
+    feats = source(example)
+    remasked = source(replace(example, mask=mask))
+    assert_same_features(feats, ctx.featurize(example))
     assert_same_features(remasked,
                          ctx.featurize(replace(example, mask=mask)))
     # Only the mask ids are new; the sentence's arrays are shared.
     assert remasked.word_vectors is feats.word_vectors
     assert remasked.mwe is feats.mwe
-    assert remasked.mwe_mask is feats.mwe_mask
     for name, ids in feats.categorical.items():
         assert (remasked.categorical[name] is ids) == (name != "mask")

@@ -21,7 +21,8 @@ from rucca.tagger import OracleTagger, ReplayTagger, Tagger
 from helpers import (FixedTagger, KeyedRandomTagger, RandomTagger,
                      assert_same_features, context_for, fig1_passage,
                      fixture_corpus, random_corpus, reference_parse,
-                     single_token_passage, two_scene_5tok_passage)
+                     refuse_featurize, single_token_passage,
+                     two_scene_5tok_passage)
 
 NO_MWE = MweMask(flags=(), spans=())
 NO_ACTION_NOUNS = (False,)
@@ -593,8 +594,9 @@ def test_replay_tags_every_node_of_a_unary_chain():
 
 
 def test_parse_featurizes_each_sentence_once(monkeypatch):
-    """Every tagged node gets the features a fresh featurize of its own
-    example gives, from one featurize call per sentence."""
+    """A tagger that reads its feature source gets, for every tagged node,
+    the features a fresh featurize of the node's own example gives, from
+    one featurize call per sentence."""
     corpus = fixture_corpus()
     bigrams = sorted({(a.form.lower(), b.form.lower()) for p in corpus
                       for a, b in zip(p.tokens, p.tokens[1:])})
@@ -614,9 +616,9 @@ def test_parse_featurizes_each_sentence_once(monkeypatch):
     tagged = []
 
     class Recording(OracleTagger):
-        def predict(self, example, feats):
-            tagged.append((example, feats))
-            return super().predict(example, feats)
+        def predict(self, example, source):
+            tagged.append((example, source(example)))
+            return super().predict(example, source)
 
     monkeypatch.setattr(features, "featurize", counted)
     parsed = cli.parse_sentences(cli._sentences(corpus), Recording(corpus),
@@ -632,8 +634,9 @@ def test_parse_featurizes_each_sentence_once(monkeypatch):
 
 
 def test_parse_matches_each_lexicon_once(monkeypatch):
-    """A parse matches the MWE lexicon once, in the root's featurize, and
-    the action-noun lexicon once."""
+    """A parse matches each lexicon once, and the MWE constraint reads the
+    parse's own match: through the oracle, which reads no features, it
+    never featurizes."""
     gold = fig1_passage()
     mwe = ExpressionLexicon(expressions=frozenset({("she", "sings")}))
     action = ExpressionLexicon(expressions=frozenset({("guitar",)}))
@@ -645,32 +648,32 @@ def test_parse_matches_each_lexicon_once(monkeypatch):
 
     monkeypatch.setattr(features, "match", counted)
     monkeypatch.setattr(parser, "match", counted)
+    refuse_featurize(monkeypatch)
     _, trace = parse(gold.tokens, OracleTagger([gold]),
                      context_for([gold], lexicon=mwe),
                      DecoderConfig(action_noun_lexicon=action),
                      passage_id=gold.passage_id)
     assert len(matched) == 2 and mwe in matched and action in matched
-    # The constraint reads featurize's match.
     assert any(f.startswith("mwe-merge") for step in trace.steps
                for f in step.firings)
 
 
 def test_parse_frees_its_features_on_return():
-    """No tagged node's features outlive the parse waiting for the cycle
-    collector."""
+    """Neither a sentence's feature source nor any tagged node's features
+    outlive the parse waiting for the cycle collector."""
     gold = fig1_passage()
     refs = []
 
     class Recording(OracleTagger):
-        def predict(self, example, feats):
-            refs.append(weakref.ref(feats))
-            return super().predict(example, feats)
+        def predict(self, example, source):
+            refs.extend((weakref.ref(source), weakref.ref(source(example))))
+            return super().predict(example, source)
 
     gc.disable()
     try:
         parse(gold.tokens, Recording([gold]), context_for([gold]),
               DecoderConfig(), passage_id=gold.passage_id)
-        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        assert len(refs) == 6 and all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
@@ -682,9 +685,9 @@ class _BatchRecording(OracleTagger):
         super().__init__(passages)
         self.batches = []
 
-    def predict_batch(self, examples, feats_list):
+    def predict_batch(self, examples, source):
         self.batches.append(sorted(ex.mask for ex in examples))
-        return super().predict_batch(examples, feats_list)
+        return super().predict_batch(examples, source)
 
 
 def _preorder(passage):

@@ -106,7 +106,7 @@ def test_predict_batch_rows_match_single_forwards(case):
                      for i in range(len(root.tokens)))
         batch.append(replace(root, mask=mask, focus_node=None))
     feats = [ctx.featurize(ex) for ex in batch]
-    dists = tagger.predict_batch(batch, feats)
+    dists = tagger.predict_batch(batch, ctx.sentence())
     assert len(dists) == len(batch)
     for dist, f in zip(dists, feats):
         alone, _ = tagger.forward(f)
@@ -154,14 +154,14 @@ def test_recurrent_layout_keeps_forward_bytes_at_the_default_width(
 
 def test_forward_batch_rejects_mixed_lengths():
     tagger, ctx, examples = _tiny_setup()
-    long = ctx.featurize(examples[0])
-    short = ctx.featurize(MaskedExample(
+    short = MaskedExample(
         passage_id="s", tokens=examples[0].tokens[:3], mask=("ROOT",) * 3,
-        focus_node=None))
+        focus_node=None)
     with pytest.raises(ValueError):
-        tagger.forward_batch([long, short])
+        tagger.forward_batch([ctx.featurize(examples[0]),
+                              ctx.featurize(short)])
     with pytest.raises(ValueError):
-        tagger.predict_batch([examples[0]] * 2, [long, short])
+        tagger.predict_batch([examples[0], short], ctx.featurize)
 
 
 def test_loss_uniform_analytic_value():
