@@ -32,11 +32,6 @@ class CheckpointError(ValueError):
 
 
 N_LAYERS = 4  # BiGRU layers, each with a highway connection
-# From this many rows the recurrent product reads a row-major copy of U.T:
-# at hidden 128 (OpenBLAS 0.3.31, one thread) a step pair takes 59 us through
-# the view at B = 4 and 19 us through the copy; below 4 rows the copy gains
-# little or loses, and changes bytes. tools/gru_layout.py re-measures it.
-U_COPY_MIN_ROWS = 4
 
 
 @dataclass
@@ -99,12 +94,12 @@ class Params(dict):
 
     def __init__(self, arrays):
         names = sorted(arrays)
-        self.flat = np.concatenate([np.ravel(arrays[name]) for name in names],
-                                   dtype="<f8")
         ends = np.cumsum([np.size(arrays[name]) for name in names])
+        self.flat = np.empty(ends[-1], dtype="<f8")
         views = dict(zip(names, np.split(self.flat, ends[:-1])))
-        super().__init__((name, views[name].reshape(np.shape(a)))
-                         for name, a in arrays.items())
+        for name, a in arrays.items():
+            self[name] = views[name].reshape(np.shape(a))
+            self[name][...] = a  # no temporary copy, even of a transposed a
 
     def manifest(self):
         return [[name, list(self[name].shape)] for name in sorted(self)]
@@ -141,12 +136,14 @@ class GruTagger:
     # -- parameters ---------------------------------------------------------
 
     def _init_params(self, draw):
+        """Each weight is drawn (out, in), in the order below, and stored
+        transposed, (in, out) row-major, as every product reads it."""
         cfg = self.config
         h, m = cfg.hidden, 2 * cfg.hidden
         params = {}
 
         def linear(name, rows, cols):
-            params[name + "/W"] = draw(np.sqrt(1.0 / cols), (rows, cols))
+            params[name + "/W"] = draw(np.sqrt(1.0 / cols), (rows, cols)).T
             params[name + "/b"] = np.zeros(rows)
 
         for name in self.feature_names:
@@ -160,8 +157,8 @@ class GruTagger:
                            draw(np.sqrt(1.0 / h), (h, h)))
                           for _ in range(3)]
                 base = "l%d/%s/" % (layer, d)
-                params[base + "W"] = np.concatenate([w for w, _ in blocks])
-                params[base + "U"] = np.concatenate([u for _, u in blocks])
+                params[base + "W"] = np.concatenate([w for w, _ in blocks]).T
+                params[base + "U"] = np.concatenate([u for _, u in blocks]).T
                 params[base + "b"] = np.zeros(3 * h)
             linear("l%d/hw" % layer, m, m)
         linear("out1", bio.N_BIO, m)
@@ -178,20 +175,17 @@ class GruTagger:
         return np.concatenate(cols, axis=1)
 
     def _affine(self, x, prefix):
-        """x @ W.T + b over x's last axis, as one product of all rows."""
+        """x @ W + b over x's last axis, as one product of all rows."""
         W = self.params[prefix + "W"]
         rows = x.reshape(-1, x.shape[-1])
-        return (rows @ W.T + self.params[prefix + "b"]).reshape(
-            x.shape[:-1] + (W.shape[0],))
+        return (rows @ W + self.params[prefix + "b"]).reshape(
+            x.shape[:-1] + (W.shape[1],))
 
     def _gru_layer(self, x, layer):
         """Both GRU directions of one layer over x (B, T, m), stepped
         together: the forward one from t = 0 to T - 1, the backward one
         on x[:, ::-1] -> ((Hf, Hb), (cache_f, cache_b)), each H (B, T, h)
-        in its own direction's order. Each step's (B, h) @ (h, 3h)
-        product reads the U.T view below U_COPY_MIN_ROWS rows and a
-        row-major copy of it, made for this call only, from there on."""
-        p = self.params
+        in its own direction's order."""
         B, T, h = x.shape[0], x.shape[1], self.config.hidden
         bases = ("l%d/f/" % layer, "l%d/b/" % layer)
         xs = (x, x[:, ::-1])
@@ -205,13 +199,10 @@ class GruTagger:
         hs = np.zeros((T + 1, 2, B, h), dtype=x.dtype)  # hs[t]: before step t
         zr_all = np.empty((T, 2, B, 2 * h), dtype=x.dtype)
         n_all = np.empty((T, 2, B, h), dtype=x.dtype)
-        rec = np.empty((T, 2, B, 3 * h), dtype=x.dtype)  # U @ hs[t]
-        uts = [p[base + "U"].T for base in bases]
-        if B >= U_COPY_MIN_ROWS:
-            uts = [np.ascontiguousarray(ut) for ut in uts]
+        rec = np.empty((T, 2, B, 3 * h), dtype=x.dtype)  # hs[t] @ U
         for t in range(T):
-            for d in (0, 1):
-                np.matmul(hs[t, d], uts[d], out=rec[t, d])
+            for d, base in enumerate(bases):
+                np.matmul(hs[t, d], self.params[base + "U"], out=rec[t, d])
             zr_all[t] = _sigmoid(a_zr[t] + rec[t, ..., :2 * h])
             z, r = zr_all[t, ..., :h], zr_all[t, ..., h:]
             n_all[t] = np.tanh(a_n[t] + r * rec[t, ..., 2 * h:])
@@ -291,12 +282,11 @@ class GruTagger:
         """Backpropagates dH through the first example of one direction's
         cache of a _gru_layer run, passing each of its tensors' gradients
         to add; returns dx."""
-        p = self.params
-        U = p[base + "U"]
+        W, U = self.params[base + "W"], self.params[base + "U"]
         T, h = dH.shape
         gates, un, hprev = (cache[k][0] for k in ("gates", "un", "hprev"))
         da = np.zeros((T, 3 * h))  # into the input projections a
-        drec = np.zeros((T, 3 * h))  # into rec = U @ hprev
+        drec = np.zeros((T, 3 * h))  # into rec = hprev @ U
         carry = np.zeros(h)
         for t in range(T - 1, -1, -1):
             g = dH[t] + carry
@@ -307,11 +297,11 @@ class GruTagger:
             da[t, 2 * h:] = a_n
             drec[t, :2 * h] = da[t, :2 * h]
             drec[t, 2 * h:] = a_n * r
-            carry = g * z + U.T @ drec[t]
-        add(base + "W", da.T @ cache["x"][0])
-        add(base + "U", drec.T @ hprev)
+            carry = g * z + drec[t] @ U.T
+        add(base + "W", cache["x"][0].T @ da)
+        add(base + "U", hprev.T @ drec)
         add(base + "b", da.sum(axis=0))
-        return da @ p[base + "W"]
+        return da @ W.T
 
     def gradients(self, feats, y1, y2, out=None, n=1):
         """Exact analytic gradients of loss(), each divided by n and added
@@ -335,11 +325,11 @@ class GruTagger:
         d2 *= self.config.lambda_aux / T
 
         top = cache["top"][0]
-        add("out1/W", d1.T @ top)
+        add("out1/W", top.T @ d1)
         add("out1/b", d1.sum(axis=0))
-        add("out2/W", d2.T @ top)
+        add("out2/W", top.T @ d2)
         add("out2/b", d2.sum(axis=0))
-        dx = d1 @ self.params["out1/W"] + d2 @ self.params["out2/W"]
+        dx = d1 @ self.params["out1/W"].T + d2 @ self.params["out2/W"].T
 
         for layer in range(N_LAYERS - 1, -1, -1):
             lc = cache["layers"][layer]
@@ -348,9 +338,9 @@ class GruTagger:
             dgate = dx * (y - x)
             dxl = dx * (1.0 - gate)
             da = dgate * gate * (1.0 - gate)
-            add("l%d/hw/W" % layer, da.T @ x)
+            add("l%d/hw/W" % layer, x.T @ da)
             add("l%d/hw/b" % layer, da.sum(axis=0))
-            dxl = dxl + da @ self.params["l%d/hw/W" % layer]
+            dxl = dxl + da @ self.params["l%d/hw/W" % layer].T
             h = self.config.hidden
             dxl = dxl + self._gru_backward(dy[:, :h], lc["cf"],
                                            "l%d/f/" % layer, add)
@@ -358,9 +348,9 @@ class GruTagger:
                                            "l%d/b/" % layer, add)[::-1]
             dx = dxl
 
-        add("in/W", dx.T @ cache["f"][0])
+        add("in/W", cache["f"][0].T @ dx)
         add("in/b", dx.sum(axis=0))
-        df = dx @ self.params["in/W"]
+        df = dx @ self.params["in/W"].T
         offset = WORD_DIM
         for name in self.feature_names:
             table = np.zeros_like(out["emb/" + name])
@@ -536,9 +526,18 @@ class OracleTagger(Tagger):
 # Checkpoints (deterministic binary container)
 
 MAGIC = b"RUCCA1\n"
-# 3: the vocabulary as one dict, the body's sha256 and the numpy and BLAS
-# builds in the header (2: one W, U and b per GRU direction; 1: per gate)
-VERSION = 3
+# 4: weights stored (in, out), the header in the sha256 (3: one vocabulary
+# dict, numpy and BLAS builds; 2: one W, U and b per direction; 1: per gate)
+VERSION = 4
+
+
+def _digest(header, flat):
+    """sha256 of the header but its sha256, numpy and blas, then the body."""
+    fields = {k: v for k, v in header.items()
+              if k not in ("sha256", "numpy", "blas")}
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+    digest.update(flat)
+    return digest.hexdigest()
 
 
 def save_checkpoint(tagger: GruTagger, path):
@@ -551,10 +550,10 @@ def save_checkpoint(tagger: GruTagger, path):
         "aux_vocab": list(tagger.aux_vocab),
         "vocab": tagger.vocab,
         "tensors": tagger.params.manifest(),
-        "sha256": hashlib.sha256(tagger.params.flat).hexdigest(),
         "numpy": np.__version__,
         "blas": "%s %s" % (blas.get("name"), blas.get("version")),
     }
+    header["sha256"] = _digest(header, tagger.params.flat)
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
@@ -567,8 +566,8 @@ def save_checkpoint(tagger: GruTagger, path):
 def load_checkpoint(path) -> GruTagger:
     """Raises CheckpointError unless the file holds exactly one checkpoint
     whose vocabulary has the tables fit_vocabularies makes and whose
-    tensors have the shapes its config gives and the sha256 its header
-    gives."""
+    tensors have the shapes its config gives; last, that its header and
+    tensors have the sha256 the header gives."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise CheckpointError("not a rucca checkpoint: %s" % path)
@@ -609,10 +608,10 @@ def load_checkpoint(path) -> GruTagger:
                                   % path)
         if f.readinto(tagger.params.flat) != tagger.params.flat.nbytes:
             raise CheckpointError("%s: truncated tensor data" % path)
-        if hashlib.sha256(tagger.params.flat).hexdigest() != digest:
-            raise CheckpointError("%s: tensor data does not match its sha256"
-                                  % path)
         if f.read(1):
             raise CheckpointError("%s: trailing bytes after the last tensor"
                                   % path)
+    if _digest(header, tagger.params.flat) != digest:
+        raise CheckpointError("%s: tensor data does not match its sha256, "
+                              "or a header field it covers changed" % path)
     return tagger

@@ -481,3 +481,31 @@ def complex_step_check(tagger, feats, y1, y2, step=1e-20):
     finally:
         tagger.params = real
     return worst
+
+
+def directional_complex_step_check(tagger, feats, y1, y2, seed=0,
+                                   step=1e-20):
+    """Per parameter tensor, the error of gradients() along one seeded
+    random direction v, grads[name] . v, against the complex-step
+    derivative of loss() along v, Im loss(w + i*step*v) / step, over
+    that derivative's size (absolute when it is 0). One complex forward
+    per tensor checks a random combination of all its entries, so a
+    full-size model costs one forward per tensor where
+    complex_step_check costs one per scalar. The tagger's parameters
+    are swapped for complex copies while it runs."""
+    _, grads = tagger.gradients(feats, y1, y2)
+    rng = np.random.default_rng(seed)
+    real = tagger.params
+    tagger.params = {name: p.astype(complex) for name, p in real.items()}
+    worst = {}
+    try:
+        for name in sorted(real):
+            v = rng.standard_normal(real[name].shape)
+            tagger.params[name].imag = step * v
+            numeric = tagger.loss(feats, y1, y2)[0].imag / step
+            tagger.params[name].imag = 0.0
+            diff = abs(float(np.sum(grads[name] * v)) - numeric)
+            worst[name] = diff / abs(numeric) if numeric else diff
+    finally:
+        tagger.params = real
+    return worst

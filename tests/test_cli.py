@@ -638,6 +638,14 @@ def _flip_last_byte(blob):
     return blob[:-1] + bytes([blob[-1] ^ 1])
 
 
+def _sing_to_song(blob):
+    """The checkpoint with its one "Sing", a morph:Number symbol, spelled
+    "Song": the header alone is damaged, and every check but the digest
+    still holds."""
+    assert blob.count(b'"morph:Number"') == blob.count(b'"Sing"') == 1
+    return blob.replace(b'"Sing"', b'"Song"')
+
+
 # Every malformed input exits with its documented code and one line that
 # names what is wrong. `rewrite` maps a config key (or "config", the
 # config file itself) to a function that turns the valid file at that key
@@ -723,10 +731,17 @@ def _flip_last_byte(blob):
     pytest.param(["parse"], {}, {},
                  {"model": lambda b: _reheader(b, version=2)},
                  cli.EXIT_DATA, "version 2", id="checkpoint-version-2"),
+    pytest.param(["parse"], {}, {},
+                 {"model": lambda b: _reheader(b, version=3)},
+                 cli.EXIT_DATA, "version 3", id="checkpoint-version-3"),
     pytest.param(["parse"], {}, {}, {"model": _flip_last_byte},
                  cli.EXIT_DATA,
                  "model.ckpt: tensor data does not match its sha256",
                  id="checkpoint-body-flipped"),
+    pytest.param(["parse"], {}, {}, {"model": _sing_to_song},
+                 cli.EXIT_DATA, "model.ckpt: tensor data does not match "
+                 "its sha256, or a header field it covers changed",
+                 id="checkpoint-header-symbol-flipped"),
     pytest.param(["train"], {}, {"RUCCA_LEARNING_RATE": "nan"}, {},
                  cli.EXIT_USAGE, "learning_rate", id="learning-rate-nan"),
     pytest.param(["train"], {}, {"RUCCA_GRAD_CLIP": "nan"}, {},

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rucca import bio
-from rucca import tagger as tagger_module
 from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
 from rucca.features import FeaturizerContext, fit_vocabularies
 from rucca.graph import Edge, Node, Passage, make_token
@@ -19,7 +18,8 @@ from rucca.tagger import (MAGIC, N_LAYERS, GruTagger, NumericError,
                           _Adam, build_aux_vocab, clip_gradients,
                           load_checkpoint, save_checkpoint, train)
 
-from helpers import (complex_step_check, context_for, fig1_passage,
+from helpers import (complex_step_check, context_for,
+                     directional_complex_step_check, fig1_passage,
                      fixture_corpus, nonrepresentable_passage,
                      random_corpus, single_token_passage,
                      two_scene_5tok_passage)
@@ -89,13 +89,7 @@ def _foci(min_size, max_size):
                  st.tuples(st.just(32), _foci(4, 8))))
 def test_predict_batch_rows_match_single_forwards(case):
     """Each row of a batch is its example's own forward, up to the
-    rounding of one (B, h) @ (h, 3h) product per step. A batch of
-    U_COPY_MIN_ROWS rows or more multiplies by a row-major copy of U.T,
-    a batch of one by the view. At hidden 6 the two give the same
-    bytes; at hidden 32 they round differently at every width up to
-    12, so its batches of 4-8 rows hold the copy to the view within
-    1e-12."""
-    assert tagger_module.U_COPY_MIN_ROWS <= 4
+    rounding of one (B, h) @ (h, 3h) product per step."""
     hidden, foci = case
     tagger, ctx, examples = _tiny_setup(hidden=hidden)
     root = examples[0]
@@ -114,42 +108,6 @@ def test_predict_batch_rows_match_single_forwards(case):
                                    atol=1e-12)
         np.testing.assert_allclose(dist.task2, alone.task2, rtol=0,
                                    atol=1e-12)
-
-
-def test_recurrent_layout_keeps_forward_bytes_at_the_default_width(
-        monkeypatch):
-    """At the default hidden size, a batch of any width up to 12 gives the
-    same task1 and task2 bytes whether its recurrent products read the
-    row-major copy of U.T or, with the copy switched off, the view."""
-    assert tagger_module.U_COPY_MIN_ROWS <= 12  # the copy is exercised
-    passages = [fig1_passage()]
-    ctx = context_for(passages)
-    root = expand(passages[0])[0]
-    tagger = GruTagger(TaggerConfig(), ctx.vocab, build_aux_vocab([root]))
-    rng = np.random.default_rng(5)
-    batches = []
-    for T in (3, 11, 19):
-        tokens = tuple(root.tokens[i % len(root.tokens)] for i in range(T))
-        for width in range(1, 13):
-            feats = []
-            for _ in range(width):
-                start, end = sorted(rng.integers(0, T + 1, size=2))
-                symbol = MASK_SYMBOLS[rng.integers(1, len(MASK_SYMBOLS))]
-                mask = tuple(symbol if start <= i <= end else "O"
-                             for i in range(T))
-                feats.append(ctx.featurize(MaskedExample(
-                    passage_id="s", tokens=tokens, mask=mask,
-                    focus_node=None)))
-            batches.append(feats)
-
-    def tagged_bytes():
-        return [b"".join(d.task1.tobytes() + d.task2.tobytes()
-                         for d in tagger.forward_batch(feats)[0])
-                for feats in batches]
-
-    copied = tagged_bytes()
-    monkeypatch.setattr(tagger_module, "U_COPY_MIN_ROWS", 13)
-    assert tagged_bytes() == copied
 
 
 def test_forward_batch_rejects_mixed_lengths():
@@ -272,13 +230,31 @@ def test_complex_step_check_tiny_model():
     assert np.array_equal(tagger.params.flat, flat)
 
 
+def test_directional_complex_step_check_default_size():
+    # The model that trains and parses (TaggerConfig defaults: hidden 128)
+    # on a fixture-corpus vocabulary, one short example, both heads.
+    passages = fixture_corpus()
+    examples = [ex for p in passages for ex in expand(p)]
+    ctx = context_for(passages)
+    tagger = GruTagger(TaggerConfig(), ctx.vocab, build_aux_vocab(examples))
+    example = expand(two_scene_5tok_passage())[0]
+    flat = tagger.params.flat.copy()
+    worst = directional_complex_step_check(
+        tagger, ctx.featurize(example), *tagger.target_ids(example))
+    assert sorted(worst) == sorted(tagger.params)
+    for name, err in sorted(worst.items()):
+        assert err <= 1e-10, "%s: rel err %.3g" % (name, err)
+    assert np.array_equal(tagger.params.flat, flat)
+
+
 def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
 def _per_gate_gru(x, W, U, b, order):
     """Hidden states of a plain GRU visiting the rows of x in order, with
-    each gate's tensors sliced out of the fused z, r, n blocks."""
+    W and U given (out, in) and each gate's tensors sliced out of their
+    fused z, r, n blocks."""
     h = U.shape[1]
     Wz, Wr, Wn = W[:h], W[h:2 * h], W[2 * h:]
     Uz, Ur, Un = U[:h], U[h:2 * h], U[2 * h:]
@@ -309,8 +285,8 @@ def test_gru_matches_per_gate_reference():
         for d, cols, order in (("f", slice(0, h), range(T)),
                                ("b", slice(h, 2 * h), range(T - 1, -1, -1))):
             base = "l%d/%s/" % (layer, d)
-            expected = _per_gate_gru(x, *(tagger.params[base + k]
-                                          for k in "WUb"), order)
+            W, U, b = (tagger.params[base + k] for k in "WUb")
+            expected = _per_gate_gru(x, W.T, U.T, b, order)
             np.testing.assert_allclose(lc["y"][0, :, cols], expected,
                                        rtol=0, atol=1e-12)
 
@@ -566,12 +542,16 @@ def test_checkpoint_header_holds_each_fact_once(tmp_path):
     header = json.loads(blob[len(MAGIC) + 8:body])
     assert sorted(header) == ["aux_vocab", "blas", "config", "numpy",
                               "sha256", "tensors", "version", "vocab"]
-    assert header["version"] == 3
+    assert header["version"] == 4
     assert header["config"] == {"hidden": 4, "cat_dim": 2,
                                 "lambda_aux": 1.0, "seed": 7}
     assert header["vocab"] == tagger.vocab
     assert header["numpy"] == np.__version__
-    assert header["sha256"] == hashlib.sha256(blob[body:]).hexdigest()
+    # The digest covers every other field but the builds, then the body.
+    fields = {k: v for k, v in header.items()
+              if k not in ("sha256", "numpy", "blas")}
+    assert header["sha256"] == hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode() + blob[body:]).hexdigest()
     # The builds that wrote the file are recorded, not compared.
     header.update(numpy="0.0", blas="other 0.0")
     text = json.dumps(header).encode("utf-8")
@@ -602,7 +582,8 @@ def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
 
 def _reference_params(tagger):
     """name -> array in draw order: the seeded initialisation drawn into
-    separate arrays (reference for the layout tests)."""
+    separate arrays, each weight (out, in) (reference for the layout
+    tests, which read the stored (in, out) weights through .T)."""
     cfg = tagger.config
     rng = np.random.default_rng(cfg.seed)
     h, m = cfg.hidden, 2 * cfg.hidden
@@ -658,7 +639,10 @@ def test_params_are_views_of_one_vector_in_checkpoint_order(
     reference = _reference_params(tagger)
     assert list(tagger.params) == list(reference)  # draw order
     for name, expected in reference.items():
-        assert np.array_equal(tagger.params[name], expected), name
+        stored = tagger.params[name]
+        if name.endswith(("/W", "/U")):
+            stored = stored.T
+        assert np.array_equal(stored, expected), name
     assert_tiles_flat(tagger.params)
     with tempfile.TemporaryDirectory() as d:
         path = d + "/m.ckpt"
