@@ -136,8 +136,8 @@ def _tagger_and_context(config, oracle_gold=None):
     if oracle_gold is not None:
         return tagger_mod.OracleTagger(oracle_gold), \
             features.FeaturizerContext(
-                vocab=features.fit_vocabularies(oracle_gold),
-                embeddings=features.EMPTY_EMBEDDINGS, lexicon=lexicon)
+                vocab={}, embeddings=features.EMPTY_EMBEDDINGS,
+                lexicon=lexicon)
     model = tagger_mod.load_checkpoint(config.path("model", required=True))
     return model, features.FeaturizerContext(
         vocab=model.vocab, embeddings=_embeddings(config), lexicon=lexicon)

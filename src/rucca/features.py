@@ -6,7 +6,7 @@ values, affixes, capitalization, length bucket, language, mask symbol),
 and a boolean MWE flag.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,24 +63,18 @@ def affix(form: str, size: int, suffix: bool) -> str:
     return low[-size:] if suffix else low[:size]
 
 
-def _form_symbols(form):
-    """The six categorical symbols that depend on the form alone."""
-    return {"caps": caps_class(form), "length": length_bucket(form),
+def _token_symbols(token):
+    """Categorical feature symbols for one token (morph handled apart)."""
+    form = token.form
+    return {"deprel": token.deprel if token.deprel is not None else NONE,
+            "upos": token.upos,
+            "xpos": token.xpos if token.xpos is not None else NONE,
+            "language": token.language, "caps": caps_class(form),
+            "length": length_bucket(form),
             "prefix2": affix(form, 2, suffix=False),
             "prefix3": affix(form, 3, suffix=False),
             "suffix2": affix(form, 2, suffix=True),
             "suffix3": affix(form, 3, suffix=True)}
-
-
-def _token_symbols(token, form_symbols=None):
-    """Categorical feature symbols for one token (morph handled apart);
-    form_symbols, when given, is _form_symbols(token.form)."""
-    if form_symbols is None:
-        form_symbols = _form_symbols(token.form)
-    return {"deprel": token.deprel if token.deprel is not None else NONE,
-            "upos": token.upos,
-            "xpos": token.xpos if token.xpos is not None else NONE,
-            "language": token.language, **form_symbols}
 
 
 def _make_table(symbols) -> dict:
@@ -172,13 +166,10 @@ class FeaturizerContext:
     vocab: dict  # fit_vocabularies' {feature name: {symbol: index}}
     embeddings: WordEmbeddingTable
     lexicon: ExpressionLexicon
-    # form -> _form_symbols(form), filled by featurize
-    forms: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def featurize(self, example: MaskedExample) -> "FeaturizedExample":
-        return featurize(example, self.vocab, self.embeddings, self.lexicon,
-                         self.forms)
+        return featurize(example, self.vocab, self.embeddings,
+                         match(self.lexicon, example.tokens).flags)
 
     def remask(self, feats: FeaturizedExample, mask) -> FeaturizedExample:
         """The features of feats' sentence under another mask: only the
@@ -186,16 +177,18 @@ class FeaturizerContext:
         return replace(feats, categorical={
             **feats.categorical, "mask": _mask_ids(self.vocab, mask)})
 
-    def sentence(self):
+    def sentence(self, mwe_flags):
         """-> features(example), the FeaturizedExample of an example of one
-        sentence, built when read: the first call featurizes, and every
-        call remasks the first call's features."""
+        sentence whose lexicon match has mwe_flags, built when read: the
+        first call featurizes, and every call remasks the first call's
+        features."""
         first = None
 
         def features(example):
             nonlocal first
             if first is None:
-                first = self.featurize(example)
+                first = featurize(example, self.vocab, self.embeddings,
+                                  mwe_flags)
             return self.remask(first, example.mask)
         return features
 
@@ -206,19 +199,14 @@ def _mask_ids(vocab, mask) -> np.ndarray:
 
 
 def featurize(example: MaskedExample, vocab: dict,
-              embeddings: WordEmbeddingTable, lex: ExpressionLexicon,
-              forms=None) -> FeaturizedExample:
-    """forms, form -> _form_symbols(form), is read and filled when given."""
+              embeddings: WordEmbeddingTable, mwe_flags) -> FeaturizedExample:
+    """mwe_flags is the lexicon match of example's tokens (MweMask.flags)."""
     tokens = example.tokens
     n = len(tokens)
-    forms = {} if forms is None else forms
     word_vectors = np.zeros((n, WORD_DIM))
-    symbols = []
     for i, t in enumerate(tokens):
         word_vectors[i] = embeddings.lookup(t.form)
-        if t.form not in forms:
-            forms[t.form] = _form_symbols(t.form)
-        symbols.append(_token_symbols(t, forms[t.form]))
+    symbols = [_token_symbols(t) for t in tokens]
     morphs = [dict(t.morph) for t in tokens]
     categorical = {}
     for name in sorted(vocab):
@@ -235,5 +223,4 @@ def featurize(example: MaskedExample, vocab: dict,
                                      dtype=np.int64)
     return FeaturizedExample(length=n, word_vectors=word_vectors,
                              categorical=categorical,
-                             mwe=np.array(match(lex, tokens).flags,
-                                          dtype=float))
+                             mwe=np.array(mwe_flags, dtype=float))

@@ -158,64 +158,50 @@ def _mwe_integrity(spans, mwe_spans, focus, firings):
     """Constraint 3: no H/A span boundary may fall strictly inside an MWE
     span. Adjacent spans sharing such a boundary are merged (left category
     wins); otherwise the span is extended to the MWE edge, absorbing any
-    overlap."""
-    start_f, end_f = focus
+    overlap. One pass in start order: a fix changes only the current span
+    and the spans next to it, so every span already passed is final."""
     # boundary strictly inside an MWE -> the first such MWE's span
     inside_mwe = {}
     for ms, me in mwe_spans:
         for boundary in range(ms + 1, me):
             inside_mwe.setdefault(boundary, (ms, me))
-    spans = sorted(spans, key=lambda s: s.start)
-    for _ in range(10 * (len(spans) + len(mwe_spans)) + 10):
-        violation = None
-        for s in spans:
-            if s.category not in ("H", "A"):
-                continue
-            for boundary, is_start in ((s.start, True), (s.end, False)):
-                if boundary in (start_f, end_f):
-                    continue
-                mwe = inside_mwe.get(boundary)
-                if mwe is not None:
-                    violation = (s, boundary, is_start, mwe)
-                    break
-            if violation:
+    todo = sorted(spans, key=lambda s: s.start, reverse=True)
+    out = []
+    while todo:
+        s = todo.pop()
+        while s.category in ("H", "A"):
+            bad = [(b, b == s.start) for b in (s.start, s.end)
+                   if b not in focus and b in inside_mwe]
+            if not bad:
                 break
-        if violation is None:
-            return spans
-        s, boundary, is_start, mwe = violation
-        neighbor = None
-        for q in spans:
-            if q is s:
+            boundary, is_start = bad[0]
+            if is_start and out and out[-1].end == boundary:
+                left, right = out.pop(), s
+            elif not is_start and todo and todo[-1].start == boundary:
+                left, right = s, todo.pop()
+            else:
+                # Each fix moves the boundary out to the MWE edge or
+                # absorbs a span, so the loop ends.
+                ms, me = inside_mwe[boundary]
+                first, start, end = s, s.start, s.end
+                if is_start:
+                    start = max(ms, focus[0])
+                    while out and out[-1].end > start:
+                        first = out.pop()
+                    start = min(start, first.start)
+                else:
+                    end = min(me, focus[1])
+                    while todo and todo[-1].start < end:
+                        end = max(end, todo.pop().end)
+                firings.append("mwe-extend (%d,%d)->(%d,%d)"
+                               % (s.start, s.end, start, end))
+                s = bio.ChildSpan(start, end, first.category, False)
                 continue
-            if (is_start and q.end == boundary) or \
-                    (not is_start and q.start == boundary):
-                neighbor = q
-                break
-        if neighbor is not None:
-            left, right = (neighbor, s) if is_start else (s, neighbor)
-            merged = bio.ChildSpan(left.start, right.end, left.category,
-                                   False)
             firings.append("mwe-merge (%d,%d)+(%d,%d)"
                            % (left.start, left.end, right.start, right.end))
-            spans = [t for t in spans if t is not s and t is not neighbor]
-        else:
-            new_start = max(mwe[0], start_f) if is_start else s.start
-            new_end = min(mwe[1], end_f) if not is_start else s.end
-            involved = [t for t in spans
-                        if t.start < new_end and t.end > new_start]
-            new_start = min([new_start] + [t.start for t in involved])
-            new_end = max([new_end] + [t.end for t in involved])
-            category = min(involved, key=lambda t: t.start).category \
-                if involved else s.category
-            merged = bio.ChildSpan(new_start, new_end, category, False)
-            firings.append("mwe-extend (%d,%d)->(%d,%d)"
-                           % (s.start, s.end, new_start, new_end))
-            spans = [t for t in spans if t not in involved]
-        spans = [t for t in spans
-                 if t.end <= merged.start or t.start >= merged.end]
-        spans.append(merged)
-        spans.sort(key=lambda s: s.start)
-    return spans
+            s = bio.ChildSpan(left.start, right.end, left.category, False)
+        out.append(s)
+    return out
 
 
 def action_noun_flags(tokens, cfg: DecoderConfig):
@@ -366,7 +352,7 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
     language = language or tokens[0].language
     action_flags = action_noun_flags(tokens, cfg)
     mwe_mask = match(ctx.lexicon, tokens)
-    features = ctx.sentence()
+    features = ctx.sentence(mwe_mask.flags)
     root = _Focus((0, len(tokens)), ROOT_MASK, 1)
     level = [root]
     # One batch per depth; the nodes at the depth cap stay untagged. Ids

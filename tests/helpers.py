@@ -398,6 +398,73 @@ class KeyedRandomTagger(RandomTagger):
         return bio.TagDistribution(task1=bio.one_hot(labels))
 
 
+def reference_mwe_integrity(spans, mwe_spans, focus, firings):
+    """parser._mwe_integrity as a rescan, the reference for its one pass:
+    after each fix, look again from the first span for the first H/A span
+    with a boundary strictly inside an MWE span, its start checked
+    first. A neighbour sharing that boundary is merged with it (left
+    category wins); otherwise the span is extended to the MWE edge,
+    clipped to the focus, absorbing every span it overlaps (leftmost
+    category wins)."""
+    start_f, end_f = focus
+    # boundary strictly inside an MWE -> the first such MWE's span
+    inside_mwe = {}
+    for ms, me in mwe_spans:
+        for boundary in range(ms + 1, me):
+            inside_mwe.setdefault(boundary, (ms, me))
+    spans = sorted(spans, key=lambda s: s.start)
+    for _ in range(10 * (len(spans) + len(mwe_spans)) + 10):
+        violation = None
+        for s in spans:
+            if s.category not in ("H", "A"):
+                continue
+            for boundary, is_start in ((s.start, True), (s.end, False)):
+                if boundary in (start_f, end_f):
+                    continue
+                mwe = inside_mwe.get(boundary)
+                if mwe is not None:
+                    violation = (s, boundary, is_start, mwe)
+                    break
+            if violation:
+                break
+        if violation is None:
+            return spans
+        s, boundary, is_start, mwe = violation
+        neighbor = None
+        for q in spans:
+            if q is s:
+                continue
+            if (is_start and q.end == boundary) or \
+                    (not is_start and q.start == boundary):
+                neighbor = q
+                break
+        if neighbor is not None:
+            left, right = (neighbor, s) if is_start else (s, neighbor)
+            merged = bio.ChildSpan(left.start, right.end, left.category,
+                                   False)
+            firings.append("mwe-merge (%d,%d)+(%d,%d)"
+                           % (left.start, left.end, right.start, right.end))
+            spans = [t for t in spans if t is not s and t is not neighbor]
+        else:
+            new_start = max(mwe[0], start_f) if is_start else s.start
+            new_end = min(mwe[1], end_f) if not is_start else s.end
+            involved = [t for t in spans
+                        if t.start < new_end and t.end > new_start]
+            new_start = min([new_start] + [t.start for t in involved])
+            new_end = max([new_end] + [t.end for t in involved])
+            category = min(involved, key=lambda t: t.start).category \
+                if involved else s.category
+            merged = bio.ChildSpan(new_start, new_end, category, False)
+            firings.append("mwe-extend (%d,%d)->(%d,%d)"
+                           % (s.start, s.end, new_start, new_end))
+            spans = [t for t in spans if t not in involved]
+        spans = [t for t in spans
+                 if t.end <= merged.start or t.start >= merged.end]
+        spans.append(merged)
+        spans.sort(key=lambda s: s.start)
+    return spans
+
+
 def reference_parse(tokens, tagger, ctx, cfg, passage_id="s0",
                     language=None):
     """parser.parse as a plain recursion, the reference for its tagging by
@@ -433,7 +500,7 @@ def reference_parse(tokens, tagger, ctx, cfg, passage_id="s0",
             mask=tuple(focus.arc if start <= i < end else OUTSIDE
                        for i in range(len(tokens))),
             focus_node="depth %d" % focus.depth)
-        dist = tagger.predict(example, ctx.sentence())
+        dist = tagger.predict(example, ctx.sentence(mwe_mask.flags))
         dist.check()
         parser._expand(focus, example.mask, dist, tokens, mwe_mask,
                        action_flags)

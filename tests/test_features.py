@@ -80,7 +80,7 @@ def test_featurize_basic_symbols():
     corpus = [_example(tokens)]
     vocab = fit_vocabularies(corpus)
     feats = featurize(_example(tokens), vocab, EMPTY_EMBEDDINGS,
-                      EMPTY_LEXICON)
+                      (False, False))
     inv_caps = _inverse(vocab["caps"])
     assert inv_caps[feats.categorical["caps"][0]] == "initial-cap"
     inv_len = _inverse(vocab["length"])
@@ -100,7 +100,8 @@ def test_featurize_mask_roundtrip_on_fig1():
     vocab = fit_vocabularies(examples)
     inv = _inverse(vocab["mask"])
     for ex in examples:
-        feats = featurize(ex, vocab, EMPTY_EMBEDDINGS, EMPTY_LEXICON)
+        feats = featurize(ex, vocab, EMPTY_EMBEDDINGS,
+                          (False,) * len(ex.tokens))
         decoded = tuple(inv[i] for i in feats.categorical["mask"])
         assert decoded == ex.mask
 
@@ -110,7 +111,7 @@ def test_featurize_is_total_on_unseen_symbols():
     weird = _example([make_token("Zzz@#", "WEIRD", xpos="??",
                                  morph={"Strange": "Yes"},
                                  language="xx")])
-    feats = featurize(weird, vocab, EMPTY_EMBEDDINGS, EMPTY_LEXICON)
+    feats = featurize(weird, vocab, EMPTY_EMBEDDINGS, (False,))
     assert feats.categorical["upos"][0] == 1  # OOV
     assert feats.categorical["language"][0] == 1
 
@@ -120,7 +121,8 @@ def test_featurize_mwe_flag():
               make_token("of", "ADP")]
     lex = ExpressionLexicon(expressions=frozenset({("in", "front", "of")}))
     vocab = fit_vocabularies([_example(tokens)])
-    feats = featurize(_example(tokens), vocab, EMPTY_EMBEDDINGS, lex)
+    feats = FeaturizerContext(vocab=vocab, embeddings=EMPTY_EMBEDDINGS,
+                              lexicon=lex).featurize(_example(tokens))
     assert feats.mwe.tolist() == [1.0, 1.0, 1.0]
 
 
@@ -155,7 +157,7 @@ def test_context_featurize_matches_direct_call():
     ctx = FeaturizerContext(vocab=vocab, embeddings=EMPTY_EMBEDDINGS,
                             lexicon=EMPTY_LEXICON)
     a = ctx.featurize(examples[0])
-    b = featurize(examples[0], vocab, EMPTY_EMBEDDINGS, EMPTY_LEXICON)
+    b = featurize(examples[0], vocab, EMPTY_EMBEDDINGS, (False,))
     assert np.array_equal(a.categorical["upos"], b.categorical["upos"])
 
 
@@ -241,7 +243,7 @@ def test_remask_equals_featurize_under_the_new_mask(case):
     """A sentence's feature source featurizes its first example and
     remasks that result for the next."""
     ctx, example, mask = case
-    source = ctx.sentence()
+    source = ctx.sentence(match(ctx.lexicon, example.tokens).flags)
     feats = source(example)
     remasked = source(replace(example, mask=mask))
     assert_same_features(feats, ctx.featurize(example))

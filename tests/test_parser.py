@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rucca import bio, cli, features, parser
 from rucca.corpus import passage_to_record
@@ -20,7 +20,8 @@ from rucca.tagger import OracleTagger, ReplayTagger, Tagger
 
 from helpers import (FixedTagger, KeyedRandomTagger, RandomTagger,
                      assert_same_features, context_for, fig1_passage,
-                     fixture_corpus, random_corpus, reference_parse,
+                     fixture_corpus, random_corpus,
+                     reference_mwe_integrity, reference_parse,
                      refuse_featurize, single_token_passage,
                      two_scene_5tok_passage)
 
@@ -209,18 +210,20 @@ def test_constraint_restores_the_sp_span_an_mwe_merge_took():
 
 
 @st.composite
-def _constraint_inputs(draw):
+def _constraint_inputs(draw, categories="HHAASPCDEF", keep=st.booleans()):
     """Random disjoint spans inside a random focus, with random per-token
-    verbs and action flags, disjoint MWE spans and tag probabilities."""
+    verbs and action flags, disjoint MWE spans and tag probabilities. A
+    span's category is drawn from categories, and keep draws whether a
+    span or an MWE span is kept."""
     n = draw(st.integers(1, 12))
     start = draw(st.integers(0, n - 1))
     end = draw(st.integers(start + 1, n))
     cuts = sorted(draw(st.sets(st.integers(start, end), min_size=2)))
-    spans = [bio.ChildSpan(a, b, draw(st.sampled_from("HHAASPCDEF")), False)
-             for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    spans = [bio.ChildSpan(a, b, draw(st.sampled_from(categories)), False)
+             for a, b in zip(cuts, cuts[1:]) if draw(keep)]
     mwe_cuts = sorted(draw(st.sets(st.integers(0, n))))
     mwe_spans = tuple((a, b) for a, b in zip(mwe_cuts, mwe_cuts[1:])
-                      if b - a > 1 and draw(st.booleans()))
+                      if b - a > 1 and draw(keep))
     tokens = _tokens(*[("w%d" % i, draw(st.sampled_from(("VERB", "NOUN"))))
                        for i in range(n)])
     action_flags = tuple(draw(st.lists(st.booleans(), min_size=n,
@@ -247,6 +250,24 @@ def test_constraints_keep_their_invariants(inputs, at_scene_level):
                            if b not in focus for ms, me in mwe.spans)
     if at_scene_level:
         assert len([s for s in out if s.category in ("S", "P")]) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constraint_inputs(categories="HHHAAACP",
+                          keep=st.sampled_from((True, True, True, False))))
+# an extended end absorbs the spans after it, a C span among them
+@example(inputs=(_spans((0, 2, "H"), (3, 4, "C"), (4, 5, "A")), None, None,
+                 MweMask(flags=(), spans=((1, 5),)), None, (0, 6)))
+# both boundaries lie inside an MWE: the start is fixed first
+@example(inputs=(_spans((0, 1, "C"), (2, 5, "A"), (6, 8, "C")), None, None,
+                 MweMask(flags=(), spans=((1, 3), (4, 7))), None, (0, 8)))
+def test_mwe_integrity_matches_the_rescanning_reference(inputs):
+    spans, _, _, mwe, _, focus = inputs
+    firings, expected_firings = [], []
+    out = parser._mwe_integrity(spans, mwe.spans, focus, firings)
+    assert out == reference_mwe_integrity(spans, mwe.spans, focus,
+                                          expected_firings)
+    assert firings == expected_firings
 
 
 def test_constraint_fixpoint_on_compatible_spans():
@@ -627,31 +648,45 @@ def test_parse_featurizes_each_sentence_once(monkeypatch):
     assert len(tagged) == sum(len(t.steps) for _, t in parsed) \
         > 2 * len(corpus)
     for example, feats in tagged:
-        assert_same_features(feats, featurize(example, ctx.vocab,
-                                              ctx.embeddings, ctx.lexicon))
+        assert_same_features(feats, featurize(
+            example, ctx.vocab, ctx.embeddings,
+            match(ctx.lexicon, example.tokens).flags))
     assert any(feats.mwe.any() for _, feats in tagged)
     assert any(feats.word_vectors.any() for _, feats in tagged)
 
 
 def test_parse_matches_each_lexicon_once(monkeypatch):
-    """A parse matches each lexicon once, and the MWE constraint reads the
-    parse's own match: through the oracle, which reads no features, it
-    never featurizes."""
+    """A parse matches each lexicon once, and the MWE constraint and the
+    features read the parse's own match: a tagger that reads its feature
+    source makes no second match, and through the oracle, which reads no
+    features, the parse never featurizes."""
     gold = fig1_passage()
     mwe = ExpressionLexicon(expressions=frozenset({("she", "sings")}))
     action = ExpressionLexicon(expressions=frozenset({("guitar",)}))
-    matched = []
+    ctx = context_for([gold], lexicon=mwe)
+    dcfg = DecoderConfig(action_noun_lexicon=action)
+    matched, read = [], []
 
     def counted(lexicon, tokens):
         matched.append(lexicon)
         return match(lexicon, tokens)
 
+    class Reading(OracleTagger):
+        def predict(self, example, source):
+            read.append(source(example).mwe)
+            return super().predict(example, source)
+
     monkeypatch.setattr(features, "match", counted)
     monkeypatch.setattr(parser, "match", counted)
+    parse(gold.tokens, Reading([gold]), ctx, dcfg,
+          passage_id=gold.passage_id)
+    assert len(matched) == 2 and mwe in matched and action in matched
+    assert len(read) > 1 and all(
+        flags.tolist() == [float(f) for f in match(mwe, gold.tokens).flags]
+        for flags in read)
+    matched.clear()
     refuse_featurize(monkeypatch)
-    _, trace = parse(gold.tokens, OracleTagger([gold]),
-                     context_for([gold], lexicon=mwe),
-                     DecoderConfig(action_noun_lexicon=action),
+    _, trace = parse(gold.tokens, OracleTagger([gold]), ctx, dcfg,
                      passage_id=gold.passage_id)
     assert len(matched) == 2 and mwe in matched and action in matched
     assert any(f.startswith("mwe-merge") for step in trace.steps

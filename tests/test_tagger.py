@@ -13,6 +13,7 @@ from rucca import bio
 from rucca.corpus import MASK_SYMBOLS, MaskedExample, expand
 from rucca.features import FeaturizerContext, fit_vocabularies
 from rucca.graph import Edge, Node, Passage, make_token
+from rucca.lexicon import match
 from rucca.tagger import (MAGIC, N_LAYERS, GruTagger, NumericError,
                           OracleTagger, Params, TaggerConfig, TrainConfig,
                           _Adam, build_aux_vocab, clip_gradients,
@@ -100,7 +101,8 @@ def test_predict_batch_rows_match_single_forwards(case):
                      for i in range(len(root.tokens)))
         batch.append(replace(root, mask=mask, focus_node=None))
     feats = [ctx.featurize(ex) for ex in batch]
-    dists = tagger.predict_batch(batch, ctx.sentence())
+    dists = tagger.predict_batch(
+        batch, ctx.sentence(match(ctx.lexicon, root.tokens).flags))
     assert len(dists) == len(batch)
     for dist, f in zip(dists, feats):
         alone, _ = tagger.forward(f)

@@ -29,10 +29,24 @@ script runs against another checkout:
 Use the same DIR (emptied in between) for both runs: configs, stdout and
 traces name their files by absolute path. DIR must be empty or absent.
 BLAS runs on one thread, as in the benchmark.
+
+    PYTHONPATH=src python3 tools/flow_digests.py --golden \
+        tests/golden_listing.txt --dir /tmp/flow
+
+runs a tiny flow of each workload (TINY: few passages, a small model,
+few epochs) at GOLDEN_SEED in this process and writes their golden
+listing to the given file: per workload, one `sha256  <workload>/<file>`
+line for each file of GOLDEN_FILES and the tuned config's
+`remote_threshold` line. Those files name no absolute path, so the
+listing does not depend on DIR; it leaves out the checkpoint, whose
+bytes depend on the numpy and BLAS build. Its first line records the
+numpy version. tests/test_golden_listing.py reruns it and names every
+file whose digest differs from the committed listing.
 """
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -49,15 +63,31 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import bench  # noqa: E402
+import numpy  # noqa: E402
 import rucca  # noqa: E402
 from rucca import cli  # noqa: E402
 from rucca.tagger import MAGIC  # noqa: E402
 
+_GRU = bench.WORKLOADS["gru-pipeline"]
+# each workload's flow shrunk to a few seconds
+TINY = {
+    # trained enough that its parse recurses and fires the MWE constraint
+    "gru-pipeline": dataclasses.replace(
+        _GRU, sets={"train": 6, "dev": 2, "test": 8},
+        config={**_GRU.config, "epochs": "6", "hidden": "16",
+                "learning_rate": "0.02"}),
+    "oracle-long": dataclasses.replace(bench.WORKLOADS["oracle-long"],
+                                       sets={"gold": 3}),
+}
+GOLDEN_SEED = 1
+GOLDEN_FILES = ("eval.stdout", "expanded.jsonl", "parse.trace",
+                "predictions.jsonl", "report.json", "train.log")
+
 
 def run_flow(workload, seed, directory):
-    """Writes the inputs and runs every command once; returns 0, or the
-    exit code of the first command that failed."""
-    inputs = bench.Inputs(bench.WORKLOADS[workload], seed, directory)
+    """Writes a Workload's inputs and runs every command once; returns 0,
+    or the exit code of the first command that failed."""
+    inputs = bench.Inputs(workload, seed, directory)
     inputs.write()
     for step in inputs.steps():
         argv = list(step.argv)
@@ -101,26 +131,57 @@ def listing(directory):
             print("%s  %s:body" % (body_digest(path), name))
 
 
+def golden(out, directory):
+    """Runs the TINY flows and writes their golden listing to out;
+    returns 0, or the exit code of the first command that failed."""
+    lines = ["# numpy %s" % numpy.__version__]
+    for name, workload in sorted(TINY.items()):
+        flow = os.path.join(directory, name)
+        os.makedirs(flow)
+        rc = run_flow(workload, GOLDEN_SEED, flow)
+        if rc != 0:
+            return rc
+        for file in GOLDEN_FILES:
+            path = os.path.join(flow, file)
+            if os.path.exists(path):
+                with open(path, "rb") as f:
+                    lines.append("%s  %s/%s" % (
+                        hashlib.sha256(f.read()).hexdigest(), name, file))
+        with open(os.path.join(flow, "tuned.cfg"), encoding="utf-8") as f:
+            lines.extend("%s  %s/tuned.cfg" % (line.strip(), name)
+                         for line in f if line.startswith("remote_threshold"))
+    with open(out, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    return 0
+
+
 def seed_list(text):
     return [int(seed) for seed in text.split(",")]
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", required=True,
-                    choices=sorted(bench.WORKLOADS))
-    ap.add_argument("--seed", required=True, type=seed_list,
+    ap.add_argument("--workload", choices=sorted(bench.WORKLOADS))
+    ap.add_argument("--seed", type=seed_list,
                     help="a seed, or seeds separated by commas")
+    ap.add_argument("--golden", metavar="OUT",
+                    help="write the TINY flows' golden listing to OUT "
+                    "instead")
     ap.add_argument("--dir", required=True)
     # one seed's flow and listing in this process, straight into DIR
     ap.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if not args.golden and (args.workload is None or args.seed is None):
+        ap.error("--workload and --seed are required without --golden")
     directory = os.path.abspath(args.dir)
     os.makedirs(directory, exist_ok=True)
     if os.listdir(directory):
         ap.error("%s is not empty" % args.dir)
+    if args.golden:
+        return golden(args.golden, directory)
     if args.one:
-        rc = run_flow(args.workload, args.seed[0], directory)
+        rc = run_flow(bench.WORKLOADS[args.workload], args.seed[0],
+                      directory)
         listing(directory)
         return rc
     print("rucca from %s" % os.path.dirname(rucca.__file__), file=sys.stderr)
