@@ -15,6 +15,7 @@ resolve_remotes turns them into remote edges of the finished tree at any
 threshold.
 """
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,33 +96,34 @@ class ParseError(RuntimeError):
 def _merge_scene_spans(spans, tokens, action_flags, firings):
     """Constraint 1: an H span with no verb/action noun is merged into the
     nearest preceding qualifying H span (else the nearest following one).
-    Spans swallowed by the merged interval are absorbed."""
-    spans = sorted(spans, key=lambda s: s.start)
-    if all(s.category != "H" for s in spans):  # most calls: no scene
-        return spans
-    scene = [t.upos == VERB_UPOS or a for t, a in zip(tokens, action_flags)]
-    while True:
-        h_spans = [s for s in spans if s.category == "H"]
-        qualifying = [s for s in h_spans if any(scene[s.start:s.end])]
-        weak = [s for s in h_spans if s not in qualifying]
-        if not weak or not qualifying:
-            return spans
-        # The spans are disjoint, so a qualifying one lies on a side of w.
-        w = weak[0]
-        before = [q for q in qualifying if q.start < w.start]
-        if before:
-            left, right = before[-1], w
+    Spans swallowed by the merged interval are absorbed. One pass in start
+    order: a merge ends at the span that triggers it, so every span
+    already passed is final."""
+    out = []
+    last = weak = None  # indices in out: last qualifying H, first weak H
+    for s in spans:
+        if s.category != "H":
+            out.append(s)
+        elif any(tokens[i].upos == VERB_UPOS or action_flags[i]
+                 for i in range(s.start, s.end)):
+            if last is None and weak is not None:
+                w = out[weak]
+                firings.append("scene-merge forward %s->%s"
+                               % ((w.start, w.end), (s.start, s.end)))
+                out[weak:] = [bio.ChildSpan(w.start, s.end, "H", False)]
+            else:
+                out.append(s)
+            last = len(out) - 1
+        elif last is not None:
+            q = out[last]
             firings.append("scene-merge backward %s<-%s"
-                           % ((left.start, left.end), (w.start, w.end)))
+                           % ((q.start, q.end), (s.start, s.end)))
+            out[last:] = [bio.ChildSpan(q.start, s.end, "H", False)]
         else:
-            left, right = w, qualifying[0]
-            firings.append("scene-merge forward %s->%s"
-                           % ((w.start, w.end), (right.start, right.end)))
-        merged = bio.ChildSpan(left.start, right.end, "H", False)
-        spans = [s for s in spans
-                 if s.end <= merged.start or s.start >= merged.end]
-        spans.append(merged)
-        spans.sort(key=lambda s: s.start)
+            if weak is None:
+                weak = len(out)
+            out.append(s)
+    return out
 
 
 def _force_single_state_process(spans, dist, focus, firings):
@@ -138,7 +140,7 @@ def _force_single_state_process(spans, dist, focus, firings):
     winner_cat = "S" if label_id in _S_LABEL_IDS else "P"
     out = []
     placed = False
-    for s in sorted(spans, key=lambda x: x.start):
+    for s in spans:
         if s.start <= token < s.end:
             out.append(bio.ChildSpan(s.start, s.end, winner_cat, False))
             placed = True
@@ -147,8 +149,8 @@ def _force_single_state_process(spans, dist, focus, firings):
         else:
             out.append(s)
     if not placed:
-        out.append(bio.ChildSpan(token, token + 1, winner_cat, False))
-        out.sort(key=lambda s: s.start)
+        bisect.insort(out, bio.ChildSpan(token, token + 1, winner_cat, False),
+                      key=lambda s: s.start)
     firings.append("force-single-SP token=%d category=%s"
                    % (token, winner_cat))
     return out
@@ -165,7 +167,7 @@ def _mwe_integrity(spans, mwe_spans, focus, firings):
     for ms, me in mwe_spans:
         for boundary in range(ms + 1, me):
             inside_mwe.setdefault(boundary, (ms, me))
-    todo = sorted(spans, key=lambda s: s.start, reverse=True)
+    todo = list(reversed(spans))
     out = []
     while todo:
         s = todo.pop()
@@ -214,8 +216,9 @@ def action_noun_flags(tokens, cfg: DecoderConfig):
 
 def apply_constraints(spans, tokens, dist, mwe_mask, action_flags,
                       at_scene_level, focus=None, firings=None):
-    """The three decoding constraints, in order; returns sorted spans.
-    action_flags are the sentence's action_noun_flags."""
+    """The three decoding constraints, in order: disjoint spans in start
+    order in, disjoint spans in start order out. action_flags are the
+    sentence's action_noun_flags."""
     if firings is None:
         firings = []
     if focus is None:
@@ -228,7 +231,7 @@ def apply_constraints(spans, tokens, dist, mwe_mask, action_flags,
     if at_scene_level and \
             len([s for s in spans if s.category in ("S", "P")]) != 1:
         spans = _force_single_state_process(spans, dist, focus, firings)
-    return sorted(spans, key=lambda s: s.start)
+    return spans
 
 
 def _fallback_category(token):
@@ -317,17 +320,14 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
     spans = apply_constraints(kept, tokens, dist, mwe_mask, action_flags,
                               scene_level, focus=focus.span, firings=firings)
 
-    # Cover focus tokens missed by every child span.
-    covered = set()
-    for s in spans:
-        covered.update(s.positions())
-    children = list(spans)
-    for i in range(start, end):
-        if i not in covered:
-            children.append(bio.ChildSpan(i, i + 1,
-                                          _fallback_category(tokens[i]),
-                                          False))
-    children.sort(key=lambda s: s.start)
+    # Cover focus tokens missed by every child span, in one walk.
+    children, covered = [], start
+    for s in spans + [bio.ChildSpan(end, end, None)]:  # a sentinel at end
+        children.extend(bio.ChildSpan(i, i + 1, _fallback_category(tokens[i]))
+                        for i in range(covered, s.start))
+        children.append(s)
+        covered = s.end
+    children.pop()
 
     focus.step = TraceStep(
         depth=focus.depth, focus=focus.span, arc=focus.arc, mask=mask,

@@ -398,6 +398,41 @@ class KeyedRandomTagger(RandomTagger):
         return bio.TagDistribution(task1=bio.one_hot(labels))
 
 
+def reference_merge_scene_spans(spans, tokens, action_flags, firings):
+    """parser._merge_scene_spans as a rescan, the reference for its one
+    pass: after each merge, look again for the first H span with no
+    verb/action noun. It is merged into the nearest preceding qualifying
+    H span (else the nearest following one), absorbing every span in
+    between."""
+    spans = sorted(spans, key=lambda s: s.start)
+    if all(s.category != "H" for s in spans):  # most calls: no scene
+        return spans
+    scene = [t.upos == parser.VERB_UPOS or a
+             for t, a in zip(tokens, action_flags)]
+    while True:
+        h_spans = [s for s in spans if s.category == "H"]
+        qualifying = [s for s in h_spans if any(scene[s.start:s.end])]
+        weak = [s for s in h_spans if s not in qualifying]
+        if not weak or not qualifying:
+            return spans
+        # The spans are disjoint, so a qualifying one lies on a side of w.
+        w = weak[0]
+        before = [q for q in qualifying if q.start < w.start]
+        if before:
+            left, right = before[-1], w
+            firings.append("scene-merge backward %s<-%s"
+                           % ((left.start, left.end), (w.start, w.end)))
+        else:
+            left, right = w, qualifying[0]
+            firings.append("scene-merge forward %s->%s"
+                           % ((w.start, w.end), (right.start, right.end)))
+        merged = bio.ChildSpan(left.start, right.end, "H", False)
+        spans = [s for s in spans
+                 if s.end <= merged.start or s.start >= merged.end]
+        spans.append(merged)
+        spans.sort(key=lambda s: s.start)
+
+
 def reference_mwe_integrity(spans, mwe_spans, focus, firings):
     """parser._mwe_integrity as a rescan, the reference for its one pass:
     after each fix, look again from the first span for the first H/A span

@@ -21,8 +21,8 @@ from rucca.tagger import OracleTagger, ReplayTagger, Tagger
 from helpers import (FixedTagger, KeyedRandomTagger, RandomTagger,
                      assert_same_features, context_for, fig1_passage,
                      fixture_corpus, random_corpus,
-                     reference_mwe_integrity, reference_parse,
-                     refuse_featurize, single_token_passage,
+                     reference_merge_scene_spans, reference_mwe_integrity,
+                     reference_parse, refuse_featurize, single_token_passage,
                      two_scene_5tok_passage)
 
 NO_MWE = MweMask(flags=(), spans=())
@@ -210,30 +210,36 @@ def test_constraint_restores_the_sp_span_an_mwe_merge_took():
 
 
 @st.composite
-def _constraint_inputs(draw, categories="HHAASPCDEF", keep=st.booleans()):
+def _constraint_inputs(draw, categories="HHAASPCDEF", keep=st.booleans(),
+                       upos=("VERB", "NOUN"), action=st.booleans(),
+                       whole=False):
     """Random disjoint spans inside a random focus, with random per-token
-    verbs and action flags, disjoint MWE spans and tag probabilities. A
-    span's category is drawn from categories, and keep draws whether a
-    span or an MWE span is kept."""
+    upos tags and action flags, disjoint MWE spans and tag probabilities.
+    A span's category is drawn from categories, a token's upos from upos,
+    action draws a token's action flag, and keep draws whether a span or
+    an MWE span is kept. whole makes the focus the whole sentence. Only
+    the S/P columns of the focus rows are drawn, as constraint 2 reads no
+    other probability."""
     n = draw(st.integers(1, 12))
-    start = draw(st.integers(0, n - 1))
-    end = draw(st.integers(start + 1, n))
+    start = 0 if whole else draw(st.integers(0, n - 1))
+    end = n if whole else draw(st.integers(start + 1, n))
     cuts = sorted(draw(st.sets(st.integers(start, end), min_size=2)))
     spans = [bio.ChildSpan(a, b, draw(st.sampled_from(categories)), False)
              for a, b in zip(cuts, cuts[1:]) if draw(keep)]
     mwe_cuts = sorted(draw(st.sets(st.integers(0, n))))
     mwe_spans = tuple((a, b) for a, b in zip(mwe_cuts, mwe_cuts[1:])
                       if b - a > 1 and draw(keep))
-    tokens = _tokens(*[("w%d" % i, draw(st.sampled_from(("VERB", "NOUN"))))
+    tokens = _tokens(*[("w%d" % i, draw(st.sampled_from(upos)))
                        for i in range(n)])
-    action_flags = tuple(draw(st.lists(st.booleans(), min_size=n,
-                                       max_size=n)))
-    probs = draw(st.lists(st.floats(0.01, 1.0), min_size=n * bio.N_BIO,
-                          max_size=n * bio.N_BIO))
-    dist = bio.TagDistribution(
-        task1=np.array(probs).reshape(n, bio.N_BIO))
-    return (spans, tokens, dist, MweMask(flags=(), spans=mwe_spans),
-            action_flags, (start, end))
+    action_flags = tuple(draw(st.lists(action, min_size=n, max_size=n)))
+    sp_ids = list(parser._SP_LABEL_IDS)
+    size = (end - start) * len(sp_ids)
+    task1 = np.full((n, bio.N_BIO), 0.5)
+    task1[start:end, sp_ids] = np.reshape(draw(st.lists(
+        st.floats(0.01, 1.0), min_size=size, max_size=size)),
+        (-1, len(sp_ids)))
+    return (spans, tokens, bio.TagDistribution(task1=task1),
+            MweMask(flags=(), spans=mwe_spans), action_flags, (start, end))
 
 
 @settings(max_examples=200, deadline=None)
@@ -267,6 +273,37 @@ def test_mwe_integrity_matches_the_rescanning_reference(inputs):
     out = parser._mwe_integrity(spans, mwe.spans, focus, firings)
     assert out == reference_mwe_integrity(spans, mwe.spans, focus,
                                           expected_firings)
+    assert firings == expected_firings
+
+
+@settings(max_examples=200, deadline=None)
+# Every span kept over the whole sentence, mostly H, with one verb or
+# action noun in about 3 tokens: about 2 in 5 examples fire a merge (1 in
+# 100 with the defaults, where most foci are one token).
+@given(_constraint_inputs(categories="HHHHA", keep=st.just(True),
+                          upos=("VERB", "NOUN", "NOUN"),
+                          action=st.sampled_from((False,) * 7 + (True,)),
+                          whole=True))
+# a forward merge absorbs a C span and a second weak H span
+@example(inputs=(_spans((0, 1, "H"), (1, 2, "C"), (2, 3, "H"), (3, 4, "H")),
+                 _tokens(("a", "NOUN"), ("b", "NOUN"), ("c", "NOUN"),
+                         ("d", "VERB")),
+                 None, None, NO_ACTION_NOUNS * 4, None))
+# a backward merge onto the span a forward merge made
+@example(inputs=(_spans((0, 1, "H"), (1, 2, "H"), (2, 3, "A"), (3, 4, "H")),
+                 _tokens(("a", "NOUN"), ("b", "VERB"), ("c", "NOUN"),
+                         ("d", "NOUN")),
+                 None, None, NO_ACTION_NOUNS * 4, None))
+# weak H spans and no qualifying one: nothing merges
+@example(inputs=(_spans((0, 1, "H"), (1, 2, "C"), (2, 3, "H")),
+                 _tokens(("a", "NOUN"), ("b", "VERB"), ("c", "NOUN")),
+                 None, None, NO_ACTION_NOUNS * 3, None))
+def test_merge_scene_spans_matches_the_rescanning_reference(inputs):
+    spans, tokens, _, _, action_flags, _ = inputs
+    firings, expected_firings = [], []
+    out = parser._merge_scene_spans(spans, tokens, action_flags, firings)
+    assert out == reference_merge_scene_spans(spans, tokens, action_flags,
+                                              expected_firings)
     assert firings == expected_firings
 
 

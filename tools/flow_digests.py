@@ -30,6 +30,15 @@ Use the same DIR (emptied in between) for both runs: configs, stdout and
 traces name their files by absolute path. DIR must be empty or absent.
 BLAS runs on one thread, as in the benchmark.
 
+    PYTHONPATH=src python3 tools/flow_digests.py --workload oracle-long \
+        --seed 1,2 --dir /tmp/flow --parent ../other/src
+
+does both runs per seed: the flow under SRC's `rucca`, then, in the same
+emptied DIR/seed<N>, under this checkout's src. After each `## seed N`
+line it prints the listing lines that differ, `- ` for SRC's and `+ `
+for this checkout's, or `identical`; the exit code is 1 when a seed
+differs.
+
     PYTHONPATH=src python3 tools/flow_digests.py --golden \
         tests/golden_listing.txt --dir /tmp/flow
 
@@ -51,6 +60,7 @@ import hashlib
 import io
 import os
 import resource
+import shutil
 import struct
 import subprocess
 import sys
@@ -155,6 +165,40 @@ def golden(out, directory):
     return 0
 
 
+def one_command(workload, seed, directory):
+    """The command that runs one seed's flow under DIR/seed<N>."""
+    return [sys.executable, os.path.abspath(__file__), "--one",
+            "--workload", workload, "--seed", str(seed),
+            "--dir", os.path.join(directory, "seed%d" % seed)]
+
+
+def compare(workload, seeds, directory, parent):
+    """Runs each seed's flow under parent's rucca, then under this
+    checkout's in the same emptied directory, and prints the listing
+    lines that differ, or `identical`; returns 1 when a seed differs, or
+    the exit code of the first flow that failed."""
+    differ = False
+    for seed in seeds:
+        for stream in (sys.stdout, sys.stderr):
+            print("## seed %d" % seed, file=stream, flush=True)
+        command = one_command(workload, seed, directory)
+        listings = []
+        for src in (os.path.abspath(parent), os.path.join(ROOT, "src")):
+            shutil.rmtree(command[-1], ignore_errors=True)
+            print("rucca from %s" % src, file=sys.stderr, flush=True)
+            run = subprocess.run(command, stdout=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+            if run.returncode != 0:
+                return run.returncode
+            listings.append(run.stdout.splitlines())
+        before, after = listings
+        lines = (["- " + line for line in before if line not in after]
+                 + ["+ " + line for line in after if line not in before])
+        print("\n".join(lines) or "identical", flush=True)
+        differ = differ or bool(lines)
+    return 1 if differ else 0
+
+
 def seed_list(text):
     return [int(seed) for seed in text.split(",")]
 
@@ -168,11 +212,16 @@ def main(argv=None):
                     help="write the TINY flows' golden listing to OUT "
                     "instead")
     ap.add_argument("--dir", required=True)
+    ap.add_argument("--parent", metavar="SRC",
+                    help="run each seed under SRC and under this checkout's "
+                    "src, and print the listing lines that differ")
     # one seed's flow and listing in this process, straight into DIR
     ap.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if not args.golden and (args.workload is None or args.seed is None):
         ap.error("--workload and --seed are required without --golden")
+    if args.golden and args.parent:
+        ap.error("--parent compares flows, not golden listings")
     directory = os.path.abspath(args.dir)
     os.makedirs(directory, exist_ok=True)
     if os.listdir(directory):
@@ -184,14 +233,13 @@ def main(argv=None):
                       directory)
         listing(directory)
         return rc
+    if args.parent:
+        return compare(args.workload, args.seed, directory, args.parent)
     print("rucca from %s" % os.path.dirname(rucca.__file__), file=sys.stderr)
     for seed in args.seed:
         for stream in (sys.stdout, sys.stderr):
             print("## seed %d" % seed, file=stream, flush=True)
-        rc = subprocess.call([
-            sys.executable, os.path.abspath(__file__), "--one",
-            "--workload", args.workload, "--seed", str(seed),
-            "--dir", os.path.join(directory, "seed%d" % seed)])
+        rc = subprocess.call(one_command(args.workload, seed, directory))
         if rc != 0:
             return rc
     return 0
