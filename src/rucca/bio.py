@@ -41,9 +41,6 @@ class ChildSpan:
     category: str
     remote: bool = False
 
-    def positions(self):
-        return range(self.start, self.end)
-
 
 @dataclass(frozen=True)
 class TagDistribution:

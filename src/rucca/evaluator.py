@@ -6,8 +6,10 @@ Labeled/Unlabeled x Avg/Prim/Rem cell layout plus a per-category
 breakdown and mono-/multi-scene corpus splits.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import add
+from types import MappingProxyType
 
 from .graph import CATEGORIES, Passage
 
@@ -41,33 +43,53 @@ class Counts:
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass
+# EvalReport.tally layout: (matched, predicted, gold) per cell, cells in
+# the order labeled primary, labeled remote, unlabeled primary, unlabeled
+# remote, then one per category. An Avg cell is its mode's primary plus
+# remote cell.
+_LABELED, _UNLABELED = 0, 6  # a mode's primary cell; its remote cell is +3
+_CATEGORY_AT = {c: 12 + 3 * i for i, c in enumerate(CATEGORIES)}
+_ZERO_TALLY = (0,) * (12 + 3 * len(CATEGORIES))
+
+
+@dataclass(frozen=True)
 class EvalReport:
-    labeled: dict = field(default_factory=dict)    # avg/primary/remote
-    unlabeled: dict = field(default_factory=dict)  # avg/primary/remote
-    per_category: dict = field(default_factory=dict)
+    """Counts of one or more scored sentences, held as one integer tally
+    (see _ZERO_TALLY), so adding two reports adds two tuples. labeled,
+    unlabeled (cell -> Counts for avg/primary/remote) and per_category
+    (category -> labeled Counts) are read-only views of it, each built on
+    first read."""
+    tally: tuple = _ZERO_TALLY
     sentences: int = 0
 
     @staticmethod
     def empty():
-        zero = Counts()
-        return EvalReport(
-            labeled={"avg": zero, "primary": zero, "remote": zero},
-            unlabeled={"avg": zero, "primary": zero, "remote": zero},
-            per_category={c: zero for c in CATEGORIES},
-            sentences=0)
+        return EvalReport()
 
     def __add__(self, other):
-        out = EvalReport.empty()
-        for mode in ("labeled", "unlabeled"):
-            for cell in ("avg", "primary", "remote"):
-                getattr(out, mode)[cell] = (getattr(self, mode)[cell]
-                                            + getattr(other, mode)[cell])
-        for c in CATEGORIES:
-            out.per_category[c] = self.per_category[c] \
-                + other.per_category[c]
-        out.sentences = self.sentences + other.sentences
-        return out
+        return EvalReport(tuple(map(add, self.tally, other.tally)),
+                          self.sentences + other.sentences)
+
+    def _counts(self, at):  # the Counts whose matched count is tally[at]
+        return Counts(*self.tally[at:at + 3])
+
+    def _mode(self, at):
+        primary, remote = self._counts(at), self._counts(at + 3)
+        return MappingProxyType({"avg": primary + remote,
+                                 "primary": primary, "remote": remote})
+
+    @cached_property
+    def labeled(self):
+        return self._mode(_LABELED)
+
+    @cached_property
+    def unlabeled(self):
+        return self._mode(_UNLABELED)
+
+    @cached_property
+    def per_category(self):
+        return MappingProxyType({c: self._counts(at)
+                                 for c, at in _CATEGORY_AT.items()})
 
 
 @dataclass
@@ -84,15 +106,8 @@ def signatures(passage: Passage):
     return passage._index.signatures
 
 
-def _add(pred, gold, *cells):  # one key's matched, predicted, gold counts
-    for cell in cells:
-        cell[0] += min(pred, gold)
-        cell[1] += pred
-        cell[2] += gold
-
-
 def score(pred: Passage, gold: Passage) -> EvalReport:
-    """One pass over the union of the signatures fills the labeled cells
+    """One pass over the two signature multisets fills the labeled cells
     and sums the unlabeled (yield, remote) keys that fill the others.
 
     Both passages must be valid (graph.validate), as load_passages and
@@ -103,27 +118,29 @@ def score(pred: Passage, gold: Passage) -> EvalReport:
                         % (pred.passage_id, gold.passage_id))
     ps = signatures(pred)
     gs = signatures(gold)
-    cells = ("avg", "primary", "remote")
-    labeled = {cell: [0, 0, 0] for cell in cells}
-    unlabeled = {cell: [0, 0, 0] for cell in cells}
-    per_category = {c: [0, 0, 0] for c in CATEGORIES}
-    keys = defaultdict(lambda: [0, 0])  # (yield, remote) -> [pred, gold]
+    tally = list(_ZERO_TALLY)
+    keys = {}  # (yield, remote) -> [pred, gold]
     for sig in ps.keys() | gs.keys():
+        p, g = ps.get(sig, 0), gs.get(sig, 0)
         y, category, remote = sig
-        p, g = ps[sig], gs[sig]
-        cell = "remote" if remote else "primary"
-        _add(p, g, labeled["avg"], labeled[cell], per_category[category])
-        key = keys[(y, remote)]
+        m = p if p < g else g
+        at = _LABELED + 3 * remote
+        tally[at] += m
+        tally[at + 1] += p
+        tally[at + 2] += g
+        at = _CATEGORY_AT[category]
+        tally[at] += m
+        tally[at + 1] += p
+        tally[at + 2] += g
+        key = keys.setdefault((y, remote), [0, 0])
         key[0] += p
         key[1] += g
     for (_, remote), (p, g) in keys.items():
-        cell = "remote" if remote else "primary"
-        _add(p, g, unlabeled["avg"], unlabeled[cell])
-    return EvalReport(
-        labeled={k: Counts(*v) for k, v in labeled.items()},
-        unlabeled={k: Counts(*v) for k, v in unlabeled.items()},
-        per_category={k: Counts(*v) for k, v in per_category.items()},
-        sentences=1)
+        at = _UNLABELED + 3 * remote
+        tally[at] += min(p, g)
+        tally[at + 1] += p
+        tally[at + 2] += g
+    return EvalReport(tuple(tally), sentences=1)
 
 
 def count_scene_edges(passage: Passage) -> int:

@@ -17,6 +17,7 @@ threshold.
 
 import bisect
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -287,11 +288,17 @@ def _assemble(root, tokens, passage_id, language):
         stack.extend((node_id, s, child) for s, child in zip(
             reversed(focus.step.constrained), reversed(focus.children)))
     trace.tree_notes = len(trace.notes)
-    terminals = tuple(Node(id="t%d" % i, kind="terminal", position=i)
-                      for i in range(len(tokens)))
     return Passage(passage_id=passage_id, language=language, tokens=tokens,
-                   nodes=tuple(nonterminals) + terminals, edges=tuple(edges),
-                   root="n0"), trace
+                   nodes=tuple(nonterminals) + _terminals(len(tokens)),
+                   edges=tuple(edges), root="n0"), trace
+
+
+@cache
+def _terminals(n):
+    """The terminal nodes t0..t(n-1): one immutable tuple per sentence
+    length, shared by every parse of that length."""
+    return tuple(Node(id="t%d" % i, kind="terminal", position=i)
+                 for i in range(n))
 
 
 def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
@@ -379,10 +386,14 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
 def resolve_remotes(passage, trace, remote_threshold):
     """-> (Passage, ParseTrace): a parse's primary tree with the remote
     edges its trace's remote rows give at remote_threshold. Each remote
-    span is attached to the deepest node whose primary yield equals it."""
-    steps = [replace(step, decoded_remote=tuple(
-        bio.decode_remote(step.remote_rows, remote_threshold)))
-        for step in trace.steps]
+    span is attached to the deepest node whose primary yield equals it.
+    A step whose remote spans do not change is kept, not copied, and the
+    input trace is left as it was."""
+    steps = []
+    for step in trace.steps:
+        remote = tuple(bio.decode_remote(step.remote_rows, remote_threshold))
+        steps.append(step if remote == step.decoded_remote
+                     else replace(step, decoded_remote=remote))
     span_to_node = dict(trace.deepest)
     for i in range(len(passage.tokens)):
         span_to_node.setdefault((i, i + 1), "t%d" % i)

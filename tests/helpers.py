@@ -3,11 +3,15 @@ only produces valid, BIO-representable, constraint-compatible graphs, and
 simple tagger doubles."""
 
 import zlib
+from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from rucca import bio, features, parser
 from rucca.corpus import MaskedExample, expand
+from rucca.evaluator import (Counts, CorpusReport, EvalError,
+                             count_scene_edges, signatures)
 from rucca.features import (EMPTY_EMBEDDINGS, FeaturizerContext,
                             fit_vocabularies)
 from rucca.graph import (CATEGORIES, OUTSIDE, ROOT_MASK, Edge, Node,
@@ -555,6 +559,93 @@ def reference_parse(tokens, tagger, ctx, cfg, passage_id="s0",
             Node("t%d" % i, "terminal", i) for i in range(len(tokens))),
         edges=tuple(edges), root="n0")
     return parser.resolve_remotes(passage, trace, cfg.remote_threshold)
+
+
+@dataclass
+class ReferenceReport:
+    """evaluator.EvalReport as three dicts of Counts, the reference for
+    its tally: what reference_score and reference_score_corpus return."""
+    labeled: dict = field(default_factory=dict)    # avg/primary/remote
+    unlabeled: dict = field(default_factory=dict)  # avg/primary/remote
+    per_category: dict = field(default_factory=dict)
+    sentences: int = 0
+
+    @staticmethod
+    def empty():
+        zero = Counts()
+        return ReferenceReport(
+            labeled={"avg": zero, "primary": zero, "remote": zero},
+            unlabeled={"avg": zero, "primary": zero, "remote": zero},
+            per_category={c: zero for c in CATEGORIES},
+            sentences=0)
+
+    def __add__(self, other):
+        out = ReferenceReport.empty()
+        for mode in ("labeled", "unlabeled"):
+            for cell in ("avg", "primary", "remote"):
+                getattr(out, mode)[cell] = (getattr(self, mode)[cell]
+                                            + getattr(other, mode)[cell])
+        for c in CATEGORIES:
+            out.per_category[c] = self.per_category[c] \
+                + other.per_category[c]
+        out.sentences = self.sentences + other.sentences
+        return out
+
+
+def _add(pred, gold, *cells):  # one key's matched, predicted, gold counts
+    for cell in cells:
+        cell[0] += min(pred, gold)
+        cell[1] += pred
+        cell[2] += gold
+
+
+def reference_score(pred: Passage, gold: Passage) -> ReferenceReport:
+    """evaluator.score with a list of counts per cell, the reference for
+    its tally: one pass over the union of the signatures fills the
+    labeled cells and sums the unlabeled (yield, remote) keys that fill
+    the others."""
+    if tuple(t.form for t in pred.tokens) != \
+            tuple(t.form for t in gold.tokens):
+        raise EvalError("token mismatch between %s and %s"
+                        % (pred.passage_id, gold.passage_id))
+    ps = signatures(pred)
+    gs = signatures(gold)
+    cells = ("avg", "primary", "remote")
+    labeled = {cell: [0, 0, 0] for cell in cells}
+    unlabeled = {cell: [0, 0, 0] for cell in cells}
+    per_category = {c: [0, 0, 0] for c in CATEGORIES}
+    keys = defaultdict(lambda: [0, 0])  # (yield, remote) -> [pred, gold]
+    for sig in ps.keys() | gs.keys():
+        y, category, remote = sig
+        p, g = ps[sig], gs[sig]
+        cell = "remote" if remote else "primary"
+        _add(p, g, labeled["avg"], labeled[cell], per_category[category])
+        key = keys[(y, remote)]
+        key[0] += p
+        key[1] += g
+    for (_, remote), (p, g) in keys.items():
+        cell = "remote" if remote else "primary"
+        _add(p, g, unlabeled["avg"], unlabeled[cell])
+    return ReferenceReport(
+        labeled={k: Counts(*v) for k, v in labeled.items()},
+        unlabeled={k: Counts(*v) for k, v in unlabeled.items()},
+        per_category={k: Counts(*v) for k, v in per_category.items()},
+        sentences=1)
+
+
+def reference_score_corpus(pairs) -> CorpusReport:
+    """evaluator.score_corpus over reference_score."""
+    overall = ReferenceReport.empty()
+    mono = ReferenceReport.empty()
+    multi = ReferenceReport.empty()
+    for pred, gold in pairs:
+        report = reference_score(pred, gold)
+        overall = overall + report
+        if count_scene_edges(gold) <= 1:
+            mono = mono + report
+        else:
+            multi = multi + report
+    return CorpusReport(overall=overall, mono_scene=mono, multi_scene=multi)
 
 
 def complex_step_check(tagger, feats, y1, y2, step=1e-20):

@@ -378,7 +378,7 @@ def test_exhaustive_short_sequences_two_categories():
             occupied = set()
             for s in spans:
                 assert 0 <= s.start < s.end <= length
-                positions = set(s.positions())
+                positions = set(range(s.start, s.end))
                 assert not positions & occupied
                 occupied |= positions
             checked += 1

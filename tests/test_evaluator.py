@@ -7,10 +7,11 @@ from rucca.evaluator import (Counts, EvalError, count_scene_edges,
                              report_record, score, score_corpus,
                              signatures)
 from rucca.graph import CATEGORIES, Edge, Node, Passage, make_token
-from rucca.parser import DecoderConfig, parse
+from rucca.parser import DecoderConfig, parse, resolve_remotes
 
 from helpers import (RandomTagger, context_for, fig1_passage,
-                     fixture_corpus, single_token_passage)
+                     fixture_corpus, reference_score_corpus,
+                     single_token_passage)
 
 
 def test_counts_f1_zero_over_zero():
@@ -71,6 +72,36 @@ def test_scoring_a_gold_passage_again_matches_fresh_copies():
         for pred in preds + preds:
             assert score(pred, gold) == score(replace(pred), replace(gold))
             assert score(gold, pred) == score(replace(gold), replace(pred))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tally_matches_the_reference_scorer(seed):
+    """Every Counts of score_corpus's three reports equals the reference
+    scorer's, over random parses of the fixture corpus, and gold against
+    them, at several remote thresholds."""
+    corpus = fixture_corpus()
+    ctx = context_for(corpus)
+    trees = [parse(gold.tokens, RandomTagger(seed * 1000 + i), ctx,
+                   DecoderConfig(), passage_id=gold.passage_id)
+             for i, gold in enumerate(corpus)]
+    reports = []
+    for theta in (0.05, 0.3, 0.6, 0.95):
+        preds = [resolve_remotes(*tree, theta)[0] for tree in trees]
+        pairs = list(zip(preds, corpus)) + list(zip(corpus, preds)) \
+            + list(zip(corpus, corpus))
+        got, expected = score_corpus(pairs), reference_score_corpus(pairs)
+        for split in ("overall", "mono_scene", "multi_scene"):
+            report, ref = getattr(got, split), getattr(expected, split)
+            assert report.sentences == ref.sentences
+            for mode in ("labeled", "unlabeled", "per_category"):
+                assert dict(getattr(report, mode)) == getattr(ref, mode), \
+                    (theta, split, mode)
+        reports.append(got.overall)
+    # The pairs fill the remote cells, and give unlabeled matches that
+    # labeled scoring does not count.
+    assert all(r.labeled["remote"].matched > 0 for r in reports[:2])
+    assert all(r.unlabeled["primary"].matched > r.labeled["primary"].matched
+               for r in reports)
 
 
 def test_score_identity():

@@ -243,7 +243,11 @@ def _constraint_inputs(draw, categories="HHAASPCDEF", keep=st.booleans(),
 
 
 @settings(max_examples=200, deadline=None)
-@given(_constraint_inputs(), st.booleans())
+# The defaults draw short foci that mostly hold at most one span; whole
+# sentences with every span kept hold several.
+@given(st.one_of(_constraint_inputs(),
+                 _constraint_inputs(keep=st.just(True), whole=True)),
+       st.booleans())
 def test_constraints_keep_their_invariants(inputs, at_scene_level):
     spans, tokens, dist, mwe, action_flags, focus = inputs
     out = apply_constraints(spans, tokens, dist, mwe, action_flags,
@@ -519,14 +523,19 @@ def test_parse_scene_invariant_with_oracle():
 @pytest.mark.parametrize("max_depth", [20, 2])
 def test_resolve_remotes_matches_parse_at_every_threshold(max_depth):
     """Tagging once and re-resolving the remotes at a threshold gives the
-    passage and trace of a parse at that threshold."""
+    passage and trace of a parse at that threshold. Resolving keeps each
+    step whose remote spans it does not change and leaves its input
+    trace as it was."""
     corpus = fixture_corpus()
     ctx = context_for(corpus)
     cfg = DecoderConfig(max_depth=max_depth)
-    remotes, notes = 0, set()
+    remotes, notes, kept, copied = 0, set(), 0, 0
     for seed, gold in enumerate(corpus):
         tree = parse(gold.tokens, RandomTagger(seed), ctx, cfg,
                      passage_id=gold.passage_id)
+        _, trace = tree
+        steps, notes_before = list(trace.steps), list(trace.notes)
+        rendered = trace.render()
         for theta in cli.THRESHOLD_SWEEP:
             expected, expected_trace = parse(
                 gold.tokens, RandomTagger(seed), ctx,
@@ -535,13 +544,26 @@ def test_resolve_remotes_matches_parse_at_every_threshold(max_depth):
             got, got_trace = resolve_remotes(*tree, theta)
             assert got == expected, (gold.passage_id, theta)
             assert got_trace.render() == expected_trace.render()
+            for step, got_step in zip(steps, got_trace.steps):
+                same = got_step.decoded_remote == step.decoded_remote
+                assert (got_step is step) == same
+                kept += same
+                copied += not same
+            assert all(a is b for a, b in zip(trace.steps, steps))
+            assert len(trace.steps) == len(steps)
+            assert trace.notes == notes_before
+            assert trace.render() == rendered
             remotes += sum(e.remote for e in got.edges)
             notes.update(n.split()[0] for n in got_trace.notes)
+        # Re-resolving at the parse's own threshold still gives its parse.
+        assert resolve_remotes(*tree, cfg.remote_threshold) == tree
     # The random rows give remotes, dropped and duplicate ones, and the
-    # shallow cap adds depth-cap notes written before resolution.
+    # shallow cap adds depth-cap notes written before resolution. The
+    # sweep both keeps and copies steps.
     assert remotes > 0
     assert notes == {"dropped", "duplicate"} | (
         {"depth"} if max_depth == 2 else set())
+    assert kept > 0 and copied > 0
 
 
 def test_replayed_predictions_give_a_fresh_parse_at_every_threshold():
