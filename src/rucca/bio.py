@@ -43,10 +43,23 @@ class ChildSpan:
 
 
 @dataclass(frozen=True)
+class RemoteSummary:
+    """A tagger output's REM columns with each token's highest REM
+    probability and the sentence's highest: a token takes a remote label
+    at a threshold only if its highest exceeds it, so decode_remote finds
+    no remote span, without reading a row, at a threshold the sentence's
+    highest does not exceed."""
+
+    rows: np.ndarray  # (T, 26), REMOTE_LABEL_IDS order
+    token_max: np.ndarray  # (T,)
+    highest: float  # -inf when T = 0
+
+
+@dataclass(frozen=True)
 class TagDistribution:
     """Per-token probability rows over the BIO vocabulary (TASK1) and,
     optionally, the auxiliary vocabulary (TASK2). A passed check, the
-    primary spans and the REM columns are kept on first use, so a tagger
+    primary spans and the REM summary are kept on first use, so a tagger
     output parsed again costs lookups; a failed check raises every time."""
 
     task1: np.ndarray  # (T, 53)
@@ -70,8 +83,11 @@ class TagDistribution:
         return tuple(decode_probs(self))
 
     @cached_property
-    def remote_rows(self):  # (T, 26) REM columns, REMOTE_LABEL_IDS order
-        return self.task1[:, REMOTE_LABEL_IDS]
+    def remote_summary(self):  # the REM columns' RemoteSummary
+        rows = self.task1[:, REMOTE_LABEL_IDS]
+        token_max = rows.max(axis=1)
+        return RemoteSummary(rows, token_max,
+                             float(token_max.max(initial=-np.inf)))
 
 
 def encode(passage: Passage, node_id: str) -> list:
@@ -134,21 +150,20 @@ def _decode_ids(ids) -> list:
 def decode_probs(dist: TagDistribution) -> list:
     """Primary spans: per-token argmax over O + primary labels. The
     caller checks dist; dist.primary_spans keeps the result, and
-    decode_remote decodes dist.remote_rows."""
+    decode_remote decodes dist.remote_summary."""
     t1 = dist.task1
     primary = PRIMARY_LABEL_IDS[np.argmax(t1[:, PRIMARY_LABEL_IDS], axis=1)]
     return _decode_ids(primary.tolist())
 
 
-def decode_remote(rows: np.ndarray, remote_threshold: float) -> list:
-    """Remote spans from (T, 26) probability rows over the REM labels, in
-    REMOTE_LABEL_IDS order: a token takes its argmax remote label only
-    when that label's probability strictly exceeds the threshold, which
-    DecoderConfig keeps in [0, 1]."""
-    above = rows.max(axis=1) > remote_threshold
-    if not above.any():
+def decode_remote(summary: RemoteSummary, remote_threshold: float) -> list:
+    """Remote spans of a tagger output's REM summary: a token takes its
+    argmax remote label only when that label's probability strictly
+    exceeds the threshold, which DecoderConfig keeps in [0, 1]."""
+    if summary.highest <= remote_threshold:
         return []
-    ids = np.where(above, REMOTE_LABEL_IDS[np.argmax(rows, axis=1)],
+    ids = np.where(summary.token_max > remote_threshold,
+                   REMOTE_LABEL_IDS[np.argmax(summary.rows, axis=1)],
                    BIO_INDEX[OUTSIDE])
     return _decode_ids(ids.tolist())
 

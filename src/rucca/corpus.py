@@ -7,6 +7,7 @@ per-token mask feature carrying the node's span and arc category.
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from . import bio
@@ -18,6 +19,11 @@ AUX_OUTSIDE = "O"
 
 TOKEN_FIELDS = ("form", "upos", "xpos", "morph", "head", "deprel", "language")
 _TOKEN_KEYS = frozenset(TOKEN_FIELDS)
+_NODE_FIELDS = ("id", "kind", "position")
+_NODE_KEYS = frozenset(_NODE_FIELDS)
+_NODE_KINDS = ("terminal", "nonterminal")
+_EDGE_FIELDS = ("parent", "child", "category", "remote")
+_EDGE_KEYS = frozenset(_EDGE_FIELDS)
 # (accepted JSON types, expected) of a record field; a type must match
 # exactly, so a boolean is not an integer
 _STR = ((str,), "a string")
@@ -34,8 +40,15 @@ _PASSAGE_TYPES = (("passage_id", _STR), ("language", _STR), ("root", _STR))
 _EXAMPLE_TYPES = (("passage_id", _STR), ("focus_node", _STR),
                   ("representable", _BOOL))
 PASSAGE_FIELDS = ("passage_id", "language", "tokens", "nodes", "edges", "root")
+_PASSAGE_KEYS = frozenset(PASSAGE_FIELDS)
+# a record's values in the order of its fields
+_token_values = itemgetter(*TOKEN_FIELDS)
+_node_values = itemgetter(*_NODE_FIELDS)
+_edge_values = itemgetter(*_EDGE_FIELDS)
+_passage_values = itemgetter(*PASSAGE_FIELDS)
 EXAMPLE_FIELDS = ("passage_id", "tokens", "mask", "focus_node", "target_bio",
                   "target_aux", "representable")
+_EXAMPLE_KEYS = frozenset(EXAMPLE_FIELDS)
 
 
 class CorpusError(ValueError):
@@ -120,6 +133,21 @@ def _token_from_record(rec: dict, where: str) -> TokenRow:
     if rec.keys() != _TOKEN_KEYS:
         raise CorpusError("%s: token fields %s, expected %s"
                           % (where, sorted(rec), sorted(TOKEN_FIELDS)))
+    form, upos, xpos, morph, head, deprel, language = _token_values(rec)
+    if not (type(form) is type(upos) is type(language) is str
+            and (xpos is None or type(xpos) is str)
+            and (deprel is None or type(deprel) is str)
+            and type(morph) is dict
+            and all(type(v) is str for v in morph.values())
+            and (head is None or type(head) is int or head == "root")):
+        _check_token(rec, where)
+    return TokenRow(form, upos, xpos, tuple(sorted(morph.items())), head,
+                    deprel, language)
+
+
+def _check_token(rec, where):
+    """A token record's fields one by one: raises for the first that
+    fails."""
     _check_types(rec, _TOKEN_TYPES, where, "token ")
     morph = rec["morph"]
     if not isinstance(morph, dict) or \
@@ -128,10 +156,6 @@ def _token_from_record(rec: dict, where: str) -> TokenRow:
     head = rec["head"]
     if head is not None and head != "root" and type(head) is not int:
         raise CorpusError("%s: bad head %r" % (where, head))
-    return TokenRow(form=rec["form"], upos=rec["upos"], xpos=rec["xpos"],
-                    morph=tuple(sorted(morph.items())),
-                    head=head, deprel=rec["deprel"],
-                    language=rec["language"])
 
 
 def passage_to_record(passage: Passage) -> dict:
@@ -149,34 +173,42 @@ def passage_to_record(passage: Passage) -> dict:
 
 
 def passage_from_record(rec: dict, where: str = "record") -> Passage:
-    if set(rec) != set(PASSAGE_FIELDS):
+    """A passage record's Passage. Each record's field types are tested in
+    one expression, and one by one only when that fails, to name the
+    first bad field."""
+    if rec.keys() != _PASSAGE_KEYS:
         raise CorpusError("%s: passage fields %s, expected %s"
                           % (where, sorted(rec), sorted(PASSAGE_FIELDS)))
-    _check_types(rec, _PASSAGE_TYPES, where)
+    passage_id, language, token_recs, node_recs, edge_recs, root = \
+        _passage_values(rec)
+    if not (type(passage_id) is type(language) is type(root) is str):
+        _check_types(rec, _PASSAGE_TYPES, where)
     tokens = tuple(_token_from_record(t, where)
-                   for t in _objects(rec["tokens"], where, "tokens"))
+                   for t in _objects(token_recs, where, "tokens"))
     nodes = []
-    for n in _objects(rec["nodes"], where, "nodes"):
-        if set(n) != {"id", "kind", "position"}:
+    for n in _objects(node_recs, where, "nodes"):
+        if n.keys() != _NODE_KEYS:
             raise CorpusError("%s: bad node record %s" % (where, n))
-        _check_types(n, _NODE_TYPES, where, "node ")
-        if n["kind"] not in ("terminal", "nonterminal"):
-            raise CorpusError("%s: bad node kind %r" % (where, n["kind"]))
-        nodes.append(Node(id=n["id"], kind=n["kind"], position=n["position"]))
+        nid, kind, position = _node_values(n)
+        if not (type(nid) is str
+                and (position is None or type(position) is int)
+                and kind in _NODE_KINDS):
+            _check_types(n, _NODE_TYPES, where, "node ")
+            raise CorpusError("%s: bad node kind %r" % (where, kind))
+        nodes.append(Node(nid, kind, position))
     edges = []
-    for e in _objects(rec["edges"], where, "edges"):
-        if set(e) != {"parent", "child", "category", "remote"}:
+    for e in _objects(edge_recs, where, "edges"):
+        if e.keys() != _EDGE_KEYS:
             raise CorpusError("%s: bad edge record %s" % (where, e))
-        _check_types(e, _EDGE_TYPES, where, "edge ")
-        if e["category"] not in CATEGORY_SET:
+        parent, child, category, remote = _edge_values(e)
+        if not (type(parent) is type(child) is type(category) is str
+                and type(remote) is bool and category in CATEGORY_SET):
+            _check_types(e, _EDGE_TYPES, where, "edge ")
             raise CorpusError("%s: unknown category %r on edge %s->%s"
-                              % (where, e["category"], e["parent"],
-                                 e["child"]))
-        edges.append(Edge(parent=e["parent"], child=e["child"],
-                          category=e["category"], remote=e["remote"]))
-    return Passage(passage_id=rec["passage_id"], language=rec["language"],
-                   tokens=tokens, nodes=tuple(nodes), edges=tuple(edges),
-                   root=rec["root"])
+                              % (where, category, parent, child))
+        edges.append(Edge(parent, child, category, remote))
+    return Passage(passage_id, language, tokens, tuple(nodes), tuple(edges),
+                   root)
 
 
 def text_lines(path):
@@ -366,7 +398,7 @@ def load_examples(path) -> list:
     examples = []
     token_recs = tokens = None
     for where, rec in _records(path):
-        if set(rec) != set(EXAMPLE_FIELDS):
+        if rec.keys() != _EXAMPLE_KEYS:
             raise CorpusError("%s: example fields %s, expected %s"
                               % (where, sorted(rec), sorted(EXAMPLE_FIELDS)))
         _check_types(rec, _EXAMPLE_TYPES, where)

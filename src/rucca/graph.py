@@ -173,89 +173,95 @@ def validate(passage: Passage, require_contiguous=False) -> list:
     """Return a list of invariant violations; empty means valid.
 
     Contiguity of yields is only enforced on decoder output
-    (require_contiguous=True); gold corpora may be discontinuous.
+    (require_contiguous=True); gold corpora may be discontinuous. One walk
+    over the nodes and one over the edges gather every check of the
+    passage's own records; the graph checks read the index.
     """
-    violations = []
-    ids = [n.id for n in passage.nodes]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        violations.append("duplicate node ids: %s" % ", ".join(dupes))
-        return violations
     index = passage._index
     by_id = index.by_id
+    if len(by_id) != len(passage.nodes):
+        ids = [n.id for n in passage.nodes]
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        return ["duplicate node ids: %s" % ", ".join(dupes)]
 
-    if passage.root not in by_id:
-        violations.append("root %s not among nodes" % passage.root)
-        return violations
-    if by_id[passage.root].is_terminal():
-        violations.append("root %s is a terminal" % passage.root)
+    root = passage.root
+    if root not in by_id:
+        return ["root %s not among nodes" % root]
+    violations = []
+    if by_id[root].kind == "terminal":
+        violations.append("root %s is a terminal" % root)
 
+    incoming = index.incoming
+    parent_violations, positions = [], []
     for n in passage.nodes:
-        if n.is_terminal():
+        if n.kind == "terminal":
             if n.position is None:
                 violations.append("terminal without position: node %s" % n.id)
+            positions.append(n.position)
         elif n.position is not None:
             violations.append("non-terminal with position: node %s" % n.id)
+        if n.id != root:
+            parents = len(incoming.get(n.id, ()))
+            if parents == 0:
+                parent_violations.append("no primary parent: node %s" % n.id)
+            elif parents > 1:
+                parent_violations.append("multiple primary parents: node %s"
+                                         % n.id)
 
+    remote_violations = []
     for e in passage.edges:
-        if e.parent == e.child:
-            violations.append("self-loop: node %s" % e.parent)
-        if e.parent not in by_id:
-            violations.append("edge from unknown node %s" % e.parent)
-        elif by_id[e.parent].is_terminal():
-            violations.append("terminal with children: node %s" % e.parent)
-        if e.child not in by_id:
-            violations.append("edge to unknown node %s" % e.child)
+        parent, child = e.parent, e.child
+        if parent == child:
+            violations.append("self-loop: node %s" % parent)
+        if parent not in by_id:
+            violations.append("edge from unknown node %s" % parent)
+        elif by_id[parent].kind == "terminal":
+            violations.append("terminal with children: node %s" % parent)
+        if child not in by_id:
+            violations.append("edge to unknown node %s" % child)
         if e.category not in CATEGORY_SET:
             violations.append("unknown category %s on edge %s->%s"
-                              % (e.category, e.parent, e.child))
+                              % (e.category, parent, child))
+        if e.remote and child == root:
+            remote_violations.append("remote edge into root: %s->%s"
+                                     % (parent, child))
     if violations:
         return violations
 
-    if passage.root in index.incoming:
-        violations.append("root has incoming primary edge: node %s"
-                          % passage.root)
-    for n in passage.nodes:
-        if n.id == passage.root:
-            continue
-        parents = len(index.incoming.get(n.id, ()))
-        if parents == 0:
-            violations.append("no primary parent: node %s" % n.id)
-        elif parents > 1:
-            violations.append("multiple primary parents: node %s" % n.id)
+    if root in incoming:
+        violations.append("root has incoming primary edge: node %s" % root)
+    violations += parent_violations
 
     # Connectivity / acyclicity of the primary subgraph.
     # Cycles surface as either a multiple-parent violation (above) or as
     # nodes unreachable from the root.
+    primary = index.primary
     reached = set()
-    stack = [passage.root]
+    stack = [root]
     while stack:
         nid = stack.pop()
         if nid in reached:
             continue
         reached.add(nid)
-        stack.extend(c for _, c in index.primary.get(nid, ()))
-    for n in passage.nodes:
-        if n.id not in reached:
-            violations.append("unreachable from root: node %s" % n.id)
-
-    for e in passage.edges:
-        if e.remote and e.child == passage.root:
-            violations.append("remote edge into root: %s->%s"
-                              % (e.parent, e.child))
+        stack.extend(c for _, c in primary.get(nid, ()))
+    if len(reached) != len(by_id):  # every edge's nodes are known
+        violations.extend("unreachable from root: node %s" % n.id
+                          for n in passage.nodes if n.id not in reached)
+    violations += remote_violations
 
     if not passage.tokens:
         violations.append("no tokens")
     # Token coverage: each position covered by exactly one terminal.
-    positions = [n.position for n in passage.nodes if n.is_terminal()]
+    positions.sort()
     expected = list(range(len(passage.tokens)))
-    if sorted(positions) != expected:
+    if positions != expected:
         violations.append("token coverage mismatch: terminals cover %s, "
-                          "expected %s" % (sorted(positions), expected))
+                          "expected %s" % (positions, expected))
 
     if require_contiguous and not violations:
         yields = all_yields(passage)
         for n in passage.nodes:
-            if not is_contiguous(yields[n.id]):
+            y = yields[n.id]
+            if not y or max(y) - min(y) + 1 != len(y):
                 violations.append("discontiguous yield: node %s" % n.id)
     return violations

@@ -60,8 +60,8 @@ class TraceStep:
     constrained: tuple
     firings: tuple
     node: str  # the focus node's id
-    # (T, 26): the tagger output's TagDistribution.remote_rows (shared)
-    remote_rows: np.ndarray = field(repr=False, compare=False)
+    # the tagger output's TagDistribution.remote_summary (shared)
+    remote_summary: bio.RemoteSummary = field(repr=False, compare=False)
 
     def render(self):
         return ("depth=%d focus=%s arc=%s decoded=%s remote=%s "
@@ -340,7 +340,7 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
         depth=focus.depth, focus=focus.span, arc=focus.arc, mask=mask,
         decoded_primary=primary, decoded_remote=(),
         constrained=tuple(children), firings=tuple(firings), node=None,
-        remote_rows=dist.remote_rows)
+        remote_summary=dist.remote_summary)
     focus.children = [
         None if s.end - s.start == 1 else
         _Focus((s.start, s.end), s.category, focus.depth + 1)
@@ -385,13 +385,14 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
 
 def resolve_remotes(passage, trace, remote_threshold):
     """-> (Passage, ParseTrace): a parse's primary tree with the remote
-    edges its trace's remote rows give at remote_threshold. Each remote
+    edges its trace's REM summaries give at remote_threshold. Each remote
     span is attached to the deepest node whose primary yield equals it.
     A step whose remote spans do not change is kept, not copied, and the
     input trace is left as it was."""
     steps = []
     for step in trace.steps:
-        remote = tuple(bio.decode_remote(step.remote_rows, remote_threshold))
+        remote = tuple(bio.decode_remote(step.remote_summary,
+                                         remote_threshold))
         steps.append(step if remote == step.decoded_remote
                      else replace(step, decoded_remote=remote))
     span_to_node = dict(trace.deepest)

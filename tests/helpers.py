@@ -9,13 +9,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rucca import bio, features, parser
-from rucca.corpus import MaskedExample, expand
+from rucca.corpus import (_EDGE_TYPES, _NODE_TYPES, _PASSAGE_TYPES,
+                          _TOKEN_KEYS, _TOKEN_TYPES, PASSAGE_FIELDS,
+                          TOKEN_FIELDS, CorpusError, MaskedExample,
+                          _check_types, _objects, _type_error, expand)
 from rucca.evaluator import (Counts, CorpusReport, EvalError,
                              count_scene_edges, signatures)
 from rucca.features import (EMPTY_EMBEDDINGS, FeaturizerContext,
                             fit_vocabularies)
-from rucca.graph import (CATEGORIES, OUTSIDE, ROOT_MASK, Edge, Node,
-                         Passage, make_token)
+from rucca.graph import (CATEGORIES, CATEGORY_SET, OUTSIDE, ROOT_MASK, Edge,
+                         Node, Passage, TokenRow, all_yields, is_contiguous,
+                         make_token)
 from rucca.lexicon import EMPTY_LEXICON, match
 from rucca.tagger import Tagger
 
@@ -346,6 +350,18 @@ def reference_check(t1):
     if np.any(np.abs(t1.sum(axis=1) - 1.0) > 1e-6):
         return "task1 rows do not sum to 1"
     return None
+
+
+def reference_decode_remote(rows, remote_threshold):
+    """bio.decode_remote over the (T, 26) REM columns themselves, each
+    token's maximum taken at every call: the reference for the decoder's
+    kept summary."""
+    above = rows.max(axis=1) > remote_threshold
+    if not above.any():
+        return []
+    ids = np.where(above, bio.REMOTE_LABEL_IDS[np.argmax(rows, axis=1)],
+                   bio.BIO_INDEX[OUTSIDE])
+    return bio._decode_ids(ids.tolist())
 
 
 class FixedTagger(Tagger):
@@ -702,3 +718,142 @@ def directional_complex_step_check(tagger, feats, y1, y2, seed=0,
     finally:
         tagger.params = real
     return worst
+
+
+# ---------------------------------------------------------------------------
+# The passage reader and validate with every field tested on its own
+
+def reference_token_from_record(rec, where):
+    """corpus._token_from_record testing each field in turn."""
+    if rec.keys() != _TOKEN_KEYS:
+        raise CorpusError("%s: token fields %s, expected %s"
+                          % (where, sorted(rec), sorted(TOKEN_FIELDS)))
+    _check_types(rec, _TOKEN_TYPES, where, "token ")
+    morph = rec["morph"]
+    if not isinstance(morph, dict) or \
+            not all(isinstance(v, str) for v in morph.values()):
+        raise _type_error(where, "token morph", morph, "an object of strings")
+    head = rec["head"]
+    if head is not None and head != "root" and type(head) is not int:
+        raise CorpusError("%s: bad head %r" % (where, head))
+    return TokenRow(form=rec["form"], upos=rec["upos"], xpos=rec["xpos"],
+                    morph=tuple(sorted(morph.items())),
+                    head=head, deprel=rec["deprel"],
+                    language=rec["language"])
+
+
+def reference_passage_from_record(rec, where="record"):
+    """corpus.passage_from_record testing each field in turn."""
+    if set(rec) != set(PASSAGE_FIELDS):
+        raise CorpusError("%s: passage fields %s, expected %s"
+                          % (where, sorted(rec), sorted(PASSAGE_FIELDS)))
+    _check_types(rec, _PASSAGE_TYPES, where)
+    tokens = tuple(reference_token_from_record(t, where)
+                   for t in _objects(rec["tokens"], where, "tokens"))
+    nodes = []
+    for n in _objects(rec["nodes"], where, "nodes"):
+        if set(n) != {"id", "kind", "position"}:
+            raise CorpusError("%s: bad node record %s" % (where, n))
+        _check_types(n, _NODE_TYPES, where, "node ")
+        if n["kind"] not in ("terminal", "nonterminal"):
+            raise CorpusError("%s: bad node kind %r" % (where, n["kind"]))
+        nodes.append(Node(id=n["id"], kind=n["kind"], position=n["position"]))
+    edges = []
+    for e in _objects(rec["edges"], where, "edges"):
+        if set(e) != {"parent", "child", "category", "remote"}:
+            raise CorpusError("%s: bad edge record %s" % (where, e))
+        _check_types(e, _EDGE_TYPES, where, "edge ")
+        if e["category"] not in CATEGORY_SET:
+            raise CorpusError("%s: unknown category %r on edge %s->%s"
+                              % (where, e["category"], e["parent"],
+                                 e["child"]))
+        edges.append(Edge(parent=e["parent"], child=e["child"],
+                          category=e["category"], remote=e["remote"]))
+    return Passage(passage_id=rec["passage_id"], language=rec["language"],
+                   tokens=tokens, nodes=tuple(nodes), edges=tuple(edges),
+                   root=rec["root"])
+
+
+def reference_validate(passage, require_contiguous=False):
+    """graph.validate as one loop per check, each over all nodes or all
+    edges."""
+    violations = []
+    ids = [n.id for n in passage.nodes]
+    if len(ids) != len(set(ids)):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        violations.append("duplicate node ids: %s" % ", ".join(dupes))
+        return violations
+    index = passage._index
+    by_id = index.by_id
+
+    if passage.root not in by_id:
+        violations.append("root %s not among nodes" % passage.root)
+        return violations
+    if by_id[passage.root].is_terminal():
+        violations.append("root %s is a terminal" % passage.root)
+
+    for n in passage.nodes:
+        if n.is_terminal():
+            if n.position is None:
+                violations.append("terminal without position: node %s" % n.id)
+        elif n.position is not None:
+            violations.append("non-terminal with position: node %s" % n.id)
+
+    for e in passage.edges:
+        if e.parent == e.child:
+            violations.append("self-loop: node %s" % e.parent)
+        if e.parent not in by_id:
+            violations.append("edge from unknown node %s" % e.parent)
+        elif by_id[e.parent].is_terminal():
+            violations.append("terminal with children: node %s" % e.parent)
+        if e.child not in by_id:
+            violations.append("edge to unknown node %s" % e.child)
+        if e.category not in CATEGORY_SET:
+            violations.append("unknown category %s on edge %s->%s"
+                              % (e.category, e.parent, e.child))
+    if violations:
+        return violations
+
+    if passage.root in index.incoming:
+        violations.append("root has incoming primary edge: node %s"
+                          % passage.root)
+    for n in passage.nodes:
+        if n.id == passage.root:
+            continue
+        parents = len(index.incoming.get(n.id, ()))
+        if parents == 0:
+            violations.append("no primary parent: node %s" % n.id)
+        elif parents > 1:
+            violations.append("multiple primary parents: node %s" % n.id)
+
+    reached = set()
+    stack = [passage.root]
+    while stack:
+        nid = stack.pop()
+        if nid in reached:
+            continue
+        reached.add(nid)
+        stack.extend(c for _, c in index.primary.get(nid, ()))
+    for n in passage.nodes:
+        if n.id not in reached:
+            violations.append("unreachable from root: node %s" % n.id)
+
+    for e in passage.edges:
+        if e.remote and e.child == passage.root:
+            violations.append("remote edge into root: %s->%s"
+                              % (e.parent, e.child))
+
+    if not passage.tokens:
+        violations.append("no tokens")
+    positions = [n.position for n in passage.nodes if n.is_terminal()]
+    expected = list(range(len(passage.tokens)))
+    if sorted(positions) != expected:
+        violations.append("token coverage mismatch: terminals cover %s, "
+                          "expected %s" % (sorted(positions), expected))
+
+    if require_contiguous and not violations:
+        yields = all_yields(passage)
+        for n in passage.nodes:
+            if not is_contiguous(yields[n.id]):
+                violations.append("discontiguous yield: node %s" % n.id)
+    return violations

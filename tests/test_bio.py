@@ -10,7 +10,8 @@ from rucca.graph import Edge, Node, Passage, make_token, non_terminals
 
 from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
                      nonrepresentable_passage, random_passage,
-                     reference_check, reference_decode_labels)
+                     reference_check, reference_decode_labels,
+                     reference_decode_remote)
 
 
 def test_label_vocabulary_size():
@@ -243,6 +244,10 @@ def _remote_rows(t1):
     return t1[:, bio.REMOTE_LABEL_IDS]
 
 
+def _summary(t1):
+    return bio.TagDistribution(task1=t1).remote_summary
+
+
 # dangling I-, REM labels and category switches, each drawn often
 _LABEL_RUNS = st.lists(st.sampled_from(
     ["O", "B-A", "I-A", "I-H", "B-REM-A", "I-REM-A", "I-REM-H"]
@@ -272,11 +277,14 @@ def test_decode_probs_and_remote_match_the_string_splitting_loop(
     assert bio.decode_probs(bio.TagDistribution(task1=t1)) == \
         reference_decode_labels(primary)
     rows = _remote_rows(t1)
-    for threshold in (0.0, 0.3, 1.0):
+    summary = _summary(t1)
+    # each token's maximum too, where the strict inequality decides
+    for threshold in (0.0, 0.3, 1.0) + tuple(rows.max(axis=1)):
         remote = [bio.BIO_LABELS[bio.REMOTE_LABEL_IDS[int(np.argmax(r))]]
                   if r.max() > threshold else "O" for r in rows]
-        assert bio.decode_remote(rows, threshold) == \
-            reference_decode_labels(remote)
+        assert bio.decode_remote(summary, threshold) == \
+            reference_decode_labels(remote) == \
+            reference_decode_remote(rows, threshold)
 
 
 def _check_message(t1):
@@ -315,13 +323,13 @@ def test_decode_probs_one_hot_matches_labels():
     dist = bio.TagDistribution(task1=bio.one_hot(labels))
     assert bio.decode_probs(dist) == [bio.ChildSpan(0, 2, "H", False),
                                       bio.ChildSpan(2, 3, "L", False)]
-    assert bio.decode_remote(_remote_rows(dist.task1), 0.5) == \
+    assert bio.decode_remote(dist.remote_summary, 0.5) == \
         [bio.ChildSpan(4, 5, "A", True)]
 
 
 def test_a_distribution_checks_and_decodes_its_rows_once(monkeypatch):
     """What depends on the rows alone is worked out on first use and kept:
-    a check that passed, the primary spans and the REM columns."""
+    a check that passed, the primary spans and the REM summary."""
     dist = bio.TagDistribution(task1=bio.one_hot(
         ["B-H", "I-H", "B-L", "O", "B-REM-A"]))
     decoded = []
@@ -336,27 +344,41 @@ def test_a_distribution_checks_and_decodes_its_rows_once(monkeypatch):
     spans = dist.primary_spans
     assert spans == tuple(decode_probs(dist))
     assert dist.primary_spans is spans and decoded == [dist]
-    assert dist.remote_rows is dist.remote_rows
-    assert np.array_equal(dist.remote_rows, _remote_rows(dist.task1))
+    summary = dist.remote_summary
+    assert dist.remote_summary is summary
+    assert np.array_equal(summary.rows, _remote_rows(dist.task1))
+    assert np.array_equal(summary.token_max, [0, 0, 0, 0, 1])
+    assert summary.highest == 1.0
     dist.task1[0, 0] = np.nan  # the passed check is not run again
     dist.check()
 
 
 def test_decode_probs_threshold_one_never_remote():
     labels = ["B-REM-A", "I-REM-A"]
-    rows = _remote_rows(bio.one_hot(labels))
-    assert bio.decode_remote(rows, 1.0) == []
+    assert bio.decode_remote(_summary(bio.one_hot(labels)), 1.0) == []
 
 
 def test_decode_probs_threshold_boundary():
     t1 = np.full((1, bio.N_BIO), 0.0)
     t1[0, bio.BIO_INDEX["O"]] = 0.6
     t1[0, bio.BIO_INDEX["B-REM-A"]] = 0.4
-    rows = _remote_rows(t1)
-    assert bio.decode_remote(rows, 0.3) == [bio.ChildSpan(0, 1, "A", True)]
-    assert bio.decode_remote(rows, 0.5) == []
+    summary = _summary(t1)
+    assert bio.decode_remote(summary, 0.3) == [bio.ChildSpan(0, 1, "A", True)]
+    assert bio.decode_remote(summary, 0.5) == []
     # strict inequality at the boundary
-    assert bio.decode_remote(rows, 0.4) == []
+    assert bio.decode_remote(summary, 0.4) == []
+
+
+def test_decode_remote_reads_no_row_at_or_above_the_sentence_highest():
+    """A summary whose highest REM probability does not exceed the
+    threshold decodes to no span without reading its rows; an empty
+    sentence's highest is -inf."""
+    unread = bio.RemoteSummary(rows=None, token_max=None, highest=0.4)
+    assert bio.decode_remote(unread, 0.4) == []
+    assert bio.decode_remote(unread, 0.9) == []
+    empty = _summary(np.zeros((0, bio.N_BIO)))
+    assert empty.highest == -np.inf
+    assert bio.decode_remote(empty, 0.0) == []
 
 
 def test_roundtrip_on_flat_passages():

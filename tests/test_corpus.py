@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from rucca import bio
 from rucca.corpus import (CorpusError, MaskedExample, aux_labels,
                           build_mask, expand, load_conll_tokens,
-                          load_examples, load_passages, passage_to_record,
-                          save_examples, save_passages)
+                          load_examples, load_passages, passage_from_record,
+                          passage_to_record, save_examples, save_passages)
 from rucca.graph import non_terminals
 
 from helpers import (fig1_passage, fixture_corpus, nonrepresentable_passage,
-                     random_corpus, random_passage, single_token_passage)
+                     random_corpus, random_passage,
+                     reference_passage_from_record, single_token_passage)
 
 
 def test_save_load_roundtrip_single(tmp_path):
@@ -78,6 +80,22 @@ def _terminal(rec, **kv):
     (_first("edges"), {"category": ["H"]}, "edge category is a list"),
     (_first("edges"), {"remote": "no"}, "edge remote is a string"),
     (_first("tokens"), {"head": True}, "bad head True"),
+    (_first("tokens"), {"form": 1},
+     "token form is a number, expected a string$"),
+    (_first("tokens"), {"upos": None},
+     "token upos is null, expected a string$"),
+    (_first("tokens"), {"language": ["en"]},
+     "token language is a list, expected a string$"),
+    (_first("tokens"), {"xpos": 1},
+     "token xpos is a number, expected a string or null$"),
+    (_first("tokens"), {"deprel": False},
+     "token deprel is a boolean, expected a string or null$"),
+    (_first("tokens"), {"morph": {"Number": 1}},
+     "token morph is an object, expected an object of strings$"),
+    (_first("tokens"), {"morph": ["Number=Sing"]},
+     "token morph is a list, expected an object of strings$"),
+    (_first("nodes"), {"kind": "leaf"}, "bad node kind 'leaf'$"),
+    (_first("nodes"), {"kind": None}, "bad node kind None$"),
 ])
 def test_load_passages_rejects_wrong_field_types(tmp_path, edit, values,
                                                  message):
@@ -87,6 +105,56 @@ def test_load_passages_rejects_wrong_field_types(tmp_path, edit, values,
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(CorpusError, match="bad.jsonl:1: " + message):
         load_passages(path)
+
+
+# a value of each JSON type, with the strings, lists and objects that
+# the reader tells apart
+_JSON_VALUES = (None, True, False, 0, 2, -1, 0.0, 1.5, "", "n0", "t0",
+                "root", "terminal", "nonterminal", "leaf", "H", "X", "en",
+                [], ["n0"], [{}], [{"id": "n0"}], {}, {"Number": "Sing"},
+                {"Number": 1})
+
+
+_DROP = object()  # an edit that drops the key
+
+
+def _read(reader, rec):
+    """-> the passage a reader gives (with its repr, which tells 1 from
+    True and 1.0) or its CorpusError's text."""
+    try:
+        passage = reader(rec, "p.jsonl:1")
+    except CorpusError as exc:
+        return "CorpusError: %s" % exc
+    return passage, repr(passage)
+
+
+def _records_of(rec, kind):
+    return {"passage": [rec], "token": rec["tokens"],
+            "morph": [t["morph"] for t in rec["tokens"]],
+            "node": rec["nodes"], "edge": rec["edges"]}[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["passage", "token", "morph", "node", "edge"]))
+def test_passage_reader_matches_the_field_by_field_reference(data, seed,
+                                                             kind):
+    """One field of a record (the passage's, a token's, its morph, a
+    node's or an edge's) set to a value of each JSON type, dropped, or
+    added: the reader gives the reference's passage or its message."""
+    rec = passage_to_record(random_passage(np.random.default_rng(seed), "p"))
+    i = data.draw(st.integers(0, len(_records_of(rec, kind)) - 1))
+    key = data.draw(st.sampled_from(sorted(_records_of(rec, kind)[i])
+                                    + ["extra"]))
+    for value in _JSON_VALUES + (_DROP,):
+        edited = copy.deepcopy(rec)
+        target = _records_of(edited, kind)[i]
+        if value is _DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+        assert _read(passage_from_record, edited) == \
+            _read(reference_passage_from_record, edited), value
 
 
 @pytest.mark.parametrize("values, message", [

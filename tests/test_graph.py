@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +8,8 @@ from rucca.graph import (CATEGORIES, CATEGORY_SET, Edge, Node, Passage,
                          all_yields, make_token, non_terminals, validate)
 
 from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
-                     random_corpus, single_token_passage)
+                     random_corpus, random_passage, reference_validate,
+                     single_token_passage)
 
 
 def test_category_vocabulary_is_closed():
@@ -127,3 +131,91 @@ def test_root_yield_covers_all_tokens_and_siblings_disjoint():
 def test_validate_is_pure():
     p = fig1_passage()
     assert validate(p) == validate(p) == []
+
+
+_CORRUPTIONS = ("none", "duplicate id", "drop edge", "add edge",
+                "unknown category", "position none", "move position",
+                "remote into root", "unknown node", "cycle", "discontiguous",
+                "root", "no tokens")
+
+
+def _corrupt(p, kind, draw):
+    """p with one corruption of the given kind, its choices drawn."""
+    nodes, edges = list(p.nodes), list(p.edges)
+    ids = [n.id for n in nodes]
+    terminals = [i for i, n in enumerate(nodes) if n.kind == "terminal"]
+
+    def index(seq):
+        return draw(st.integers(0, len(seq) - 1))
+
+    def edge(parent, child, remote=None):
+        return Edge(parent, child, draw(st.sampled_from(CATEGORIES)),
+                    draw(st.booleans()) if remote is None else remote)
+
+    if kind == "duplicate id":
+        a, b = index(nodes), index(nodes)
+        if a == b:
+            nodes.insert(index(nodes), nodes[a])
+        else:
+            nodes[b] = replace(nodes[b], id=nodes[a].id)
+    elif kind == "drop edge":
+        del edges[index(edges)]
+    elif kind == "add edge":
+        edges.insert(index(edges), edge(draw(st.sampled_from(ids)),
+                                        draw(st.sampled_from(ids))))
+    elif kind == "unknown category":
+        i = index(edges)
+        edges[i] = replace(edges[i],
+                           category=draw(st.sampled_from(["X", "h", ""])))
+    elif kind == "position none":
+        i = draw(st.sampled_from(terminals))
+        nodes[i] = replace(nodes[i], position=None)
+    elif kind == "move position":  # a non-terminal's too
+        i = index(nodes)
+        nodes[i] = replace(nodes[i], position=draw(
+            st.integers(-1, len(p.tokens))))
+    elif kind == "remote into root":
+        edges.append(edge(draw(st.sampled_from(
+            [n.id for n in nodes if n.kind == "nonterminal"])), p.root,
+            remote=True))
+    elif kind == "unknown node":
+        known = draw(st.sampled_from(ids))
+        edges.append(edge(*draw(st.sampled_from([(known, "zz"),
+                                                 ("zz", known)]))))
+    elif kind == "cycle":
+        # a primary edge back from a non-terminal child to its parent,
+        # added or in place of the edge down
+        i = draw(st.sampled_from([
+            i for i, e in enumerate(edges) if not e.remote
+            and p.node(e.child).kind == "nonterminal"] or [0]))
+        back = edge(edges[i].child, edges[i].parent, remote=False)
+        if draw(st.booleans()):
+            edges[i] = back
+        else:
+            edges.append(back)
+    elif kind == "discontiguous":  # two terminals' positions swapped
+        a, b = draw(st.lists(st.sampled_from(terminals), min_size=2,
+                             max_size=2, unique=True)
+                    if len(terminals) > 1 else st.just(terminals * 2))
+        nodes[a], nodes[b] = (replace(nodes[a], position=nodes[b].position),
+                              replace(nodes[b], position=nodes[a].position))
+    elif kind == "root":
+        return replace(p, nodes=tuple(nodes), edges=tuple(edges),
+                       root=draw(st.sampled_from(ids + ["zz"])))
+    elif kind == "no tokens":
+        return replace(p, tokens=())
+    return replace(p, nodes=tuple(nodes), edges=tuple(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(_CORRUPTIONS))
+def test_validate_matches_the_check_by_check_reference(data, seed, kind):
+    """One corruption of a valid passage: validate's one walk over the
+    nodes and one over the edges find the violations, in the order, that
+    one loop per check finds, with contiguity required or not."""
+    p = _corrupt(random_passage(np.random.default_rng(seed), "p"), kind,
+                 data.draw)
+    for require_contiguous in (False, True):
+        assert validate(p, require_contiguous) == \
+            reference_validate(p, require_contiguous)
