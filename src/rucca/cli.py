@@ -108,7 +108,7 @@ def _train_config(config, seed) -> TrainConfig:
 
 def _decoder_config(config) -> DecoderConfig:
     action_path = config.path("action_nouns")
-    action = load_lexicon(action_path) if action_path else None
+    action = load_lexicon(action_path) if action_path else EMPTY_LEXICON
     try:
         return DecoderConfig(
             remote_threshold=config.get_float("remote_threshold", 0.3),

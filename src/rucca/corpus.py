@@ -67,21 +67,6 @@ class MaskedExample:
     target_aux: Optional[tuple] = None
     representable: bool = True
 
-    def __post_init__(self):
-        if len(self.mask) != len(self.tokens):
-            raise CorpusError("mask/token length mismatch")
-        for t in (self.target_bio, self.target_aux):
-            if t is not None and len(t) != len(self.tokens):
-                raise CorpusError("target/token length mismatch")
-        if self.target_bio is not None and self.target_aux is None:
-            raise CorpusError("BIO target without aux target")
-        for sym in self.mask:
-            if sym not in MASK_SYMBOLS:
-                raise CorpusError("unknown mask symbol %r" % (sym,))
-        for label in self.target_bio or ():
-            if label not in bio.BIO_INDEX:
-                raise CorpusError("unknown BIO label %r" % (label,))
-
 
 # ---------------------------------------------------------------------------
 # Record value types
@@ -331,10 +316,7 @@ def build_mask(passage: Passage, node_id: str) -> tuple:
     if node_id == passage.root:
         symbol = ROOT_MASK
     else:
-        incoming = passage.incoming_primary(node_id)
-        if not incoming:
-            raise CorpusError("focus node %s has no primary parent" % node_id)
-        symbol = incoming[0].category
+        symbol = passage.incoming_primary(node_id)[0].category
     span = all_yields(passage)[node_id]
     return tuple(symbol if i in span else OUTSIDE
                  for i in range(len(passage.tokens)))
@@ -393,8 +375,10 @@ def save_examples(examples, path):
 
 
 def load_examples(path) -> list:
-    """Read a masked-example file. A record whose token list equals the
-    previous record's shares its tokens tuple, as a passage's do."""
+    """Read a masked-example file, checking each example's mask and
+    targets against its tokens and the label sets; a MaskedExample holds
+    no checks of its own. A record whose token list equals the previous
+    record's shares its tokens tuple, as a passage's do."""
     examples = []
     token_recs = tokens = None
     for where, rec in _records(path):
@@ -415,11 +399,21 @@ def load_examples(path) -> list:
         target_bio, target_aux = (
             _strings(rec[key], where, key, nullable=True)
             for key in ("target_bio", "target_aux"))
-        try:
-            examples.append(MaskedExample(
-                passage_id=rec["passage_id"], tokens=tokens, mask=mask,
-                focus_node=rec["focus_node"], target_bio=target_bio,
-                target_aux=target_aux, representable=rec["representable"]))
-        except CorpusError as exc:
-            raise CorpusError("%s: %s" % (where, exc)) from None
+        if len(mask) != len(tokens):
+            raise CorpusError("%s: mask/token length mismatch" % where)
+        for t in (target_bio, target_aux):
+            if t is not None and len(t) != len(tokens):
+                raise CorpusError("%s: target/token length mismatch" % where)
+        if target_bio is not None and target_aux is None:
+            raise CorpusError("%s: BIO target without aux target" % where)
+        for sym in mask:
+            if sym not in MASK_SYMBOLS:
+                raise CorpusError("%s: unknown mask symbol %r" % (where, sym))
+        for label in target_bio or ():
+            if label not in bio.BIO_INDEX:
+                raise CorpusError("%s: unknown BIO label %r" % (where, label))
+        examples.append(MaskedExample(
+            passage_id=rec["passage_id"], tokens=tokens, mask=mask,
+            focus_node=rec["focus_node"], target_bio=target_bio,
+            target_aux=target_aux, representable=rec["representable"]))
     return examples

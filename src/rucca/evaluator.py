@@ -62,10 +62,6 @@ class EvalReport:
     tally: tuple = _ZERO_TALLY
     sentences: int = 0
 
-    @staticmethod
-    def empty():
-        return EvalReport()
-
     def __add__(self, other):
         return EvalReport(tuple(map(add, self.tally, other.tally)),
                           self.sentences + other.sentences)
@@ -152,9 +148,9 @@ def score_corpus(pairs) -> CorpusReport:
 
     A sentence is mono-scene iff its gold graph has at most one H edge.
     """
-    overall = EvalReport.empty()
-    mono = EvalReport.empty()
-    multi = EvalReport.empty()
+    overall = EvalReport()
+    mono = EvalReport()
+    multi = EvalReport()
     for pred, gold in pairs:
         report = score(pred, gold)
         overall = overall + report

@@ -69,7 +69,7 @@ class Passage:
 
     @cached_property
     def _index(self):
-        return _Index(self.nodes, self.edges)
+        return _Index(self.nodes, self.edges, self.root)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -92,8 +92,9 @@ class _Index:
     """Lookups over a passage's nodes and edges. A Passage is immutable,
     so it builds its index once, on first use."""
 
-    def __init__(self, nodes, edges):
+    def __init__(self, nodes, edges, root):
         self.edges = edges
+        self.root = root
         self.by_id = {}
         for n in nodes:
             self.by_id.setdefault(n.id, n)  # the first of duplicate ids
@@ -105,26 +106,31 @@ class _Index:
                 self.incoming.setdefault(e.child, []).append(e)
 
     @cached_property
+    def order(self):
+        """The nodes reached from the root over primary edges, each once
+        and after its parent, walked with a stack of its own, so a deep
+        chain needs no deep recursion and a cycle ends."""
+        order, stack, reached = [], [self.root], {self.root}
+        while stack:
+            nid = stack.pop()
+            order.append(nid)
+            for _, c in self.primary.get(nid, ()):
+                if c not in reached:
+                    reached.add(c)
+                    stack.append(c)
+        return order
+
+    @cached_property
     def yields(self):
-        """Read-only map node id -> primary yield, computed bottom-up with
-        a stack of its own, so a deep chain needs no deep recursion; the
-        primary edges must form a forest, as in a valid passage."""
-        yields = {nid: frozenset([n.position])
-                  for nid, n in self.by_id.items() if n.is_terminal()}
-        reached = set(yields)
-        for start in self.by_id:
-            if start in reached:
-                continue
-            reached.add(start)
-            order, stack = [], [start]
-            while stack:  # each node after its parent
-                nid = stack.pop()
-                order.append(nid)
-                for _, c in self.primary.get(nid, ()):
-                    if c not in reached:
-                        reached.add(c)
-                        stack.append(c)
-            for nid in reversed(order):
+        """Read-only map node id -> primary yield, computed bottom-up over
+        the root walk; the primary edges must form one tree, as in a valid
+        passage."""
+        yields = {}
+        for nid in reversed(self.order):
+            n = self.by_id[nid]
+            if n.is_terminal():
+                yields[nid] = frozenset([n.position])
+            else:
                 yields[nid] = frozenset().union(
                     *[yields[c] for _, c in self.primary.get(nid, ())])
         return MappingProxyType(yields)
@@ -235,16 +241,8 @@ def validate(passage: Passage, require_contiguous=False) -> list:
     # Connectivity / acyclicity of the primary subgraph.
     # Cycles surface as either a multiple-parent violation (above) or as
     # nodes unreachable from the root.
-    primary = index.primary
-    reached = set()
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        if nid in reached:
-            continue
-        reached.add(nid)
-        stack.extend(c for _, c in primary.get(nid, ()))
-    if len(reached) != len(by_id):  # every edge's nodes are known
+    if len(index.order) != len(by_id):  # every edge's nodes are known
+        reached = set(index.order)
         violations.extend("unreachable from root: node %s" % n.id
                           for n in passage.nodes if n.id not in reached)
     violations += remote_violations
@@ -261,7 +259,6 @@ def validate(passage: Passage, require_contiguous=False) -> list:
     if require_contiguous and not violations:
         yields = all_yields(passage)
         for n in passage.nodes:
-            y = yields[n.id]
-            if not y or max(y) - min(y) + 1 != len(y):
+            if not is_contiguous(yields[n.id]):
                 violations.append("discontiguous yield: node %s" % n.id)
     return violations

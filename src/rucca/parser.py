@@ -24,7 +24,7 @@ import numpy as np
 from . import bio
 from .corpus import MaskedExample
 from .graph import (OUTSIDE, ROOT_MASK, Edge, Node, Passage, validate)
-from .lexicon import match
+from .lexicon import EMPTY_LEXICON, ExpressionLexicon, match
 
 # the upos tag of a verb, which makes its span a scene
 VERB_UPOS = "VERB"
@@ -40,7 +40,7 @@ _S_LABEL_IDS = tuple(bio.BIO_INDEX[lb] for lb in ("B-S", "I-S"))
 class DecoderConfig:
     remote_threshold: float = 0.3
     max_depth: int = 20
-    action_noun_lexicon: object = None  # ExpressionLexicon or None
+    action_noun_lexicon: ExpressionLexicon = EMPTY_LEXICON
 
     def __post_init__(self):
         if not 0.0 <= self.remote_threshold <= 1.0:
@@ -210,8 +210,6 @@ def _mwe_integrity(spans, mwe_spans, focus, firings):
 def action_noun_flags(tokens, cfg: DecoderConfig):
     """Per token: does an expression of cfg's action-noun lexicon cover
     it? Constraint 1 counts such a token as a scene's verb."""
-    if cfg.action_noun_lexicon is None:
-        return (False,) * len(tokens)
     return match(cfg.action_noun_lexicon, tokens).flags
 
 

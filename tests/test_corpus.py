@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rucca import bio
-from rucca.corpus import (CorpusError, MaskedExample, aux_labels,
-                          build_mask, expand, load_conll_tokens,
-                          load_examples, load_passages, passage_from_record,
-                          passage_to_record, save_examples, save_passages)
+from rucca.corpus import (CorpusError, aux_labels, build_mask, expand,
+                          load_conll_tokens, load_examples, load_passages,
+                          passage_from_record, passage_to_record,
+                          save_examples, save_passages)
 from rucca.graph import non_terminals
 
 from helpers import (fig1_passage, fixture_corpus, nonrepresentable_passage,
@@ -251,11 +251,37 @@ def test_build_mask_root_symbol():
     assert build_mask(p, "n0") == ("ROOT",)
 
 
-def test_masked_example_validates_lengths():
-    p = single_token_passage()
-    with pytest.raises(CorpusError):
-        MaskedExample(passage_id="x", tokens=p.tokens, mask=("O", "O"),
-                      focus_node="n0")
+def _first(value):
+    return lambda labels: [value] + labels[1:]
+
+
+def _drop_last(labels):
+    return labels[:-1]
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"mask": _drop_last}, "mask/token length mismatch"),
+    ({"target_bio": _drop_last}, "target/token length mismatch"),
+    ({"target_aux": _drop_last}, "target/token length mismatch"),
+    ({"target_aux": lambda _: None}, "BIO target without aux target"),
+    ({"mask": _first("X")}, "unknown mask symbol 'X'"),
+    ({"target_bio": _first("B-Q")}, "unknown BIO label 'B-Q'"),
+    # two faults: the first check that fails names the record
+    ({"target_bio": _first("B-Q"), "mask": _drop_last},
+     "mask/token length mismatch"),
+], ids=["mask-length", "bio-length", "aux-length", "bio-without-aux",
+        "mask-symbol", "bio-label", "two-faults"])
+def test_load_examples_rejects_malformed_examples(tmp_path, edits, message):
+    path = tmp_path / "ex.jsonl"
+    save_examples(expand(fig1_passage())[:2], path)
+    header, good, line = path.read_text().splitlines()
+    rec = json.loads(line)
+    for key, edit in edits.items():
+        rec[key] = edit(rec[key])
+    path.write_text("\n".join([header, good, json.dumps(rec)]) + "\n")
+    with pytest.raises(CorpusError) as exc:
+        load_examples(path)
+    assert str(exc.value) == "%s:3: %s" % (path, message)
 
 
 def test_examples_file_roundtrip(tmp_path):
