@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import corpus, evaluator, features, tagger as tagger_mod
 from .lexicon import EMPTY_LEXICON, load_lexicon
@@ -39,20 +39,6 @@ class Config:
         if env is not None:
             return env
         return self.values.get(key, default)
-
-    def _typed(self, key, default, kind):
-        value = self.get(key, default)
-        try:
-            return kind(value)
-        except ValueError:
-            raise ConfigError("config key %s: bad %s value %r"
-                              % (key, kind.__name__, value)) from None
-
-    def get_int(self, key, default):
-        return self._typed(key, default, int)
-
-    def get_float(self, key, default):
-        return self._typed(key, default, float)
 
     def path(self, key, required=False):
         value = self.get(key)
@@ -91,34 +77,48 @@ def save_config(config: Config, path):
             f.write("%s=%s\n" % (key, config.values[key]))
 
 
-def _train_config(config, seed) -> TrainConfig:
+def _settings(config, cls, **given):
+    """Keyword arguments for the dataclass cls: those given, and each other
+    field whose config key (its name) is set, as its default's type."""
+    for f in fields(cls):
+        value = None if f.name in given else config.get(f.name)
+        if value is not None:
+            kind = type(f.default)
+            try:
+                given[f.name] = kind(value)
+            except ValueError:
+                raise ConfigError("config key %s: bad %s value %r"
+                                  % (f.name, kind.__name__, value)) from None
+    return given
+
+
+def _checked(cls, **kwargs):
     try:
-        return TrainConfig(
-            epochs=config.get_int("epochs", 50),
-            learning_rate=config.get_float("learning_rate", 1e-3),
-            batch_size=config.get_int("batch_size", 16),
-            grad_clip=config.get_float("grad_clip", 5.0),
-            tagger=TaggerConfig(hidden=config.get_int("hidden", 128),
-                                cat_dim=config.get_int("cat_dim", 16),
-                                lambda_aux=config.get_float("lambda_aux", 1.0),
-                                seed=seed))
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(exc) from None
+
+
+def _train_config(config, seed=None) -> TrainConfig:
+    """Own keys read before the tagger's; a seed given beats the config."""
+    own = _settings(config, TrainConfig, tagger=None)
+    model = _settings(config, TaggerConfig,
+                      **({} if seed is None else {"seed": seed}))
+    own["tagger"] = _checked(TaggerConfig, **model)
+    return _checked(TrainConfig, **own)
 
 
 def _decoder_config(config) -> DecoderConfig:
-    action_path = config.path("action_nouns")
-    action = load_lexicon(action_path) if action_path else EMPTY_LEXICON
-    try:
-        return DecoderConfig(
-            remote_threshold=config.get_float("remote_threshold", 0.3),
-            max_depth=config.get_int("max_depth", 20),
-            action_noun_lexicon=action)
-    except ValueError as exc:
-        raise ConfigError(exc) from None
+    """The numbers are checked before the action-noun lexicon is read."""
+    dcfg = _checked(DecoderConfig, **_settings(
+        config, DecoderConfig, action_noun_lexicon=EMPTY_LEXICON))
+    path = config.path("action_nouns")
+    return replace(dcfg, action_noun_lexicon=load_lexicon(path)) if path \
+        else dcfg
 
 
-def _lexicon(config, language):
+def _lexicon(config):
+    language = config.get("language", "en")
     path = config.path("lexicon_%s" % language) or config.path("lexicon")
     return load_lexicon(path) if path else EMPTY_LEXICON
 
@@ -132,7 +132,7 @@ def _embeddings(config):
 def _tagger_and_context(config, oracle_gold=None):
     """The tagger and its featurizer context: an oracle over oracle_gold
     when given, else the configured checkpoint."""
-    lexicon = _lexicon(config, config.get("language", "en"))
+    lexicon = _lexicon(config)
     if oracle_gold is not None:
         return tagger_mod.OracleTagger(oracle_gold), \
             features.FeaturizerContext(
@@ -184,18 +184,15 @@ def cmd_expand(config, args):
 
 
 def cmd_train(config, args):
-    seed = args.seed if args.seed is not None \
-        else config.get_int("seed", 13)
+    tcfg = _train_config(config, args.seed)
+    dcfg = _decoder_config(config)
     examples = corpus.load_examples(config.path("expanded", required=True))
     dev_path = config.path("dev_passages")
     dev = _gold_passages(dev_path) if dev_path else []
-    language = config.get("language", "en")
     ctx = features.FeaturizerContext(
         vocab=features.fit_vocabularies(examples),
         embeddings=_embeddings(config),
-        lexicon=_lexicon(config, language))
-    tcfg = _train_config(config, seed)
-    dcfg = _decoder_config(config)
+        lexicon=_lexicon(config))
     log_path = config.get("train_log", "train.log")
     log_lines = []
 
@@ -264,11 +261,11 @@ def cmd_eval(config, args):
 
 
 def cmd_tune(config, args):
+    dcfg = _decoder_config(config)
     gold = _gold_passages(
         args.dev or config.path("dev_passages", required=True))
     model, ctx = _tagger_and_context(
         config, oracle_gold=gold if args.oracle else None)
-    dcfg = _decoder_config(config)
     best = None
     print("%8s %12s %12s" % ("theta", "remote F1", "avg labeled F1"))
     # The threshold reaches only the remotes, so every threshold tags the

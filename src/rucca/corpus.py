@@ -12,7 +12,8 @@ from typing import Optional
 
 from . import bio
 from .graph import (CATEGORY_SET, OUTSIDE, ROOT_MASK, Edge, Node, Passage,
-                    TokenRow, all_yields, non_terminals, validate)
+                    TokenRow, all_yields, make_token, non_terminals,
+                    validate)
 
 MASK_SYMBOLS = (OUTSIDE,) + tuple(sorted(CATEGORY_SET)) + (ROOT_MASK,)
 AUX_OUTSIDE = "O"
@@ -284,12 +285,9 @@ def load_conll_tokens(path, language="en") -> list:
             except ValueError:
                 raise CorpusError("%s:%d: HEAD %r is not an integer"
                                   % (path, lineno, head)) from None
-        current.append(TokenRow(
-            form=form, upos=upos,
-            xpos=None if xpos == "_" else xpos,
-            morph=tuple(sorted(morph.items())),
-            head=head_val,
-            deprel=None if deprel == "_" else deprel,
+        current.append(make_token(
+            form, upos, xpos=None if xpos == "_" else xpos, morph=morph,
+            head=head_val, deprel=None if deprel == "_" else deprel,
             language=language))
     if current:
         sentences.append(tuple(current))

@@ -3,7 +3,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,8 +13,9 @@ from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
 from rucca.graph import Edge, Node, Passage, make_token, non_terminals
-from rucca.tagger import (MAGIC, GruTagger, TaggerConfig, load_checkpoint,
-                          save_checkpoint)
+from rucca.parser import DecoderConfig
+from rucca.tagger import (MAGIC, GruTagger, TaggerConfig, TrainConfig,
+                          load_checkpoint, save_checkpoint)
 
 from helpers import (fig1_passage, nonrepresentable_passage, random_corpus,
                      refuse_featurize, single_token_passage,
@@ -510,18 +511,109 @@ def test_env_variable_overrides_config(tmp_path, monkeypatch, capsys):
     assert not configured.exists()
 
 
-def test_seed_flag_overrides_config(tmp_path):
+def test_seed_flag_overrides_config(tmp_path, monkeypatch):
+    """--seed beats a competing seed from the config file, and one from
+    RUCCA_SEED, which itself beats the config file."""
     a = tmp_path / "a"
-    b = tmp_path / "b"
     a.mkdir()
-    b.mkdir()
     config_a, _, model_a, _ = _expand_then_train(a, seed=13)
-    config_b, _, model_b, _ = _expand_then_train(b, seed=14)
-    assert model_a.read_bytes() != model_b.read_bytes()
-    # retrain b with --seed 13: now identical to a
-    assert cli.main(["--config", config_b, "--seed", "13",
-                     "train"]) == cli.EXIT_OK
-    assert model_a.read_bytes() == model_b.read_bytes()
+    for competitor in ("config", "env"):
+        b = tmp_path / competitor
+        b.mkdir()
+        with monkeypatch.context() as m:
+            if competitor == "env":
+                m.setenv("RUCCA_SEED", "14")
+            config_b, _, model_b, _ = _expand_then_train(
+                b, seed=14 if competitor == "config" else 13)
+            assert model_a.read_bytes() != model_b.read_bytes()
+            # retrain b with --seed 13: now identical to a
+            assert cli.main(["--config", config_b, "--seed", "13",
+                             "train"]) == cli.EXIT_OK
+            assert model_a.read_bytes() == model_b.read_bytes()
+
+
+@pytest.fixture
+def no_rucca_env(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(key)
+
+
+def test_an_empty_config_gives_the_dataclass_defaults(no_rucca_env):
+    config = cli.Config()
+    assert cli._train_config(config) == TrainConfig()
+    assert cli._decoder_config(config) == DecoderConfig()
+
+
+# Per settings dataclass: the command's builder, and the object it should
+# build from one field's value.
+_BUILDERS = {
+    TrainConfig: (cli._train_config, TrainConfig),
+    TaggerConfig: (cli._train_config,
+                   lambda **kw: TrainConfig(tagger=TaggerConfig(**kw))),
+    DecoderConfig: (cli._decoder_config, DecoderConfig),
+}
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in _BUILDERS for f in fields(cls)
+    if type(f.default) in (int, float)])
+def test_each_numeric_field_reads_its_env_variable(no_rucca_env, monkeypatch,
+                                                   cls, name):
+    default = getattr(cls(), name)
+    value = default + 1 if type(default) is int else default / 2
+    assert value != default
+    monkeypatch.setenv("RUCCA_" + name.upper(), str(value))
+    build, expected = _BUILDERS[cls]
+    built = build(cli.Config())
+    assert built == expected(**{name: value})
+    settings = built.tagger if cls is TaggerConfig else built
+    assert type(getattr(settings, name)) is type(default)
+
+
+@pytest.mark.parametrize("env, message", [
+    # Every key is read before any value is checked: epochs is read first.
+    pytest.param({"RUCCA_EPOCHS": "abc", "RUCCA_HIDDEN": "0"},
+                 "config key epochs: bad int value 'abc'", id="not-an-int"),
+    # TrainConfig's own keys are read before the tagger's.
+    pytest.param({"RUCCA_EPOCHS": "abc", "RUCCA_HIDDEN": "x"},
+                 "config key epochs: bad int value 'abc'",
+                 id="both-not-ints"),
+    # The tagger's values are checked before TrainConfig's.
+    pytest.param({"RUCCA_EPOCHS": "0", "RUCCA_HIDDEN": "0"},
+                 "hidden must be >= 1", id="out-of-range"),
+])
+def test_two_bad_keys_name_the_first_in_reading_order(no_rucca_env,
+                                                      monkeypatch, env,
+                                                      message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    with pytest.raises(cli.ConfigError) as exc:
+        cli._train_config(cli.Config())
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("command, key, setting", [
+    pytest.param(["train"], "expanded", {"max_depth": 0}, id="train"),
+    pytest.param(["train"], "expanded", {"epochs": 0}, id="train-epochs"),
+    pytest.param(["tune", "--oracle"], "dev_passages", {"max_depth": 0},
+                 id="tune"),
+    pytest.param(["parse", "--oracle"], "test_passages", {"max_depth": 0},
+                 id="parse"),
+    pytest.param(["parse", "--oracle"], "action_nouns", {"max_depth": 0},
+                 id="parse-action-nouns"),
+])
+def test_settings_are_checked_before_any_input_file(tmp_path, capsys,
+                                                    command, key, setting):
+    """A bad setting and a malformed input file: the setting is named,
+    with exit 1, whichever command reads the file."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff{not json\n")  # neither UTF-8 nor JSON
+    config = _write_config(tmp_path / "c.cfg", **{key: bad}, **setting)
+    assert cli.main(["--config", config] + command) == cli.EXIT_USAGE
+    (name,) = setting
+    assert capsys.readouterr().err \
+        == "config error: %s must be >= 1\n" % name
 
 
 def test_config_file_save_load_roundtrip(tmp_path):
