@@ -7,6 +7,7 @@ possibly outside the focus node's span).
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ class NotRepresentable(Exception):
     """The node's children layout cannot be expressed as one BIO sequence."""
 
 
-@dataclass(frozen=True)
-class ChildSpan:
+class ChildSpan(NamedTuple):
     start: int
     end: int  # exclusive
     category: str

@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import corpus, evaluator, features, tagger as tagger_mod
+from .graph import DEFAULT_LANGUAGE
 from .lexicon import EMPTY_LEXICON, load_lexicon
 from .parser import DecoderConfig, ParseError, parse
 from .tagger import CheckpointError, NumericError, TaggerConfig, TrainConfig
@@ -117,9 +118,13 @@ def _decoder_config(config) -> DecoderConfig:
         else dcfg
 
 
+def _language(config):
+    return config.get("language", DEFAULT_LANGUAGE)
+
+
 def _lexicon(config):
-    language = config.get("language", "en")
-    path = config.path("lexicon_%s" % language) or config.path("lexicon")
+    path = config.path("lexicon_%s" % _language(config)) or \
+        config.path("lexicon")
     return load_lexicon(path) if path else EMPTY_LEXICON
 
 
@@ -227,7 +232,7 @@ def cmd_parse(config, args):
         sentences = _sentences(gold)
     else:
         model, ctx = _tagger_and_context(config)
-        language = config.get("language", "en")
+        language = _language(config)
         input_path = args.input or config.path("test_tokens", required=True)
         conll = corpus.load_conll_tokens(input_path, language)
         sentences = [("s%d" % i, toks, language)

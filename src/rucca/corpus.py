@@ -6,14 +6,13 @@ per-token mask feature carrying the node's span and arc category.
 """
 
 import json
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bio
-from .graph import (CATEGORY_SET, OUTSIDE, ROOT_MASK, Edge, Node, Passage,
-                    TokenRow, all_yields, make_token, non_terminals,
-                    validate)
+from .graph import (CATEGORY_SET, DEFAULT_LANGUAGE, OUTSIDE, ROOT_MASK, Edge,
+                    Node, Passage, TokenRow, all_yields, make_token,
+                    non_terminals, validate)
 
 MASK_SYMBOLS = (OUTSIDE,) + tuple(sorted(CATEGORY_SET)) + (ROOT_MASK,)
 AUX_OUTSIDE = "O"
@@ -56,8 +55,7 @@ class CorpusError(ValueError):
     """Malformed passage or example record."""
 
 
-@dataclass(frozen=True)
-class MaskedExample:
+class MaskedExample(NamedTuple):
     """One masked training/inference instance for a single focus node."""
 
     passage_id: str
@@ -124,11 +122,11 @@ def _token_from_record(rec: dict, where: str) -> TokenRow:
             and (xpos is None or type(xpos) is str)
             and (deprel is None or type(deprel) is str)
             and type(morph) is dict
-            and all(type(v) is str for v in morph.values())
+            and (not morph or all(type(v) is str for v in morph.values()))
             and (head is None or type(head) is int or head == "root")):
         _check_token(rec, where)
-    return TokenRow(form, upos, xpos, tuple(sorted(morph.items())), head,
-                    deprel, language)
+    pairs = tuple(sorted(morph.items())) if morph else ()
+    return TokenRow(form, upos, xpos, pairs, head, deprel, language)
 
 
 def _check_token(rec, where):
@@ -252,7 +250,7 @@ def save_passages(passages, path):
 # ---------------------------------------------------------------------------
 # CoNLL-like token ingestion (ID FORM UPOS XPOS FEATS HEAD DEPREL)
 
-def load_conll_tokens(path, language="en") -> list:
+def load_conll_tokens(path, language=DEFAULT_LANGUAGE) -> list:
     """-> list of token tuples, one per sentence."""
     sentences = []
     current = []

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # The 13 edge categories, in the conventional reporting order.
 CATEGORIES = ("D", "C", "N", "E", "F", "G", "L", "H", "A", "P", "U", "R", "S")
@@ -18,10 +18,11 @@ CATEGORY_SET = frozenset(CATEGORIES)
 # Mask symbol used for the whole-sentence (root) inference step.
 ROOT_MASK = "ROOT"
 OUTSIDE = "O"
+# The language of a token, a CoNLL file or a config that names none.
+DEFAULT_LANGUAGE = "en"
 
 
-@dataclass(frozen=True)
-class TokenRow:
+class TokenRow(NamedTuple):
     """One token with its lexical/morphological/syntactic annotations."""
 
     form: str
@@ -30,18 +31,17 @@ class TokenRow:
     morph: tuple = ()  # sorted (key, value) pairs
     head: Optional[object] = None  # token index, "root", or None
     deprel: Optional[str] = None
-    language: str = "en"
+    language: str = DEFAULT_LANGUAGE
 
 
 def make_token(form, upos, xpos=None, morph=None, head=None, deprel=None,
-               language="en"):
+               language=DEFAULT_LANGUAGE):
     pairs = tuple(sorted((morph or {}).items()))
     return TokenRow(form=form, upos=upos, xpos=xpos, morph=pairs,
                     head=head, deprel=deprel, language=language)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str  # "terminal" | "nonterminal"
     position: Optional[int] = None  # terminals only, 0-based
@@ -50,8 +50,7 @@ class Node:
         return self.kind == "terminal"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     parent: str
     child: str
     category: str

@@ -177,7 +177,7 @@ def test_encode_decodes_to_the_children_or_refuses(seed, moves):
             k = b % len(edges)
             if edges[k].remote or not edges[k].child.startswith("t"):
                 continue
-            edges[k] = replace(edges[k], parent=parent)
+            edges[k] = edges[k]._replace(parent=parent)
         passage = replace(passage, edges=tuple(edges))
     _check_encode(passage)
 

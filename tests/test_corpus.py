@@ -332,7 +332,7 @@ def test_save_examples_writes_one_json_dumps_per_record(tmp_path_factory,
     rng = np.random.default_rng(seed)
     passages = [random_passage(rng, pid) for pid in ("a", "b")]
     passages = [replace(p, tokens=tuple(
-        replace(t, **data.draw(_TOKEN_EDITS)) for t in p.tokens))
+        t._replace(**data.draw(_TOKEN_EDITS)) for t in p.tokens))
         for p in passages] + [nonrepresentable_passage()]
     examples = [ex for p in passages for ex in expand(p)]
     # examples of several passages interleaved (A1 B1 A2)
@@ -340,11 +340,11 @@ def test_save_examples_writes_one_json_dumps_per_record(tmp_path_factory,
     # equal tuples that are distinct objects, and an example without aux
     copies = data.draw(st.lists(st.booleans(), min_size=len(examples),
                                 max_size=len(examples)))
-    examples = [replace(ex, tokens=tuple(list(ex.tokens)),
-                        target_aux=tuple(list(ex.target_aux)))
+    examples = [ex._replace(tokens=tuple(list(ex.tokens)),
+                            target_aux=tuple(list(ex.target_aux)))
                 if copy else ex for ex, copy in zip(examples, copies)]
-    examples.append(replace(examples[0], target_bio=None, target_aux=None,
-                            representable=False))
+    examples.append(examples[0]._replace(target_bio=None, target_aux=None,
+                                         representable=False))
     path = tmp_path_factory.mktemp("ex") / "ex.jsonl"
     save_examples(examples, path)
     assert path.read_text(encoding="utf-8").splitlines() == \

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -245,10 +243,10 @@ def test_remask_equals_featurize_under_the_new_mask(case):
     ctx, example, mask = case
     source = ctx.sentence(match(ctx.lexicon, example.tokens).flags)
     feats = source(example)
-    remasked = source(replace(example, mask=mask))
+    remasked = source(example._replace(mask=mask))
     assert_same_features(feats, ctx.featurize(example))
     assert_same_features(remasked,
-                         ctx.featurize(replace(example, mask=mask)))
+                         ctx.featurize(example._replace(mask=mask)))
     # Only the mask ids are new; the sentence's arrays are shared.
     assert remasked.word_vectors is feats.word_vectors
     assert remasked.mwe is feats.mwe

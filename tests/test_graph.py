@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rucca.bio import ChildSpan
+from rucca.corpus import MaskedExample
 from rucca.graph import (CATEGORIES, CATEGORY_SET, Edge, Node, Passage,
-                         all_yields, make_token, non_terminals, validate)
+                         TokenRow, all_yields, make_token, non_terminals,
+                         validate)
 
 from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
                      random_corpus, random_passage, reference_validate,
@@ -16,6 +19,48 @@ def test_category_vocabulary_is_closed():
     assert len(CATEGORIES) == 13
     assert CATEGORY_SET == set(CATEGORIES)
     assert "X" not in CATEGORY_SET and "h" not in CATEGORY_SET
+
+
+_TOKEN = dict(form="dog", upos="NOUN", xpos="NN", morph=(("Number", "Sing"),),
+              head="root", deprel=None, language="en")
+_TOKEN_REPR = ("TokenRow(form='dog', upos='NOUN', xpos='NN', "
+               "morph=(('Number', 'Sing'),), head='root', deprel=None, "
+               "language='en')")
+# (type, field values in order, one field to change, its new value, repr)
+_RECORDS = [
+    (TokenRow, _TOKEN, "head", 0, _TOKEN_REPR),
+    (Node, dict(id="t0", kind="terminal", position=0), "position", 1,
+     "Node(id='t0', kind='terminal', position=0)"),
+    (Edge, dict(parent="n0", child="t0", category="A", remote=False),
+     "remote", True,
+     "Edge(parent='n0', child='t0', category='A', remote=False)"),
+    (ChildSpan, dict(start=0, end=2, category="P", remote=False), "end", 1,
+     "ChildSpan(start=0, end=2, category='P', remote=False)"),
+    (MaskedExample, dict(passage_id="p", tokens=(TokenRow(**_TOKEN),),
+                         mask=("ROOT",), focus_node="n0",
+                         target_bio=("B-P",), target_aux=("P",),
+                         representable=True), "focus_node", "n1",
+     "MaskedExample(passage_id='p', tokens=(%s,), mask=('ROOT',), "
+     "focus_node='n0', target_bio=('B-P',), target_aux=('P',), "
+     "representable=True)" % _TOKEN_REPR),
+]
+
+
+@pytest.mark.parametrize("cls,values,name,other,text", _RECORDS,
+                         ids=[r[0].__name__ for r in _RECORDS])
+def test_records_are_immutable_values_with_a_fixed_repr(cls, values, name,
+                                                        other, text):
+    """The records that messages and traces print: their repr, that a
+    field cannot be set, and equality and hashing by field values."""
+    record = cls(**values)
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, name, other)
+    same = cls(*values.values())
+    assert same == record and hash(same) == hash(record)
+    assert hash(record) == hash(tuple(values.values()))
+    changed = cls(**{**values, name: other})
+    assert changed != record and getattr(changed, name) == other
 
 
 def test_validate_minimal_passage():
@@ -157,7 +202,7 @@ def _corrupt(p, kind, draw):
         if a == b:
             nodes.insert(index(nodes), nodes[a])
         else:
-            nodes[b] = replace(nodes[b], id=nodes[a].id)
+            nodes[b] = nodes[b]._replace(id=nodes[a].id)
     elif kind == "drop edge":
         del edges[index(edges)]
     elif kind == "add edge":
@@ -165,14 +210,14 @@ def _corrupt(p, kind, draw):
                                         draw(st.sampled_from(ids))))
     elif kind == "unknown category":
         i = index(edges)
-        edges[i] = replace(edges[i],
-                           category=draw(st.sampled_from(["X", "h", ""])))
+        edges[i] = edges[i]._replace(
+            category=draw(st.sampled_from(["X", "h", ""])))
     elif kind == "position none":
         i = draw(st.sampled_from(terminals))
-        nodes[i] = replace(nodes[i], position=None)
+        nodes[i] = nodes[i]._replace(position=None)
     elif kind == "move position":  # a non-terminal's too
         i = index(nodes)
-        nodes[i] = replace(nodes[i], position=draw(
+        nodes[i] = nodes[i]._replace(position=draw(
             st.integers(-1, len(p.tokens))))
     elif kind == "remote into root":
         edges.append(edge(draw(st.sampled_from(
@@ -197,8 +242,8 @@ def _corrupt(p, kind, draw):
         a, b = draw(st.lists(st.sampled_from(terminals), min_size=2,
                              max_size=2, unique=True)
                     if len(terminals) > 1 else st.just(terminals * 2))
-        nodes[a], nodes[b] = (replace(nodes[a], position=nodes[b].position),
-                              replace(nodes[b], position=nodes[a].position))
+        nodes[a], nodes[b] = (nodes[a]._replace(position=nodes[b].position),
+                              nodes[b]._replace(position=nodes[a].position))
     elif kind == "root":
         return replace(p, nodes=tuple(nodes), edges=tuple(edges),
                        root=draw(st.sampled_from(ids + ["zz"])))

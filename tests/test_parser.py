@@ -616,7 +616,7 @@ def test_replay_never_mixes_up_two_sentences_of_one_passage_id():
     tokens tell their predictions apart."""
     one = two_scene_5tok_passage()
     forms = ("They", "ran", "and", "we", "laughed")
-    other = replace(one, tokens=tuple(replace(t, form=f)
+    other = replace(one, tokens=tuple(t._replace(form=f)
                                       for t, f in zip(one.tokens, forms)))
     ctx = context_for([one, other])
 

@@ -3,7 +3,6 @@ import json
 import struct
 import tempfile
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +98,7 @@ def test_predict_batch_rows_match_single_forwards(case):
         end = min(start + length, len(root.tokens))
         mask = tuple(symbol if start <= i < end else "O"
                      for i in range(len(root.tokens)))
-        batch.append(replace(root, mask=mask, focus_node=None))
+        batch.append(root._replace(mask=mask, focus_node=None))
     feats = [ctx.featurize(ex) for ex in batch]
     dists = tagger.predict_batch(
         batch, ctx.sentence(match(ctx.lexicon, root.tokens).flags))
@@ -463,8 +462,8 @@ def test_oracle_gives_every_expanded_target_over_the_fixture_corpus():
     p = fig1_passage()
     root = expand(p)[0]
     # Another arc over the root's span names no gold node.
-    for ex in (replace(root, mask=("A",) * len(root.tokens)),
-               replace(root, passage_id="unknown")):
+    for ex in (root._replace(mask=("A",) * len(root.tokens)),
+               root._replace(passage_id="unknown")):
         assert np.array_equal(OracleTagger([p]).predict(ex, None).task1,
                               _all_o(ex))
     gap = nonrepresentable_passage()
