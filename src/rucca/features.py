@@ -171,17 +171,11 @@ class FeaturizerContext:
         return featurize(example, self.vocab, self.embeddings,
                          match(self.lexicon, example.tokens).flags)
 
-    def remask(self, feats: FeaturizedExample, mask) -> FeaturizedExample:
-        """The features of feats' sentence under another mask: only the
-        mask ids are new, every other field is feats' own."""
-        return replace(feats, categorical={
-            **feats.categorical, "mask": _mask_ids(self.vocab, mask)})
-
     def sentence(self, mwe_flags):
         """-> features(example), the FeaturizedExample of an example of one
         sentence whose lexicon match has mwe_flags, built when read: the
-        first call featurizes, and every call remasks the first call's
-        features."""
+        first call featurizes, and every call gives those features under
+        its own example's mask, sharing every array but the mask ids."""
         first = None
 
         def features(example):
@@ -189,7 +183,9 @@ class FeaturizerContext:
             if first is None:
                 first = featurize(example, self.vocab, self.embeddings,
                                   mwe_flags)
-            return self.remask(first, example.mask)
+            return replace(first, categorical={
+                **first.categorical,
+                "mask": _mask_ids(self.vocab, example.mask)})
         return features
 
 

@@ -79,8 +79,8 @@ class TraceStep:
 class ParseTrace:
     steps: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    # span -> id of the deepest non-terminal with that span, depth-capped
-    # ones included
+    # span -> id of the deepest node with that span: a one-token span's
+    # terminal unless a non-terminal has it, depth-capped ones included
     deepest: dict = field(default_factory=dict)
     tree_notes: int = 0  # leading notes written while building the tree
 
@@ -207,17 +207,11 @@ def _mwe_integrity(spans, mwe_spans, focus, firings):
     return out
 
 
-def action_noun_flags(tokens, cfg: DecoderConfig):
-    """Per token: does an expression of cfg's action-noun lexicon cover
-    it? Constraint 1 counts such a token as a scene's verb."""
-    return match(cfg.action_noun_lexicon, tokens).flags
-
-
 def apply_constraints(spans, tokens, dist, mwe_mask, action_flags,
                       at_scene_level, focus=None, firings=None):
     """The three decoding constraints, in order: disjoint spans in start
     order in, disjoint spans in start order out. action_flags are the
-    sentence's action_noun_flags."""
+    flags of the sentence's match against the action-noun lexicon."""
     if firings is None:
         firings = []
     if focus is None:
@@ -237,54 +231,46 @@ def _fallback_category(token):
     return "F" if token.upos in FUNCTION_UPOS else "C"
 
 
-@dataclass
-class _Focus:
-    """A non-terminal of a parse in progress. Tagging it sets step (left
-    None at the depth cap) and, per child in step.constrained, the child's
-    _Focus, or None for a terminal."""
-    span: tuple  # (start, end)
-    arc: str  # the mask symbol: category of the incoming arc, or ROOT_MASK
-    depth: int
-    step: TraceStep = None
-    children: list = None
-
-
-def _assemble(root, tokens, passage_id, language):
-    """-> (Passage, ParseTrace) of a tagged _Focus tree, primary edges
-    only. Numbers its non-terminals depth first, children in span order,
-    off an explicit stack, so no depth meets Python's recursion limit. A
-    node at the depth cap takes every token of its span as a child: an H
-    node's P is its first verb, or else its first token."""
+def _assemble(steps, tokens, passage_id, language):
+    """-> (Passage, ParseTrace) of a parse's TraceSteps, keyed (depth,
+    span), primary edges only. Numbers its non-terminals depth first,
+    children in span order, off an explicit stack, so no depth meets
+    Python's recursion limit. A one-token child is a terminal; a span
+    with no step is at the depth cap and takes every token of its span as
+    a child: an H node's P is its first verb, or else its first token."""
     nonterminals, edges = [], []
-    trace = ParseTrace()
-    # (parent id, the child's ChildSpan, its _Focus or None for a terminal)
-    stack = [(None, None, root)]
+    trace = ParseTrace(deepest={(i, i + 1): "t%d" % i
+                                for i in range(len(tokens))})
+    # (parent id, the child's ChildSpan, its depth)
+    stack = [(None, bio.ChildSpan(0, len(tokens), ROOT_MASK), 1)]
     while stack:
-        parent, span, focus = stack.pop()
-        if focus is None:
-            edges.append(Edge(parent, "t%d" % span.start, span.category))
+        parent, child, depth = stack.pop()
+        if parent is not None and child.end - child.start == 1:
+            edges.append(Edge(parent, "t%d" % child.start, child.category))
             continue
+        span = (child.start, child.end)
         node_id = "n%d" % len(nonterminals)
         nonterminals.append(Node(id=node_id, kind="nonterminal"))
         # Ids are given depth first, so a later id with a span lies deeper
         # on the same unary chain.
-        trace.deepest[focus.span] = node_id
+        trace.deepest[span] = node_id
         if parent is not None:
-            edges.append(Edge(parent, node_id, span.category))
-        if focus.step is None:
+            edges.append(Edge(parent, node_id, child.category))
+        step = steps.get((depth, span))
+        if step is None:
             trace.notes.append("depth cap at node %s span %s"
-                               % (node_id, focus.span))
-            positions = range(*focus.span)
+                               % (node_id, span))
+            positions = range(*span)
             p_pos = next((i for i in positions if tokens[i].upos == VERB_UPOS),
-                         positions[0]) if focus.arc == "H" else None
+                         positions[0]) if child.category == "H" else None
             edges.extend(Edge(node_id, "t%d" % i, "P" if i == p_pos
                               else _fallback_category(tokens[i]))
                          for i in positions)
             continue
-        focus.step.node = node_id
-        trace.steps.append(focus.step)
-        stack.extend((node_id, s, child) for s, child in zip(
-            reversed(focus.step.constrained), reversed(focus.children)))
+        step.node = node_id
+        trace.steps.append(step)
+        stack.extend((node_id, s, depth + 1)
+                     for s in reversed(step.constrained))
     trace.tree_notes = len(trace.notes)
     return Passage(passage_id=passage_id, language=language, tokens=tokens,
                    nodes=tuple(nonterminals) + _terminals(len(tokens)),
@@ -299,10 +285,11 @@ def _terminals(n):
                  for i in range(n))
 
 
-def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
-    """Sets focus.step and focus.children from its tagger output: decodes,
-    clips and constrains the child spans and covers every focus token."""
-    start, end = focus.span
+def _expand(span, arc, depth, mask, dist, tokens, mwe_mask, action_flags):
+    """-> the TraceStep of the focus node (span, arc) at depth, from its
+    tagger output: decodes, clips and constrains the child spans and
+    covers every focus token. _assemble sets the step's node id."""
+    start, end = span
     primary = dist.primary_spans
     firings = []
 
@@ -319,11 +306,10 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
                               s.category, False)
         kept.append(s)
 
-    scene_level = focus.arc == "H" or (
-        focus.arc == ROOT_MASK
-        and not any(s.category == "H" for s in kept))
+    scene_level = arc == "H" or (
+        arc == ROOT_MASK and not any(s.category == "H" for s in kept))
     spans = apply_constraints(kept, tokens, dist, mwe_mask, action_flags,
-                              scene_level, focus=focus.span, firings=firings)
+                              scene_level, focus=span, firings=firings)
 
     # Cover focus tokens missed by every child span, in one walk.
     children, covered = [], start
@@ -334,15 +320,11 @@ def _expand(focus, mask, dist, tokens, mwe_mask, action_flags):
         covered = s.end
     children.pop()
 
-    focus.step = TraceStep(
-        depth=focus.depth, focus=focus.span, arc=focus.arc, mask=mask,
+    return TraceStep(
+        depth=depth, focus=span, arc=arc, mask=mask,
         decoded_primary=primary, decoded_remote=(),
         constrained=tuple(children), firings=tuple(firings), node=None,
         remote_summary=dist.remote_summary)
-    focus.children = [
-        None if s.end - s.start == 1 else
-        _Focus((s.start, s.end), s.category, focus.depth + 1)
-        for s in children]
 
 
 def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
@@ -355,29 +337,33 @@ def parse(tokens, tagger, ctx, cfg: DecoderConfig, passage_id="s0",
         raise ParseError("empty token sequence")
     tokens = tuple(tokens)
     language = language or tokens[0].language
-    action_flags = action_noun_flags(tokens, cfg)
+    action_flags = match(cfg.action_noun_lexicon, tokens).flags
     mwe_mask = match(ctx.lexicon, tokens)
     features = ctx.sentence(mwe_mask.flags)
-    root = _Focus((0, len(tokens)), ROOT_MASK, 1)
-    level = [root]
-    # One batch per depth; the nodes at the depth cap stay untagged. Ids
-    # are given after tagging, so an example names its node by depth: the
-    # nodes of one depth have disjoint spans, so depth and mask tell every
-    # node of the parse apart, a unary chain's too.
-    while level and level[0].depth < cfg.max_depth:
+    # (depth, span) -> its node's TraceStep. One batch per depth; the nodes
+    # at the depth cap stay untagged. Ids are given after tagging, so an
+    # example names its node by depth: the nodes of one depth have
+    # disjoint spans, so depth and span tell every node of the parse
+    # apart, a unary chain's too.
+    steps = {}
+    level, depth = [((0, len(tokens)), ROOT_MASK)], 1
+    while level and depth < cfg.max_depth:
         examples = [MaskedExample(
             passage_id=passage_id, tokens=tokens,
-            mask=tuple(focus.arc if focus.span[0] <= i < focus.span[1]
-                       else OUTSIDE for i in range(len(tokens))),
-            focus_node="depth %d" % focus.depth) for focus in level]
+            mask=tuple(arc if span[0] <= i < span[1] else OUTSIDE
+                       for i in range(len(tokens))),
+            focus_node="depth %d" % depth) for span, arc in level]
         dists = tagger.predict_batch(examples, features)
-        for focus, example, dist in zip(level, examples, dists):
+        for (span, arc), example, dist in zip(level, examples, dists):
             dist.check()
-            _expand(focus, example.mask, dist, tokens, mwe_mask, action_flags)
-        level = [child for focus in level for child in focus.children
-                 if child is not None]
+            steps[depth, span] = _expand(span, arc, depth, example.mask, dist,
+                                         tokens, mwe_mask, action_flags)
+        level = [((s.start, s.end), s.category) for span, _ in level
+                 for s in steps[depth, span].constrained
+                 if s.end - s.start > 1]
+        depth += 1
 
-    return resolve_remotes(*_assemble(root, tokens, passage_id, language),
+    return resolve_remotes(*_assemble(steps, tokens, passage_id, language),
                            cfg.remote_threshold)
 
 
@@ -393,9 +379,6 @@ def resolve_remotes(passage, trace, remote_threshold):
                                          remote_threshold))
         steps.append(step if remote == step.decoded_remote
                      else replace(step, decoded_remote=remote))
-    span_to_node = dict(trace.deepest)
-    for i in range(len(passage.tokens)):
-        span_to_node.setdefault((i, i + 1), "t%d" % i)
     edges = [e for e in passage.edges if not e.remote]
     existing = {(e.parent, e.child, e.category) for e in edges}
     notes = trace.notes[:trace.tree_notes]
@@ -403,7 +386,7 @@ def resolve_remotes(passage, trace, remote_threshold):
         parent = step.node
         for s in step.decoded_remote:
             span = (s.start, s.end)
-            target = span_to_node.get(span)
+            target = trace.deepest.get(span)
             if target is None or target == parent or target == passage.root:
                 notes.append("dropped remote %s %s from %s"
                              % (s.category, span, parent))

@@ -528,47 +528,49 @@ def reference_parse(tokens, tagger, ctx, cfg, passage_id="s0",
     and node ids given as the recursion reaches each node, depth first,
     children in span order."""
     tokens = tuple(tokens)
-    action_flags = parser.action_noun_flags(tokens, cfg)
+    action_flags = match(cfg.action_noun_lexicon, tokens).flags
     mwe_mask = match(ctx.lexicon, tokens)
     nonterminals, edges = [], []
     trace = parser.ParseTrace()
 
-    def visit(focus, parent, category):
+    def visit(span, arc, depth, parent):
         nid = "n%d" % len(nonterminals)
         nonterminals.append(Node(nid, "nonterminal"))
-        trace.deepest[focus.span] = nid
+        trace.deepest[span] = nid
         if parent is not None:
-            edges.append(Edge(parent, nid, category))
-        start, end = focus.span
-        if focus.depth >= cfg.max_depth:
-            trace.notes.append("depth cap at node %s span %s"
-                               % (nid, focus.span))
+            edges.append(Edge(parent, nid, arc))
+        start, end = span
+        if depth >= cfg.max_depth:
+            trace.notes.append("depth cap at node %s span %s" % (nid, span))
             verbs = [i for i in range(start, end)
                      if tokens[i].upos == "VERB"]
-            p = (verbs + [start])[0] if focus.arc == "H" else None
+            p = (verbs + [start])[0] if arc == "H" else None
             for i in range(start, end):
                 edges.append(Edge(nid, "t%d" % i, "P" if i == p else
                                   parser._fallback_category(tokens[i])))
             return
         example = MaskedExample(
             passage_id=passage_id, tokens=tokens,
-            mask=tuple(focus.arc if start <= i < end else OUTSIDE
+            mask=tuple(arc if start <= i < end else OUTSIDE
                        for i in range(len(tokens))),
-            focus_node="depth %d" % focus.depth)
+            focus_node="depth %d" % depth)
         dist = tagger.predict(example, ctx.sentence(mwe_mask.flags))
         dist.check()
-        parser._expand(focus, example.mask, dist, tokens, mwe_mask,
-                       action_flags)
-        focus.step.node = nid
-        trace.steps.append(focus.step)
-        for s, child in zip(focus.step.constrained, focus.children):
-            if child is None:
+        step = parser._expand(span, arc, depth, example.mask, dist, tokens,
+                              mwe_mask, action_flags)
+        step.node = nid
+        trace.steps.append(step)
+        for s in step.constrained:
+            if s.end - s.start == 1:
                 edges.append(Edge(nid, "t%d" % s.start, s.category))
             else:
-                visit(child, nid, s.category)
+                visit((s.start, s.end), s.category, depth + 1, nid)
 
-    visit(parser._Focus((0, len(tokens)), ROOT_MASK, 1), None, None)
+    visit((0, len(tokens)), ROOT_MASK, 1, None)
     trace.tree_notes = len(trace.notes)
+    # A one-token span no non-terminal has names its token's terminal.
+    for i in range(len(tokens)):
+        trace.deepest.setdefault((i, i + 1), "t%d" % i)
     passage = Passage(
         passage_id=passage_id, language=language or tokens[0].language,
         tokens=tokens, nodes=tuple(nonterminals) + tuple(

@@ -545,6 +545,29 @@ def test_an_empty_config_gives_the_dataclass_defaults(no_rucca_env):
     assert cli._decoder_config(config) == DecoderConfig()
 
 
+@pytest.mark.parametrize("config_language, env_language, expected", [
+    pytest.param("fr", None, "fr", id="own-key"),
+    pytest.param("en", None, "shared", id="fallback"),
+    pytest.param("en", "fr", "fr", id="env-language"),
+])
+def test_the_language_picks_its_own_lexicon(tmp_path, no_rucca_env,
+                                            monkeypatch, config_language,
+                                            env_language, expected):
+    """lexicon_<language> beats lexicon when the language has one, and
+    RUCCA_LANGUAGE beats the config's language."""
+    (tmp_path / "fr.txt").write_text("pomme de terre\n")
+    (tmp_path / "shared.txt").write_text("in front of\n")
+    config = _write_config(tmp_path / "c.cfg", language=config_language,
+                           lexicon=tmp_path / "shared.txt",
+                           lexicon_fr=tmp_path / "fr.txt")
+    if env_language is not None:
+        monkeypatch.setenv("RUCCA_LANGUAGE", env_language)
+    expressions = {"fr": {("pomme", "de", "terre")},
+                   "shared": {("in", "front", "of")}}
+    assert cli._lexicon(cli.load_config(config)).expressions == \
+        expressions[expected]
+
+
 # Per settings dataclass: the command's builder, and the object it should
 # build from one field's value.
 _BUILDERS = {

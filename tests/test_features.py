@@ -238,8 +238,8 @@ def test_featurize_matches_per_table_reference(case):
 
 @given(_featurizer_case())
 def test_remask_equals_featurize_under_the_new_mask(case):
-    """A sentence's feature source featurizes its first example and
-    remasks that result for the next."""
+    """A sentence's feature source featurizes its first example and gives
+    that result under the next example's mask."""
     ctx, example, mask = case
     source = ctx.sentence(match(ctx.lexicon, example.tokens).flags)
     feats = source(example)

@@ -13,8 +13,8 @@ from rucca.evaluator import score
 from rucca.features import WORD_DIM, WordEmbeddingTable
 from rucca.graph import Edge, TokenRow, all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
-from rucca.parser import (DecoderConfig, ParseError, action_noun_flags,
-                          apply_constraints, parse, resolve_remotes)
+from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
+                          parse, resolve_remotes)
 from rucca.lexicon import MweMask, match
 from rucca.tagger import OracleTagger, ReplayTagger, Tagger
 
@@ -80,7 +80,7 @@ def test_constraint_scene_merge_action_noun_qualifies():
     spans = _spans((0, 2, "H"), (2, 4, "H"))
     cfg = DecoderConfig(action_noun_lexicon=lex)
     out = apply_constraints(spans, tokens, _uniformish(4), NO_MWE,
-                            action_noun_flags(tokens, cfg),
+                            match(cfg.action_noun_lexicon, tokens).flags,
                             at_scene_level=False)
     assert out == spans  # both scenes qualify, nothing merges
 
@@ -434,7 +434,9 @@ def test_depth_capped_scene_gets_its_p_on_the_first_verb(pairs, categories):
 def test_parse_matches_the_recursive_reference(seed, unary, max_depth):
     """parse, which tags one depth per batch and assembles the tree with a
     stack, gives the passage and trace of a plain recursion that tags one
-    node per call, unary chains and depth caps included."""
+    node per call, unary chains and depth caps included. parse keys each
+    step by its depth and focus span: no two of the reference's steps
+    share both, and the focus spans of one depth are pairwise disjoint."""
     corpus = random_corpus(seed, 2)
     ctx = context_for(corpus)
     cfg = DecoderConfig(max_depth=max_depth)
@@ -448,6 +450,11 @@ def test_parse_matches_the_recursive_reference(seed, unary, max_depth):
         assert got_trace.render() == expected_trace.render()
         assert got_trace.notes == expected_trace.notes
         assert got_trace.deepest == expected_trace.deepest
+        keys = [(s.depth, s.focus) for s in expected_trace.steps]
+        assert len(set(keys)) == len(keys)
+        for depth in {d for d, _ in keys}:
+            spans = sorted(f for d, f in keys if d == depth)
+            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 def test_parse_rejects_rows_that_do_not_sum_to_one():
