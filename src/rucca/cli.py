@@ -275,12 +275,19 @@ def cmd_tune(config, args):
     print("%8s %12s %12s" % ("theta", "remote F1", "avg labeled F1"))
     # The threshold reaches only the remotes, so every threshold tags the
     # same focus nodes: the first parse of the dev set tags them, and the
-    # others replay its predictions.
+    # others replay its predictions. A sentence whose passage equals its
+    # passage at the previous threshold keeps that threshold's report.
     model = tagger_mod.ReplayTagger(model)
+    sentences = _sentences(gold)
+    scored = [(None, None)] * len(gold)  # each sentence's (passage, report)
     for theta in THRESHOLD_SWEEP:
-        report = score_parses(
-            gold, model, ctx,
-            replace(dcfg, remote_threshold=theta))
+        parsed = parse_sentences(sentences, model, ctx,
+                                 replace(dcfg, remote_threshold=theta))
+        report = evaluator.EvalReport()
+        for i, ((passage, _), g) in enumerate(zip(parsed, gold)):
+            if passage != scored[i][0]:
+                scored[i] = (passage, evaluator.score(passage, g))
+            report = report + scored[i][1]
         avg = report.labeled["avg"].f1
         rem = report.labeled["remote"].f1
         print("%8.2f %12.4f %12.4f" % (theta, rem, avg))

@@ -133,8 +133,6 @@ def load_embeddings(path) -> WordEmbeddingTable:
     vectors = {}
     for lineno, line in text_lines(path):
         parts = line.rstrip("\n").split(" ")
-        if len(parts) < 2:
-            continue
         word, values = parts[0], parts[1:]
         if len(values) != WORD_DIM:
             continue

@@ -149,6 +149,8 @@ def all_yields(passage: Passage):
 
 
 def is_contiguous(positions) -> bool:
+    """True iff the positions form one unbroken run; an empty set, such
+    as the yield of a node with no terminal below it, is not one."""
     if not positions:
         return False
     return max(positions) - min(positions) + 1 == len(positions)

@@ -255,6 +255,9 @@ class GruTagger:
     # -- loss and gradients -------------------------------------------------
 
     def target_ids(self, example: MaskedExample):
+        """-> (BIO label ids, aux label ids) of a training example; an
+        example with no BIO target (a non-representable one) is a
+        ValueError."""
         if example.target_bio is None:
             raise ValueError("example %s has no BIO target"
                              % example.passage_id)

@@ -193,6 +193,13 @@ def test_encode_refuses_an_empty_child_yield():
         bio.encode(p, "n0")
 
 
+def test_encode_refuses_a_terminal():
+    p = fig1_passage()
+    terminal = next(n.id for n in p.nodes if n.is_terminal())
+    with pytest.raises(ValueError, match="terminal %s$" % terminal):
+        bio.encode(p, terminal)
+
+
 def test_decode_labels_simple():
     spans = bio.decode_labels(["O", "O", "B-A", "I-A", "O"])
     assert spans == [bio.ChildSpan(2, 4, "A", False)]
@@ -316,6 +323,13 @@ def test_check_raises_exactly_as_the_two_condition_formula(seed, length,
             t1[row % length, col] = value
     assert _check_message(t1) == reference_check(t1)
 
+
+
+@pytest.mark.parametrize("shape", [(bio.N_BIO,), (2, bio.N_BIO - 1),
+                                   (2, bio.N_BIO + 1), (1, 2, bio.N_BIO)])
+def test_check_refuses_rows_that_are_not_t_by_53(shape):
+    t1 = np.full(shape, 1.0 / shape[-1])
+    assert _check_message(t1) == "task1 distribution has shape %s" % (shape,)
 
 
 def test_decode_probs_one_hot_matches_labels():

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from rucca import bio, cli, features
+from rucca import bio, cli, evaluator, features
 from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
@@ -450,6 +450,65 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
     assert featurized == [p.tokens for p in dev_passages]
 
 
+def test_tune_scores_each_sentence_once_per_distinct_parse(
+        tmp_path, monkeypatch, capsys):
+    """tune scores a dev sentence at the first threshold and again only at
+    a threshold whose parse differs from the previous threshold's; under
+    the oracle every threshold gives one parse."""
+    gold = tmp_path / "gold.jsonl"
+    save_passages(_gold_corpus(), gold)
+    dev_passages = _gold_corpus() + random_corpus(seed=3, count=4)
+    dev = tmp_path / "dev.jsonl"
+    save_passages(dev_passages, dev)
+    config = _write_config(
+        tmp_path / "c.cfg", train_passages=gold, expanded=tmp_path / "e",
+        expanded_out=tmp_path / "e", model=tmp_path / "m.ckpt",
+        train_log=tmp_path / "log", epochs=20, hidden=8, cat_dim=2,
+        batch_size=4, learning_rate=0.05, seed=13)
+    assert cli.main(["--config", config, "expand"]) == cli.EXIT_OK
+    assert cli.main(["--config", config, "train"]) == cli.EXIT_OK
+
+    loaded = cli.load_config(config)
+    model, ctx = cli._tagger_and_context(loaded)
+    dcfg = cli._decoder_config(loaded)
+    sentences = cli._sentences(dev_passages)
+    sweep = [[passage for passage, _ in cli.parse_sentences(
+        sentences, model, ctx, replace(dcfg, remote_threshold=theta))]
+        for theta in cli.THRESHOLD_SWEEP]
+    expected = len(dev_passages) + sum(
+        a != b for before, after in zip(sweep, sweep[1:])
+        for a, b in zip(before, after))
+    # Some parses change with the threshold, and most do not.
+    assert len(dev_passages) < expected < 2 * len(dev_passages)
+
+    scored = []  # the (predicted, gold) pair of each evaluator.score call
+
+    def counted(pred, gold):
+        scored.append((pred, gold))
+        return score(pred, gold)
+
+    monkeypatch.setattr(evaluator, "score", counted)
+    out = str(tmp_path / "tuned.cfg")
+    assert cli.main(["--config", config, "tune", "--dev", str(dev),
+                     "--out", out]) == cli.EXIT_OK
+    assert len(scored) == expected
+    scored.clear()
+    assert cli.main(["--config", config, "tune", "--oracle", "--dev",
+                     str(dev), "--out", out]) == cli.EXIT_OK
+    assert [gold for _, gold in scored] == dev_passages
+
+
+def test_tune_without_config_or_out_writes_tuned_config(
+        tmp_path, monkeypatch, capsys):
+    dev = tmp_path / "dev.jsonl"
+    save_passages(_gold_corpus(), dev)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["tune", "--oracle", "--dev", str(dev)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith(" -> tuned.config\n")
+    assert cli.load_config(str(tmp_path / "tuned.config")).values == {
+        "remote_threshold": "0.05"}
+
+
 def test_empty_gold_file_is_a_data_error(tmp_path, capsys):
     """A gold passage file with no passage, where one is needed, ends in
     one data error naming it: tune with a trained tagger or the oracle,
@@ -645,6 +704,9 @@ def test_config_file_save_load_roundtrip(tmp_path):
     cli.save_config(cfg, path)
     loaded = cli.load_config(str(path))
     assert loaded.values == cfg.values
+    # blank lines and # comments are skipped
+    path.write_text("# a comment\n\n   \n" + path.read_text() + "\n# end\n")
+    assert cli.load_config(str(path)).values == cfg.values
 
 
 def _edit_header(blob, change):
@@ -744,6 +806,15 @@ def _no_tokens_example(record):
                   representable=True)
 
 
+def _none_representable(blob):
+    header, *lines = blob.decode("utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        record["representable"] = False
+    return ("\n".join([header] + [json.dumps(r) for r in records])
+            + "\n").encode("utf-8")
+
+
 def _not_utf8(blob):
     return b"\xff\xfe" + blob
 
@@ -817,6 +888,9 @@ def _sing_to_song(blob):
                  {"expanded": _edit_last_record(_mask_not_a_list)},
                  cli.EXIT_DATA, "expanded.jsonl:",
                  id="example-mask-not-a-list"),
+    pytest.param(["train"], {}, {}, {"expanded": _none_representable},
+                 cli.EXIT_DATA, "data error: no trainable examples\n",
+                 id="examples-none-trainable"),
     pytest.param(["expand"], {}, {},
                  {"train_passages": _edit_last_record(_morph_not_an_object)},
                  cli.EXIT_DATA, "gold.jsonl:",

@@ -181,6 +181,16 @@ def test_load_reports_line_numbers(tmp_path):
         load_passages(path)
 
 
+@pytest.mark.parametrize("load", [load_passages, load_examples])
+@pytest.mark.parametrize("line", ["[1, 2]", '"n0"', "null", "3"])
+def test_a_record_that_is_no_object_names_its_line(tmp_path, load, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("# rucca passages v1\n\n%s\n" % line)
+    with pytest.raises(CorpusError,
+                       match=r"bad\.jsonl:3: expected a JSON object$"):
+        load(path)
+
+
 def test_fifteen_passage_file(tmp_path):
     # Mirrors the tiny French training partition size.
     path = tmp_path / "fr.jsonl"
@@ -356,9 +366,12 @@ def test_save_examples_writes_one_json_dumps_per_record(tmp_path_factory,
 def test_load_conll_tokens(tmp_path):
     path = tmp_path / "t.conll"
     path.write_text(
+        "# sent_id = 1\n"
         "1\tShe\tPRON\t_\tNumber=Sing\t2\tnsubj\n"
+        "# a comment line inside a sentence\n"
         "2\tsings\tVERB\tVBZ\t_\t0\troot\n"
         "\n"
+        "# text = Go\n"
         "1\tGo\tVERB\t_\t_\t0\troot\n")
     sentences = load_conll_tokens(path, language="en")
     assert len(sentences) == 2

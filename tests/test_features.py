@@ -129,9 +129,9 @@ def test_load_embeddings(tmp_path):
     dim = 300
     row = " ".join(["0.5"] * dim)
     short = " ".join(["0.1"] * (dim - 1))
-    path.write_text("dog %s\ncat %s\nbad %s\n" % (row, row, short))
+    path.write_text("dog %s\ncat %s\nbad %s\nlone\n\n" % (row, row, short))
     table = load_embeddings(path)
-    assert len(table.vectors) == 2  # the short row is skipped
+    assert len(table.vectors) == 2  # the short and one-field rows are skipped
     assert table.lookup("dog").shape == (300,)
     assert np.all(table.lookup("missing") == 0.0)
 

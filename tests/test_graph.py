@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rucca.bio import ChildSpan
 from rucca.corpus import MaskedExample
 from rucca.graph import (CATEGORIES, CATEGORY_SET, Edge, Node, Passage,
-                         TokenRow, all_yields, make_token, non_terminals,
-                         validate)
+                         TokenRow, all_yields, is_contiguous, make_token,
+                         non_terminals, validate)
 
 from helpers import (brute_force_yield, fig1_passage, fixture_corpus,
                      random_corpus, random_passage, reference_validate,
@@ -61,6 +61,12 @@ def test_records_are_immutable_values_with_a_fixed_repr(cls, values, name,
     assert hash(record) == hash(tuple(values.values()))
     changed = cls(**{**values, name: other})
     assert changed != record and getattr(changed, name) == other
+
+
+def test_is_contiguous():
+    assert is_contiguous({3}) and is_contiguous([2, 0, 1])
+    assert not is_contiguous([0, 2])
+    assert not is_contiguous(())  # an empty yield is not contiguous
 
 
 def test_validate_minimal_passage():

@@ -123,6 +123,14 @@ def test_forward_batch_rejects_mixed_lengths():
         tagger.predict_batch([examples[0], short], ctx.featurize)
 
 
+def test_target_ids_refuses_an_example_without_a_bio_target():
+    tagger, _, examples = _tiny_setup()
+    example = examples[0]._replace(target_bio=None, target_aux=None,
+                                   representable=False)
+    with pytest.raises(ValueError, match="has no BIO target"):
+        tagger.target_ids(example)
+
+
 def test_loss_uniform_analytic_value():
     # With TASK1-only loss and uniform predictions, loss = ln 53.
     tagger, ctx, examples = _tiny_setup(lambda_aux=0.0)
