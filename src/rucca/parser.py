@@ -12,7 +12,7 @@ depth-first pass off an explicit stack, so max_depth alone bounds a
 parse's depth. The primary tree does not depend on the remote threshold:
 the trace keeps each tagged node's remote probability rows, and
 resolve_remotes turns them into remote edges of the finished tree at any
-threshold.
+threshold. parse_sentences is the one parse loop; score_parses scores it.
 """
 
 import bisect
@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from . import bio
+from . import bio, evaluator
 from .corpus import MaskedExample
 from .graph import (OUTSIDE, ROOT_MASK, Edge, Node, Passage, validate)
 from .lexicon import EMPTY_LEXICON, ExpressionLexicon, match
@@ -406,3 +406,25 @@ def resolve_remotes(passage, trace, remote_threshold):
         raise ParseError("parser produced invalid passage: %s"
                          % "; ".join(violations))
     return resolved, replace(trace, steps=steps, notes=notes)
+
+
+def parse_sentences(sentences, tagger, ctx, cfg):
+    """The parse loop: (passage_id, tokens, language) triples ->
+    [(Passage, ParseTrace)], in input order."""
+    return [parse(tokens, tagger, ctx, cfg, passage_id=pid,
+                  language=language)
+            for pid, tokens, language in sentences]
+
+
+def score_parses(gold, tagger, ctx, cfgs):
+    """Yields, for each DecoderConfig of cfgs in order, the overall
+    EvalReport of parsing the gold passages' sentences under it. A score
+    depends on the two passages alone, so a sentence is scored again only
+    when its passage differs from its passage under the previous config."""
+    sentences = [(p.passage_id, p.tokens, p.language) for p in gold]
+    scored = [(None, None)] * len(gold)  # each sentence's (passage, report)
+    for cfg in cfgs:
+        parsed = parse_sentences(sentences, tagger, ctx, cfg)
+        scored = [(p, r if p == q else evaluator.score(p, g))
+                  for (p, _), g, (q, r) in zip(parsed, gold, scored)]
+        yield sum((r for _, r in scored), evaluator.EvalReport())

@@ -110,7 +110,11 @@ class Tagger:
     predict(example, features). The parser calls predict_batch(examples,
     features) with the focus nodes of one depth of one sentence and its
     feature source (FeaturizerContext.sentence), which featurizes only
-    when read; this base hands it to predict unread."""
+    when read; this base hands it to predict unread. The contract that
+    ReplayTagger and tune rely on: an output depends only on its example
+    and the features its source gives, never on the decoder's settings.
+    GruTagger and OracleTagger keep it; a stream of draws in call order
+    keeps it only while the calls come in the same order."""
 
     def predict_batch(self, examples, features):
         return [self.predict(example, features) for example in examples]

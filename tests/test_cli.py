@@ -13,7 +13,7 @@ from rucca.corpus import expand, load_passages, save_examples, save_passages
 from rucca.evaluator import score
 from rucca.features import fit_vocabularies
 from rucca.graph import Edge, Node, Passage, make_token, non_terminals
-from rucca.parser import DecoderConfig
+from rucca.parser import DecoderConfig, parse_sentences
 from rucca.tagger import (MAGIC, GruTagger, TaggerConfig, TrainConfig,
                           load_checkpoint, save_checkpoint)
 
@@ -404,16 +404,19 @@ def test_tune_tags_once_and_matches_a_parse_per_threshold(
     loaded = cli.load_config(config)
     model, ctx = cli._tagger_and_context(loaded)
     dcfg = cli._decoder_config(loaded)
+    sentences = [(p.passage_id, p.tokens, p.language) for p in dev_passages]
     rows = []
     for theta in cli.THRESHOLD_SWEEP:
-        report = cli.score_parses(dev_passages, model, ctx,
-                                  replace(dcfg, remote_threshold=theta))
+        parsed = parse_sentences(sentences, model, ctx,
+                                 replace(dcfg, remote_threshold=theta))
+        report = evaluator.score_corpus(
+            [(p, g) for (p, _), g in zip(parsed, dev_passages)]).overall
         rows.append("%8.2f %12.4f %12.4f" % (
             theta, report.labeled["remote"].f1, report.labeled["avg"].f1))
     # A trained model, unlike the oracle, scores differently by threshold.
     assert len({row.split(None, 1)[1] for row in rows}) > 1
-    one_pass = sum(len(trace.steps) for _, trace in cli.parse_sentences(
-        cli._sentences(dev_passages), model, ctx, dcfg))
+    one_pass = sum(len(trace.steps) for _, trace in parse_sentences(
+        sentences, model, ctx, dcfg))
 
     rows_tagged = []
     predict_batch = GruTagger.predict_batch
@@ -471,8 +474,8 @@ def test_tune_scores_each_sentence_once_per_distinct_parse(
     loaded = cli.load_config(config)
     model, ctx = cli._tagger_and_context(loaded)
     dcfg = cli._decoder_config(loaded)
-    sentences = cli._sentences(dev_passages)
-    sweep = [[passage for passage, _ in cli.parse_sentences(
+    sentences = [(p.passage_id, p.tokens, p.language) for p in dev_passages]
+    sweep = [[passage for passage, _ in parse_sentences(
         sentences, model, ctx, replace(dcfg, remote_threshold=theta))]
         for theta in cli.THRESHOLD_SWEEP]
     expected = len(dev_passages) + sum(

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rucca import bio, cli, features, parser
-from rucca.corpus import passage_to_record
-from rucca.evaluator import score
+from rucca import bio, cli, evaluator, features, parser
+from rucca.corpus import AUX_OUTSIDE, passage_to_record
+from rucca.evaluator import score, score_corpus
 from rucca.features import WORD_DIM, WordEmbeddingTable
 from rucca.graph import Edge, TokenRow, all_yields, make_token, validate
 from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
                           parse, resolve_remotes)
 from rucca.lexicon import MweMask, match
-from rucca.tagger import OracleTagger, ReplayTagger, Tagger
+from rucca.tagger import (GruTagger, OracleTagger, ReplayTagger, Tagger,
+                          TaggerConfig)
 
 from helpers import (FixedTagger, KeyedRandomTagger, RandomTagger,
                      assert_same_features, context_for, fig1_passage,
@@ -478,19 +479,75 @@ def test_parse_empty_input_rejected():
 
 
 def test_parse_sentences_keeps_input_order():
+    """Each sentence gets, in input order, the parse that a plain parse
+    call gives it, also when two sentences share a passage id."""
     corpus = random_corpus(seed=51, count=3)
     ctx = context_for(corpus)
     oracle = OracleTagger(corpus)
     sentences = [(p.passage_id, p.tokens, p.language)
                  for p in reversed(corpus)]
-    parsed = cli.parse_sentences(sentences, oracle, ctx, DecoderConfig())
+    parsed = parser.parse_sentences(sentences, oracle, ctx, DecoderConfig())
     assert [p.passage_id for p, _ in parsed] == \
         [pid for pid, _, _ in sentences]
     for (predicted, trace), gold in zip(parsed, reversed(corpus)):
         assert predicted.tokens == gold.tokens
         assert score(predicted, gold).labeled["avg"].f1 == 1.0
         assert trace.steps
-    assert cli.parse_sentences([], oracle, ctx, DecoderConfig()) == []
+    assert parser.parse_sentences([], oracle, ctx, DecoderConfig()) == []
+    # Twins: one passage id, different tokens, and a tagger that reads
+    # their features.
+    model = GruTagger(TaggerConfig(hidden=4, cat_dim=2), ctx.vocab,
+                      (AUX_OUTSIDE,))
+    twins = [("twin", p.tokens, p.language) for p in corpus[:2]]
+    assert twins[0][1] != twins[1][1]
+    assert parser.parse_sentences(twins, model, ctx, DecoderConfig()) == [
+        parse(tokens, model, ctx, DecoderConfig(), passage_id=pid,
+              language=language) for pid, tokens, language in twins]
+
+
+@pytest.mark.parametrize("max_depth", [20, 2])
+def test_score_parses_matches_a_fresh_parse_and_score_per_config(
+        max_depth, monkeypatch):
+    """score_parses gives, for each config in order, the overall report of
+    a fresh parse and score of the set under it. Through a ReplayTagger,
+    the inner tagger tags each node of one parse of the set once. A
+    sentence is scored under the first config, and again only under a
+    config whose parse of it differs from the previous config's."""
+    corpus = fixture_corpus()
+    ctx = context_for(corpus)
+    sentences = [(p.passage_id, p.tokens, p.language) for p in corpus]
+    cfgs = [DecoderConfig(remote_threshold=theta, max_depth=max_depth)
+            for theta in (0.3, 0.3, 0.05, 0.1, 0.2, 0.4, 0.95, 0.4, 0.15)]
+    fresh = [parser.parse_sentences(sentences, KeyedRandomTagger(7, 0.3),
+                                    ctx, cfg) for cfg in cfgs]
+    expected = [score_corpus([(p, g) for (p, _), g in zip(parsed, corpus)])
+                .overall for parsed in fresh]
+    passages = [[p for p, _ in parsed] for parsed in fresh]
+    changed = sum(a != b for before, after in zip(passages, passages[1:])
+                  for a, b in zip(before, after))
+    steps = [s for _, trace in fresh[0] for s in trace.steps]
+    notes = [n for _, trace in fresh[0] for n in trace.notes]
+    # The random rows give remotes, changed by some thresholds, and unary
+    # chains; the shallow cap gives depth caps.
+    assert any(e.remote for parsed in passages for p in parsed
+               for e in p.edges)
+    assert 0 < changed < len(corpus) * (len(cfgs) - 1)
+    assert any(len(s.constrained) == 1 for s in steps)
+    assert any(n.startswith("depth cap") for n in notes) == (max_depth == 2)
+
+    scored = []
+    score_one = evaluator.score
+
+    def counted(pred, gold):
+        scored.append(pred)
+        return score_one(pred, gold)
+
+    monkeypatch.setattr(evaluator, "score", counted)
+    inner = KeyedRandomTagger(7, 0.3)
+    got = list(parser.score_parses(corpus, ReplayTagger(inner), ctx, cfgs))
+    assert got == expected
+    assert inner.calls == len(steps)
+    assert len(scored) == len(corpus) + changed
 
 
 def test_parse_remote_threshold_one_drops_remotes():
@@ -708,8 +765,9 @@ def test_parse_featurizes_each_sentence_once(monkeypatch):
             return super().predict(example, source)
 
     monkeypatch.setattr(features, "featurize", counted)
-    parsed = cli.parse_sentences(cli._sentences(corpus), Recording(corpus),
-                                 ctx, DecoderConfig())
+    parsed = parser.parse_sentences(
+        [(p.passage_id, p.tokens, p.language) for p in corpus],
+        Recording(corpus), ctx, DecoderConfig())
     assert featurized == [p.tokens for p in corpus]
     assert len(tagged) == sum(len(t.steps) for _, t in parsed) \
         > 2 * len(corpus)
