@@ -57,13 +57,12 @@ class RemoteSummary:
 
 @dataclass(frozen=True)
 class TagDistribution:
-    """Per-token probability rows over the BIO vocabulary (TASK1) and,
-    optionally, the auxiliary vocabulary (TASK2). A passed check, the
-    primary spans and the REM summary are kept on first use, so a tagger
-    output parsed again costs lookups; a failed check raises every time."""
+    """Per-token probability rows over the BIO vocabulary (TASK1). A
+    passed check, the primary spans and the REM summary are kept on first
+    use, so a tagger output parsed again costs lookups; a failed check
+    raises every time."""
 
     task1: np.ndarray  # (T, 53)
-    task2: object = None  # (T, n_aux) or None
 
     def check(self):
         self._checked  # raises ValueError on rows that are no distribution

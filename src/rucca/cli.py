@@ -192,7 +192,7 @@ def cmd_train(config, args):
         print(line)
 
     def dev_score(model):
-        return next(score_parses(dev, model, ctx, [dcfg])).labeled["avg"].f1
+        return score_parses(dev, model, ctx, [dcfg])[0].labeled["avg"].f1
 
     model, _ = tagger_mod.train(examples, ctx, tcfg,
                                 dev_score=dev_score if dev else None,
@@ -256,10 +256,7 @@ def cmd_tune(config, args):
         config, oracle_gold=gold if args.oracle else None)
     best = None
     print("%8s %12s %12s" % ("theta", "remote F1", "avg labeled F1"))
-    # The threshold reaches only the remotes, so every threshold tags the
-    # same focus nodes: the first parse of the dev set tags them, and the
-    # others replay its predictions.
-    reports = score_parses(gold, tagger_mod.ReplayTagger(model), ctx, [
+    reports = score_parses(gold, model, ctx, [
         replace(dcfg, remote_threshold=theta) for theta in THRESHOLD_SWEEP])
     for theta, report in zip(THRESHOLD_SWEEP, reports):
         avg = report.labeled["avg"].f1

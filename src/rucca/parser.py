@@ -16,6 +16,7 @@ threshold. parse_sentences is the one parse loop; score_parses scores it.
 """
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -56,21 +57,20 @@ class TraceStep:
     arc: str
     mask: tuple
     decoded_primary: tuple
-    decoded_remote: tuple
     constrained: tuple
     firings: tuple
     node: str  # the focus node's id
     # the tagger output's TagDistribution.remote_summary (shared)
     remote_summary: bio.RemoteSummary = field(repr=False, compare=False)
 
-    def render(self):
+    def render(self, remote_threshold):
         return ("depth=%d focus=%s arc=%s decoded=%s remote=%s "
                 "constrained=%s firings=%s"
                 % (self.depth, self.focus, self.arc,
                    [(s.start, s.end, s.category)
                     for s in self.decoded_primary],
-                   [(s.start, s.end, s.category)
-                    for s in self.decoded_remote],
+                   [(s.start, s.end, s.category) for s in bio.decode_remote(
+                       self.remote_summary, remote_threshold)],
                    [(s.start, s.end, s.category) for s in self.constrained],
                    list(self.firings)))
 
@@ -83,9 +83,11 @@ class ParseTrace:
     # terminal unless a non-terminal has it, depth-capped ones included
     deepest: dict = field(default_factory=dict)
     tree_notes: int = 0  # leading notes written while building the tree
+    # the threshold of the remote edges; inf, no remote, until resolved
+    remote_threshold: float = math.inf
 
     def render(self):
-        lines = [s.render() for s in self.steps]
+        lines = [s.render(self.remote_threshold) for s in self.steps]
         lines.extend("note: %s" % n for n in self.notes)
         return "\n".join(lines)
 
@@ -322,8 +324,8 @@ def _expand(span, arc, depth, mask, dist, tokens, mwe_mask, action_flags):
 
     return TraceStep(
         depth=depth, focus=span, arc=arc, mask=mask,
-        decoded_primary=primary, decoded_remote=(),
-        constrained=tuple(children), firings=tuple(firings), node=None,
+        decoded_primary=primary, constrained=tuple(children),
+        firings=tuple(firings), node=None,
         remote_summary=dist.remote_summary)
 
 
@@ -371,20 +373,14 @@ def resolve_remotes(passage, trace, remote_threshold):
     """-> (Passage, ParseTrace): a parse's primary tree with the remote
     edges its trace's REM summaries give at remote_threshold. Each remote
     span is attached to the deepest node whose primary yield equals it.
-    A step whose remote spans do not change is kept, not copied, and the
-    input trace is left as it was."""
-    steps = []
-    for step in trace.steps:
-        remote = tuple(bio.decode_remote(step.remote_summary,
-                                         remote_threshold))
-        steps.append(step if remote == step.decoded_remote
-                     else replace(step, decoded_remote=remote))
+    The new trace shares every step with the input trace, which is left
+    as it was."""
     edges = [e for e in passage.edges if not e.remote]
     existing = {(e.parent, e.child, e.category) for e in edges}
     notes = trace.notes[:trace.tree_notes]
-    for step in steps:
+    for step in trace.steps:
         parent = step.node
-        for s in step.decoded_remote:
+        for s in bio.decode_remote(step.remote_summary, remote_threshold):
             span = (s.start, s.end)
             target = trace.deepest.get(span)
             if target is None or target == parent or target == passage.root:
@@ -405,7 +401,8 @@ def resolve_remotes(passage, trace, remote_threshold):
     if violations:
         raise ParseError("parser produced invalid passage: %s"
                          % "; ".join(violations))
-    return resolved, replace(trace, steps=steps, notes=notes)
+    return resolved, replace(trace, notes=notes,
+                             remote_threshold=remote_threshold)
 
 
 def parse_sentences(sentences, tagger, ctx, cfg):
@@ -416,15 +413,39 @@ def parse_sentences(sentences, tagger, ctx, cfg):
             for pid, tokens, language in sentences]
 
 
+class _Replay:
+    """One sentence's tagger: the wrapped one tags each focus node once,
+    and a parse under another decoder setting replays its outputs. In one
+    sentence a focus node and mask name one node: the nodes of a depth
+    have disjoint spans, and a unary chain's nodes differ by depth."""
+
+    def __init__(self, tagger):
+        self.tagger = tagger
+        self.memo = {}  # (focus_node, mask) -> TagDistribution
+
+    def predict_batch(self, examples, features):
+        """Only the examples not seen before are tagged, in one batch."""
+        keys = [(ex.focus_node, ex.mask) for ex in examples]
+        misses = [i for i, key in enumerate(keys) if key not in self.memo]
+        self.memo.update(zip([keys[i] for i in misses],
+                             self.tagger.predict_batch(
+                                 [examples[i] for i in misses], features)))
+        return [self.memo[key] for key in keys]
+
+
 def score_parses(gold, tagger, ctx, cfgs):
-    """Yields, for each DecoderConfig of cfgs in order, the overall
-    EvalReport of parsing the gold passages' sentences under it. A score
-    depends on the two passages alone, so a sentence is scored again only
-    when its passage differs from its passage under the previous config."""
-    sentences = [(p.passage_id, p.tokens, p.language) for p in gold]
-    scored = [(None, None)] * len(gold)  # each sentence's (passage, report)
-    for cfg in cfgs:
-        parsed = parse_sentences(sentences, tagger, ctx, cfg)
-        scored = [(p, r if p == q else evaluator.score(p, g))
-                  for (p, _), g, (q, r) in zip(parsed, gold, scored)]
-        yield sum((r for _, r in scored), evaluator.EvalReport())
+    """-> [EvalReport]: for each DecoderConfig of cfgs in order, the
+    overall report of parsing the gold passages' sentences under it. Each
+    sentence is parsed under every config in turn through its own _Replay,
+    so it is tagged once, and scored again only when its passage differs
+    from its passage under the previous config."""
+    totals = [evaluator.EvalReport() for _ in cfgs]
+    for g in gold:
+        replay, last = _Replay(tagger), None
+        for i, cfg in enumerate(cfgs):
+            passage, _ = parse(g.tokens, replay, ctx, cfg,
+                               passage_id=g.passage_id, language=g.language)
+            if passage != last:
+                last, report = passage, evaluator.score(passage, g)
+            totals[i] += report
+    return totals

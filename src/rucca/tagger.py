@@ -111,7 +111,7 @@ class Tagger:
     features) with the focus nodes of one depth of one sentence and its
     feature source (FeaturizerContext.sentence), which featurizes only
     when read; this base hands it to predict unread. The contract that
-    ReplayTagger and tune rely on: an output depends only on its example
+    parser.score_parses relies on: an output depends only on its example
     and the features its source gives, never on the decoder's settings.
     GruTagger and OracleTagger keep it; a stream of draws in call order
     keeps it only while the calls come in the same order."""
@@ -201,17 +201,16 @@ class GruTagger:
             a = self._affine(xs[d].transpose(1, 0, 2), base)
             a_zr[:, d], a_n[:, d] = a[..., :2 * h], a[..., 2 * h:]
         hs = np.zeros((T + 1, 2, B, h), dtype=x.dtype)  # hs[t]: before step t
-        zr_all = np.empty((T, 2, B, 2 * h), dtype=x.dtype)
-        n_all = np.empty((T, 2, B, h), dtype=x.dtype)
+        gates = np.empty((T, 2, B, 3 * h), dtype=x.dtype)  # z, r, n
         rec = np.empty((T, 2, B, 3 * h), dtype=x.dtype)  # hs[t] @ U
         for t in range(T):
             for d, base in enumerate(bases):
                 np.matmul(hs[t, d], self.params[base + "U"], out=rec[t, d])
-            zr_all[t] = _sigmoid(a_zr[t] + rec[t, ..., :2 * h])
-            z, r = zr_all[t, ..., :h], zr_all[t, ..., h:]
-            n_all[t] = np.tanh(a_n[t] + r * rec[t, ..., 2 * h:])
-            hs[t + 1] = (1.0 - z) * n_all[t] + z * hs[t]
-        gates = np.concatenate([zr_all, n_all], axis=3)  # z, r, n
+            g = gates[t]
+            g[..., :2 * h] = _sigmoid(a_zr[t] + rec[t, ..., :2 * h])
+            z, r, n = g[..., :h], g[..., h:2 * h], g[..., 2 * h:]
+            n[...] = np.tanh(a_n[t] + r * rec[t, ..., 2 * h:])
+            hs[t + 1] = (1.0 - z) * n + z * hs[t]
         hs, gates, rec = (v.transpose(1, 2, 0, 3) for v in (hs, gates, rec))
         return (hs[0, :, 1:], hs[1, :, 1:]), tuple(
             {"x": xs[d], "hprev": hs[d, :, :-1], "gates": gates[d],
@@ -238,9 +237,7 @@ class GruTagger:
         logits1 = self._affine(x, "out1/")
         logits2 = self._affine(x, "out2/")
         _check_finite("forward pass", logits1, logits2)
-        task1, task2 = _softmax(logits1), _softmax(logits2)
-        dists = [bio.TagDistribution(task1=t1, task2=t2)
-                 for t1, t2 in zip(task1, task2)]
+        dists = [bio.TagDistribution(task1=t1) for t1 in _softmax(logits1)]
         cache = {"f": f, "layers": layers, "top": x,
                  "logits1": logits1, "logits2": logits2}
         return dists, cache
@@ -327,7 +324,7 @@ class GruTagger:
         d1 = dist.task1.copy()
         d1[np.arange(T), y1] -= 1.0
         d1 /= T
-        d2 = dist.task2.copy()
+        d2 = _softmax(cache["logits2"][0])
         d2[np.arange(T), y2] -= 1.0
         d2 *= self.config.lambda_aux / T
 
@@ -470,35 +467,6 @@ def train(examples, ctx, config: TrainConfig, dev_score=None,
     if best_flat is not None:
         tagger.params.flat[:] = best_flat
     return tagger, log
-
-
-class ReplayTagger:
-    """Answers each distinct example with the wrapped tagger's first
-    prediction for it. A prediction depends only on the example while the
-    featurizer context stays the same, so parsing the same sentences again
-    under another decoder setting tags each focus node once. The memo holds
-    a table per sentence, found by the identity of its token tuple (held,
-    so the id stays unique): no lookup hashes a token, and no two sentences
-    share an entry. A table is keyed by passage id, focus node and mask;
-    the focus node names its depth, so a unary chain's nodes differ."""
-
-    def __init__(self, tagger):
-        self.tagger = tagger
-        self._tables = {}  # id(tokens) -> (tokens, {key: TagDistribution})
-
-    def predict_batch(self, examples, features):
-        """The wrapped tagger tags the examples not seen before, in one
-        batch; only they may read features."""
-        slots = [(self._tables.setdefault(id(ex.tokens), (ex.tokens, {}))[1],
-                  (ex.passage_id, ex.focus_node, ex.mask)) for ex in examples]
-        dists = [table.get(key) for table, key in slots]
-        misses = [i for i, dist in enumerate(dists) if dist is None]
-        fresh = self.tagger.predict_batch([examples[i] for i in misses],
-                                          features)
-        for i, dist in zip(misses, fresh):
-            table, key = slots[i]
-            dists[i] = table[key] = dist
-        return dists
 
 
 # ---------------------------------------------------------------------------

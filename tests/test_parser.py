@@ -16,13 +16,13 @@ from rucca.lexicon import ExpressionLexicon
 from rucca.parser import (DecoderConfig, ParseError, apply_constraints,
                           parse, resolve_remotes)
 from rucca.lexicon import MweMask, match
-from rucca.tagger import (GruTagger, OracleTagger, ReplayTagger, Tagger,
-                          TaggerConfig)
+from rucca.tagger import GruTagger, OracleTagger, Tagger, TaggerConfig
 
 from helpers import (FixedTagger, KeyedRandomTagger, RandomTagger,
                      assert_same_features, context_for, fig1_passage,
                      fixture_corpus, random_corpus,
-                     reference_merge_scene_spans, reference_mwe_integrity,
+                     reference_decode_remote, reference_merge_scene_spans,
+                     reference_mwe_integrity,
                      reference_parse, refuse_featurize, single_token_passage,
                      two_scene_5tok_passage)
 
@@ -509,10 +509,10 @@ def test_parse_sentences_keeps_input_order():
 def test_score_parses_matches_a_fresh_parse_and_score_per_config(
         max_depth, monkeypatch):
     """score_parses gives, for each config in order, the overall report of
-    a fresh parse and score of the set under it. Through a ReplayTagger,
-    the inner tagger tags each node of one parse of the set once. A
-    sentence is scored under the first config, and again only under a
-    config whose parse of it differs from the previous config's."""
+    a fresh parse and score of the set under it. The tagger tags each node
+    of one parse of the set once. A sentence is scored under the first
+    config, and again only under a config whose parse of it differs from
+    the previous config's."""
     corpus = fixture_corpus()
     ctx = context_for(corpus)
     sentences = [(p.passage_id, p.tokens, p.language) for p in corpus]
@@ -544,7 +544,7 @@ def test_score_parses_matches_a_fresh_parse_and_score_per_config(
 
     monkeypatch.setattr(evaluator, "score", counted)
     inner = KeyedRandomTagger(7, 0.3)
-    got = list(parser.score_parses(corpus, ReplayTagger(inner), ctx, cfgs))
+    got = parser.score_parses(corpus, inner, ctx, cfgs)
     assert got == expected
     assert inner.calls == len(steps)
     assert len(scored) == len(corpus) + changed
@@ -587,13 +587,13 @@ def test_parse_scene_invariant_with_oracle():
 @pytest.mark.parametrize("max_depth", [20, 2])
 def test_resolve_remotes_matches_parse_at_every_threshold(max_depth):
     """Tagging once and re-resolving the remotes at a threshold gives the
-    passage and trace of a parse at that threshold. Resolving keeps each
-    step whose remote spans it does not change and leaves its input
-    trace as it was."""
+    passage and trace of a parse at that threshold. Resolving shares
+    every step of its input trace and leaves that trace as it was; the
+    new trace renders each step's remote spans at that threshold."""
     corpus = fixture_corpus()
     ctx = context_for(corpus)
     cfg = DecoderConfig(max_depth=max_depth)
-    remotes, notes, kept, copied = 0, set(), 0, 0
+    remotes, notes = 0, set()
     for seed, gold in enumerate(corpus):
         tree = parse(gold.tokens, RandomTagger(seed), ctx, cfg,
                      passage_id=gold.passage_id)
@@ -608,11 +608,13 @@ def test_resolve_remotes_matches_parse_at_every_threshold(max_depth):
             got, got_trace = resolve_remotes(*tree, theta)
             assert got == expected, (gold.passage_id, theta)
             assert got_trace.render() == expected_trace.render()
-            for step, got_step in zip(steps, got_trace.steps):
-                same = got_step.decoded_remote == step.decoded_remote
-                assert (got_step is step) == same
-                kept += same
-                copied += not same
+            assert len(got_trace.steps) == len(steps)
+            assert all(a is b for a, b in zip(got_trace.steps, steps))
+            for step, line in zip(steps, got_trace.render().splitlines()):
+                remote = [(s.start, s.end, s.category) for s in
+                          reference_decode_remote(step.remote_summary.rows,
+                                                  theta)]
+                assert " remote=%s " % remote in line
             assert all(a is b for a, b in zip(trace.steps, steps))
             assert len(trace.steps) == len(steps)
             assert trace.notes == notes_before
@@ -622,22 +624,34 @@ def test_resolve_remotes_matches_parse_at_every_threshold(max_depth):
         # Re-resolving at the parse's own threshold still gives its parse.
         assert resolve_remotes(*tree, cfg.remote_threshold) == tree
     # The random rows give remotes, dropped and duplicate ones, and the
-    # shallow cap adds depth-cap notes written before resolution. The
-    # sweep both keeps and copies steps.
+    # shallow cap adds depth-cap notes written before resolution.
     assert remotes > 0
     assert notes == {"dropped", "duplicate"} | (
         {"depth"} if max_depth == 2 else set())
-    assert kept > 0 and copied > 0
+
+
+def _recorded_parses(monkeypatch):
+    """Every (Passage, rendered trace) parser.parse returns from now on."""
+    parsed = []
+    parse_one = parser.parse
+
+    def recorded(*args, **kwargs):
+        passage, trace = parse_one(*args, **kwargs)
+        parsed.append((passage, trace.render()))
+        return passage, trace
+
+    monkeypatch.setattr(parser, "parse", recorded)
+    return parsed
 
 
 def test_replayed_predictions_give_a_fresh_parse_at_every_threshold():
-    """Parsing a sentence again through ReplayTagger at another threshold
+    """Parsing a sentence again through its _Replay at another threshold
     tags no node twice and gives that threshold's parse."""
     corpus = fixture_corpus()
     ctx = context_for(corpus)
     for seed, gold in enumerate(corpus):
         inner = RandomTagger(seed)
-        replay = ReplayTagger(inner)
+        replay = parser._Replay(inner)
         for theta in cli.THRESHOLD_SWEEP:
             cfg = DecoderConfig(remote_threshold=theta)
             got, got_trace = parse(gold.tokens, replay, ctx, cfg,
@@ -651,14 +665,16 @@ def test_replayed_predictions_give_a_fresh_parse_at_every_threshold():
 
 
 def test_replayed_parse_hashes_no_token(monkeypatch):
-    """ReplayTagger finds a sentence's predictions by the identity of its
-    token tuple, so replaying a parse hashes no TokenRow."""
+    """score_parses finds a sentence's replayed predictions by focus node
+    and mask, so parsing a set under several thresholds hashes no
+    TokenRow, and each parse is a fresh parse's."""
     corpus = fixture_corpus()
     ctx = context_for(corpus)
-    replay = ReplayTagger(RandomTagger(5))
-    cfg = DecoderConfig()
-    first = [parse(p.tokens, replay, ctx, cfg, passage_id=p.passage_id)
-             for p in corpus]
+    cfgs = [DecoderConfig(remote_threshold=theta) for theta in (0.3, 0.1)]
+    expected = [parse(p.tokens, KeyedRandomTagger(5), ctx, cfg,
+                      passage_id=p.passage_id)[0]
+                for p in corpus for cfg in cfgs]
+    parsed = _recorded_parses(monkeypatch)
     hashes = []
     token_hash = TokenRow.__hash__
 
@@ -667,16 +683,15 @@ def test_replayed_parse_hashes_no_token(monkeypatch):
         return token_hash(self)
 
     monkeypatch.setattr(TokenRow, "__hash__", counted)
-    again = [parse(p.tokens, replay, ctx, cfg, passage_id=p.passage_id)
-             for p in corpus]
+    parser.score_parses(corpus, KeyedRandomTagger(5), ctx, cfgs)
     assert hashes == []
-    assert [p for p, _ in again] == [p for p, _ in first]
+    assert [p for p, _ in parsed] == expected
 
 
-def test_replay_never_mixes_up_two_sentences_of_one_passage_id():
+def test_replay_never_mixes_up_two_sentences_of_one_passage_id(monkeypatch):
     """Two sentences with one passage id and length but other tokens,
-    parsed in turn at two thresholds through one ReplayTagger, each get a
-    fresh parse's result: their masks and focus nodes agree, and only the
+    scored in turn at two thresholds by score_parses, each get a fresh
+    parse's result: their masks and focus nodes agree, and only the
     tokens tell their predictions apart."""
     one = two_scene_5tok_passage()
     forms = ("They", "ran", "and", "we", "laughed")
@@ -692,24 +707,22 @@ def test_replay_never_mixes_up_two_sentences_of_one_passage_id():
                 t.form for t in example.tokens).encode("utf-8"))
             return super().predict(example, feats)
 
-    replay = ReplayTagger(FormKeyedTagger(0))
-    for theta in (0.1, 0.6):
-        cfg = DecoderConfig(remote_threshold=theta)
-        for gold in (one, other, one, other):
-            got, got_trace = parse(gold.tokens, replay, ctx, cfg,
-                                   passage_id="same")
-            expected, expected_trace = parse(
-                gold.tokens, FormKeyedTagger(0), ctx, cfg,
-                passage_id="same")
-            assert got == expected
-            assert got_trace.render() == expected_trace.render()
-    assert parse(one.tokens, FormKeyedTagger(0), ctx, cfg)[1].render() != \
-        parse(other.tokens, FormKeyedTagger(0), ctx, cfg)[1].render()
+    golds = [replace(p, passage_id="same") for p in (one, other, one, other)]
+    cfgs = [DecoderConfig(remote_threshold=theta) for theta in (0.1, 0.6)]
+    fresh = [[parse(gold.tokens, FormKeyedTagger(0), ctx, cfg,
+                    passage_id="same") for cfg in cfgs] for gold in golds]
+    parsed = _recorded_parses(monkeypatch)
+    got = parser.score_parses(golds, FormKeyedTagger(0), ctx, cfgs)
+    assert parsed == [(p, trace.render()) for row in fresh for p, trace in row]
+    assert got == [sum((score(row[i][0], gold)
+                        for gold, row in zip(golds, fresh)),
+                       evaluator.EvalReport()) for i in range(len(cfgs))]
+    assert fresh[0][0][1].render() != fresh[1][0][1].render()
 
 
 def test_replay_tags_every_node_of_a_unary_chain():
-    """The nodes of a unary chain share their span and mask; replay still
-    tags each of them once, as a parse does."""
+    """The nodes of a unary chain share their span and mask; a _Replay
+    still tags each of them once, as a parse does."""
     gold = two_scene_5tok_passage()
     ctx = context_for([gold])
     n = len(gold.tokens)
@@ -727,7 +740,7 @@ def test_replay_tags_every_node_of_a_unary_chain():
 
     inner = Counting(dist)
     cfg = DecoderConfig(max_depth=5)
-    got, got_trace = parse(gold.tokens, ReplayTagger(inner), ctx, cfg)
+    got, got_trace = parse(gold.tokens, parser._Replay(inner), ctx, cfg)
     expected, expected_trace = parse(gold.tokens, FixedTagger(dist), ctx,
                                      cfg)
     masks = [s.mask for s in got_trace.steps]

@@ -15,7 +15,7 @@ from rucca.graph import Edge, Node, Passage, make_token
 from rucca.lexicon import match
 from rucca.tagger import (MAGIC, N_LAYERS, GruTagger, NumericError,
                           OracleTagger, Params, TaggerConfig, TrainConfig,
-                          _Adam, build_aux_vocab, clip_gradients,
+                          _Adam, _softmax, build_aux_vocab, clip_gradients,
                           load_checkpoint, save_checkpoint, train)
 
 from helpers import (complex_step_check, context_for,
@@ -37,9 +37,10 @@ def _tiny_setup(hidden=4, cat_dim=2, lambda_aux=1.0, seed=7):
 
 def test_forward_rows_normalized():
     tagger, ctx, examples = _tiny_setup()
-    dist, _ = tagger.forward(ctx.featurize(examples[0]))
+    dist, cache = tagger.forward(ctx.featurize(examples[0]))
     np.testing.assert_allclose(dist.task1.sum(axis=1), 1.0, atol=1e-6)
-    np.testing.assert_allclose(dist.task2.sum(axis=1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(_softmax(cache["logits2"][0]).sum(axis=1),
+                               1.0, atol=1e-6)
     assert dist.task1.shape == (7, bio.N_BIO)
 
 
@@ -49,19 +50,20 @@ def test_forward_length_one():
     examples = expand(passages[0])
     tagger = GruTagger(TaggerConfig(hidden=4, cat_dim=2), ctx.vocab,
                        build_aux_vocab(examples))
-    dist, _ = tagger.forward(ctx.featurize(examples[0]))
+    dist, cache = tagger.forward(ctx.featurize(examples[0]))
     assert dist.task1.shape[0] == 1
-    assert dist.task2.shape[0] == 1
+    assert _softmax(cache["logits2"][0]).shape[0] == 1
 
 
 def test_forward_deterministic_under_seed():
     a, ctx, examples = _tiny_setup(seed=99)
     b, _, _ = _tiny_setup(seed=99)
     feats = ctx.featurize(examples[1])
-    da, _ = a.forward(feats)
-    db, _ = b.forward(feats)
+    da, ca = a.forward(feats)
+    db, cb = b.forward(feats)
     assert np.array_equal(da.task1, db.task1)
-    assert np.array_equal(da.task2, db.task2)
+    assert np.array_equal(_softmax(ca["logits2"][0]),
+                          _softmax(cb["logits2"][0]))
 
 
 def test_forward_is_a_batch_of_one():
@@ -71,7 +73,8 @@ def test_forward_is_a_batch_of_one():
         dist, cache = tagger.forward(feats)
         dists, batch_cache = tagger.forward_batch([feats])
         assert dist.task1.tobytes() == dists[0].task1.tobytes()
-        assert dist.task2.tobytes() == dists[0].task2.tobytes()
+        assert _softmax(cache["logits2"][0]).tobytes() == \
+            _softmax(batch_cache["logits2"][0]).tobytes()
         assert cache.keys() == batch_cache.keys()
         for k in ("f", "top", "logits1", "logits2"):
             assert cache[k].shape[0] == 1
@@ -103,11 +106,13 @@ def test_predict_batch_rows_match_single_forwards(case):
     dists = tagger.predict_batch(
         batch, ctx.sentence(match(ctx.lexicon, root.tokens).flags))
     assert len(dists) == len(batch)
-    for dist, f in zip(dists, feats):
-        alone, _ = tagger.forward(f)
+    _, batch_cache = tagger.forward_batch(feats)  # its aux logits
+    for dist, f, logits2 in zip(dists, feats, batch_cache["logits2"]):
+        alone, cache = tagger.forward(f)
         np.testing.assert_allclose(dist.task1, alone.task1, rtol=0,
                                    atol=1e-12)
-        np.testing.assert_allclose(dist.task2, alone.task2, rtol=0,
+        np.testing.assert_allclose(_softmax(logits2),
+                                   _softmax(cache["logits2"][0]), rtol=0,
                                    atol=1e-12)
 
 
@@ -148,11 +153,12 @@ def test_loss_matches_independent_cross_entropy():
     feats = ctx.featurize(examples[2])
     y1, y2 = tagger.target_ids(examples[2])
     value, cache = tagger.loss(feats, y1, y2)
-    dist, _ = tagger.forward(feats)
+    dist, fcache = tagger.forward(feats)
     # independent recomputation from the probability rows
     n = feats.length
+    aux = _softmax(fcache["logits2"][0])
     expected = -np.mean(np.log(dist.task1[np.arange(n), y1]))
-    expected += -np.mean(np.log(dist.task2[np.arange(n), y2]))
+    expected += -np.mean(np.log(aux[np.arange(n), y2]))
     assert abs(value - expected) < 1e-8
 
 
@@ -450,7 +456,7 @@ def test_oracle_tagger_resolves_focus_from_mask():
     for ex in expand(p):
         dist = oracle.predict(ex, ctx.featurize(ex))
         assert np.array_equal(dist.task1, _gold_one_hot(p, ex.focus_node))
-        assert dist.task2 is None
+        assert not hasattr(dist, "task2")
 
 
 def _all_o(example):
